@@ -47,13 +47,20 @@ from .oracle import (
     count_parts_equal_one,
     enumerate_compositions,
 )
-from .formulas import FormulaVariant, formula_count, special_value, total_from_plus
+from .formulas import (
+    FormulaVariant,
+    formula_column,
+    formula_count,
+    special_value,
+    total_from_plus,
+)
 from .genfun import (
     BivariatePoly,
     RationalGF,
     extract_coefficient,
     gf_catalog,
     gf_count,
+    gf_grid,
     series_inverse,
 )
 from .bijection import (
@@ -102,9 +109,11 @@ __all__ = [
     "extract_coefficient",
     "fibonacci",
     "format_composition",
+    "formula_column",
     "formula_count",
     "gf_catalog",
     "gf_count",
+    "gf_grid",
     "match_count",
     "mismatch_count",
     "multinom",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Sequence
 
 from . import concordance as concordance_mod
 from .bijection import (
@@ -29,8 +30,8 @@ from .bijection import (
     format_pair,
     parse_pair,
 )
-from .formulas import FormulaVariant, formula_count
-from .genfun import gf_count
+from .formulas import FormulaVariant, formula_column, formula_count
+from .genfun import gf_count, gf_grid
 from .oracle import DEFAULT_ENUMERATION_CAP, EnumerationCapError, brute_count
 from .stats import (
     CountSpec,
@@ -81,14 +82,21 @@ def _parse_cell(args: argparse.Namespace) -> tuple[Family, bool, Sign, Modulus]:
     return Family(args.family), args.reduced, Sign(args.sign), modulus
 
 
-def _evaluate(args: argparse.Namespace, family, reduced, sign, modulus, n: int, k: int) -> int:
+def _check_cell(args: argparse.Namespace, n: int, k: int) -> FormulaVariant | None:
+    """Refuse a cell the CLI cannot ask for; return the requested formula variant."""
     if n < 0:
         raise CliError(f"n must be >= 0, got {n}")
     if k < 0:
         raise CliError(f"k must be >= 0, got {k}")
-    variant = FormulaVariant(args.variant) if args.variant is not None else None
-    if variant is not None and args.method != "formula":
+    if args.variant is None:
+        return None
+    if args.method != "formula":
         raise CliError("--variant selects among closed formulas; it requires --method formula")
+    return FormulaVariant(args.variant)
+
+
+def _evaluate(args: argparse.Namespace, family, reduced, sign, modulus, n: int, k: int) -> int:
+    variant = _check_cell(args, n, k)
     try:
         if args.method == "formula":
             return formula_count(family, reduced, sign, modulus, n, k, variant)
@@ -100,8 +108,30 @@ def _evaluate(args: argparse.Namespace, family, reduced, sign, modulus, n: int, 
                 f"(2^{n - 1} compositions)"
             )
         return brute_count(CountSpec(family, reduced, sign, modulus, k), n, cap=args.cap)
-    except EnumerationCapError as error:
+    except ValueError as error:
         raise CliError(str(error)) from None
+
+
+def _grid(
+    args: argparse.Namespace, family, reduced, sign, modulus, ns: Sequence[int], ks: range
+) -> list[list[int]]:
+    """rows[i][j] = count(ns[i], ks[j]) for ascending ns, all computed up front.
+
+    The gf path makes one series expansion and the formula path evaluates
+    each plus value once, both over n = 0..ns[-1]; brute force goes cell by
+    cell, so its refusals name the first cell that needs them.
+    """
+    if not ns:
+        return []
+    variant = _check_cell(args, ns[0], ks[0])
+    if args.method == "brute":
+        return [[_evaluate(args, family, reduced, sign, modulus, n, k) for k in ks] for n in ns]
+    try:
+        if args.method == "gf":
+            rows = gf_grid(family, reduced, sign, modulus, ns[-1], ks[-1])
+            return [rows[n][ks[0]:] for n in ns]
+        columns = [formula_column(family, reduced, sign, modulus, ns[-1], k, variant) for k in ks]
+        return [[column[n] for column in columns] for n in ns]
     except ValueError as error:
         raise CliError(str(error)) from None
 
@@ -116,17 +146,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     family, reduced, sign, modulus = _parse_cell(args)
     if args.n_max < 0 or args.k_max < 0:
         raise CliError("--n-max and --k-max must be >= 0")
-    header = ["n"] + [f"k={k}" for k in range(args.k_max + 1)]
-    print("\t".join(header))
-    for n in range(args.n_max + 1):
-        row = [str(n)]
-        for k in range(args.k_max + 1):
-            row.append(str(_evaluate(args, family, reduced, sign, modulus, n, k)))
-        print("\t".join(row))
+    rows = _grid(args, family, reduced, sign, modulus,
+                 range(args.n_max + 1), range(args.k_max + 1))
+    lines = ["\t".join(["n"] + [f"k={k}" for k in range(args.k_max + 1)])]
+    lines += ["\t".join(map(str, [n, *row])) for n, row in enumerate(rows)]
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
+    indices = range(args.offset, args.n_max + 1)
     if args.concordance:
         try:
             record = concordance_mod.lookup(args.concordance)
@@ -140,6 +169,13 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
             raise CliError(f"{record.id} is a triangle; pass --k")
         if record.k is not None and args.k is not None:
             raise CliError(f"--k conflicts with --concordance ({record.id} pins k={record.k})")
+        k = record.k if record.k is not None else args.k
+        try:
+            arguments = [record.mapped_index(idx, k)[0] for idx in indices]
+        except ValueError as error:
+            raise CliError(str(error)) from None
+        # a negative mapped argument reads as 0 and needs no evaluation
+        ns = [n for n in arguments if n >= 0]
     else:
         for flag, value in (("--family", args.family), ("--sign", args.sign), ("--mod", args.mod)):
             if value is None:
@@ -148,23 +184,21 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
             raise CliError("--k is required unless --concordance is given")
         family, reduced, sign, modulus = _parse_cell(args)
         record = None
+        k = args.k
+        arguments = ns = list(indices)
 
+    rows = _grid(args, family, reduced, sign, modulus, ns, range(k, k + 1))
+    values = {n: row[0] for n, row in zip(ns, rows)}
     lines = []
-    for idx in range(args.offset, args.n_max + 1):
+    for idx, n in zip(indices, arguments):
+        value = values.get(n, 0)
         if record is not None:
-            n, k = record.mapped_index(idx, args.k)
-            if n < 0:
-                value = 0
-            else:
-                value = _evaluate(args, family, reduced, sign, modulus, n, k)
             quotient, remainder = divmod(value, record.divisor)
             if remainder:
                 raise CliError(
                     f"{record.id}: count {value} at n={n} is not divisible by {record.divisor}"
                 )
             value = quotient
-        else:
-            value = _evaluate(args, family, reduced, sign, modulus, idx, args.k)
         separator = " " if args.format == "bfile" else ","
         lines.append(f"{idx}{separator}{value}")
     text = "".join(line + "\n" for line in lines)

@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Callable, Iterator
 
 from .core import binom, fibonacci, multinom, tribonacci, tribonacci_prime
-from .stats import Family, Modulus, Sign, _InfinityType, check_modulus
+from .stats import Family, Modulus, Sign, _InfinityType, check_index, check_modulus
 
 
 class FormulaVariant(Enum):
@@ -48,10 +48,8 @@ V1, V2, V3 = FormulaVariant.V1, FormulaVariant.V2, FormulaVariant.V3
 
 
 def _check_nk(n: int, k: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    check_index(n, "n")
+    check_index(k, "k")
 
 
 def _check_m(m: int) -> None:
@@ -775,6 +773,32 @@ def formula_count(
     if sign is Sign.MINUS:
         return plus(n - 1) if n >= 1 else 0
     return total_from_plus(plus, n)
+
+
+def formula_column(
+    family: Family,
+    reduced: bool,
+    sign: Sign,
+    modulus: Modulus,
+    n_max: int,
+    k: int,
+    variant: FormulaVariant | None = None,
+) -> list[int]:
+    """formula_count at n = 0..n_max for one k, evaluating each plus value once.
+
+    The plus column comes from one formula_count call per n; minus(n) is
+    plus(n-1) and total(n) is plus(n) + plus(n-1), both read from that list.
+    """
+    check_index(n_max, "n_max")
+    if sign is Sign.MINUS:
+        if n_max == 0:
+            # formula_count validates the request and evaluates no plus value here
+            return [formula_count(family, reduced, sign, modulus, 0, k, variant)]
+        return [0] + formula_column(family, reduced, Sign.PLUS, modulus, n_max - 1, k, variant)
+    plus = [formula_count(family, reduced, Sign.PLUS, modulus, n, k, variant) for n in range(n_max + 1)]
+    if sign is Sign.PLUS:
+        return plus
+    return [now + before for now, before in zip(plus, [0] + plus)]
 
 
 def _fib_fold(n: int) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .stats import Family, Modulus, Sign, _InfinityType, check_modulus
+from .stats import Family, Modulus, Sign, _InfinityType, check_index, check_modulus
 
 
 class BivariatePoly:
@@ -266,9 +266,13 @@ def extract_coefficient(gf: RationalGF, n: int, k: int) -> int:
     return gf.coefficient(n, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def series_table(gf: RationalGF, nq: int, nt: int) -> BivariatePoly:
-    """Cached series expansion; use when reading many coefficients of one gf."""
+    """Cached series expansion; use when reading many coefficients of one gf.
+
+    Only the 32 most recent expansions are kept, so a long-running process
+    does not hold every table it has ever expanded.
+    """
     return gf.series(nq, nt)
 
 
@@ -376,36 +380,31 @@ def _totalized(plus_gf: RationalGF) -> RationalGF:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One generating function of the catalog.
-
-    ``derived`` marks entries not displayed as such but obtained from a plus
-    entry by the (1+q) total multiplier or by the swap-class halving t -> t/2.
-    """
+    """One generating function of the catalog."""
 
     family: Family
     reduced: bool
     sign: Sign
     modular: bool
-    derived: bool
 
 
 _CATALOG: dict[CatalogEntry, object] = {
-    CatalogEntry(Family.PC, False, Sign.PLUS, False, False): _pc_plus_inf,
-    CatalogEntry(Family.PC, False, Sign.TOTAL, False, True): lambda: _totalized(_pc_plus_inf()),
-    CatalogEntry(Family.PC, True, Sign.PLUS, False, True): _rpc_plus_inf,
-    CatalogEntry(Family.PC, True, Sign.TOTAL, False, True): lambda: _totalized(_rpc_plus_inf()),
-    CatalogEntry(Family.AC, False, Sign.PLUS, False, False): _ac_plus_inf,
-    CatalogEntry(Family.AC, False, Sign.TOTAL, False, False): _ac_total_inf,
-    CatalogEntry(Family.AC, True, Sign.PLUS, False, False): _rac_plus_inf,
-    CatalogEntry(Family.AC, True, Sign.TOTAL, False, True): lambda: _totalized(_rac_plus_inf()),
-    CatalogEntry(Family.PC, False, Sign.PLUS, True, False): _pc_plus_mod,
-    CatalogEntry(Family.PC, False, Sign.TOTAL, True, True): lambda m: _totalized(_pc_plus_mod(m)),
-    CatalogEntry(Family.PC, True, Sign.PLUS, True, False): _rpc_plus_mod,
-    CatalogEntry(Family.PC, True, Sign.TOTAL, True, True): lambda m: _totalized(_rpc_plus_mod(m)),
-    CatalogEntry(Family.AC, False, Sign.PLUS, True, False): _ac_plus_mod,
-    CatalogEntry(Family.AC, False, Sign.TOTAL, True, False): _ac_total_mod,
-    CatalogEntry(Family.AC, True, Sign.PLUS, True, False): _rac_plus_mod,
-    CatalogEntry(Family.AC, True, Sign.TOTAL, True, False): _rac_total_mod,
+    CatalogEntry(Family.PC, False, Sign.PLUS, False): _pc_plus_inf,
+    CatalogEntry(Family.PC, False, Sign.TOTAL, False): lambda: _totalized(_pc_plus_inf()),
+    CatalogEntry(Family.PC, True, Sign.PLUS, False): _rpc_plus_inf,
+    CatalogEntry(Family.PC, True, Sign.TOTAL, False): lambda: _totalized(_rpc_plus_inf()),
+    CatalogEntry(Family.AC, False, Sign.PLUS, False): _ac_plus_inf,
+    CatalogEntry(Family.AC, False, Sign.TOTAL, False): _ac_total_inf,
+    CatalogEntry(Family.AC, True, Sign.PLUS, False): _rac_plus_inf,
+    CatalogEntry(Family.AC, True, Sign.TOTAL, False): lambda: _totalized(_rac_plus_inf()),
+    CatalogEntry(Family.PC, False, Sign.PLUS, True): _pc_plus_mod,
+    CatalogEntry(Family.PC, False, Sign.TOTAL, True): lambda m: _totalized(_pc_plus_mod(m)),
+    CatalogEntry(Family.PC, True, Sign.PLUS, True): _rpc_plus_mod,
+    CatalogEntry(Family.PC, True, Sign.TOTAL, True): lambda m: _totalized(_rpc_plus_mod(m)),
+    CatalogEntry(Family.AC, False, Sign.PLUS, True): _ac_plus_mod,
+    CatalogEntry(Family.AC, False, Sign.TOTAL, True): _ac_total_mod,
+    CatalogEntry(Family.AC, True, Sign.PLUS, True): _rac_plus_mod,
+    CatalogEntry(Family.AC, True, Sign.TOTAL, True): _rac_total_mod,
 }
 
 
@@ -413,7 +412,7 @@ def catalog_entries() -> Iterator[CatalogEntry]:
     return iter(_CATALOG)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> RationalGF:
     """Look up (and for finite moduli, instantiate) a catalog generating function."""
     check_modulus(modulus)
@@ -450,8 +449,8 @@ def gf_count(
     The minus part is read off the plus series at q-degree n-1 (the same
     reflection the formula path uses).
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"n and k must be >= 0, got ({n}, {k})")
+    check_index(n, "n")
+    check_index(k, "k")
     if sign is Sign.MINUS:
         if n == 0:
             return 0
@@ -459,3 +458,21 @@ def gf_count(
         return series_table(gf, n - 1, k).coeff(n - 1, k)
     gf = gf_catalog(family, reduced, sign, modulus)
     return series_table(gf, n, k).coeff(n, k)
+
+
+def gf_grid(
+    family: Family, reduced: bool, sign: Sign, modulus: Modulus, n_max: int, k_max: int
+) -> list[list[int]]:
+    """rows[n][k] = gf_count(..., n, k) for n <= n_max and k <= k_max.
+
+    One series expansion answers every cell, because a larger truncation
+    never changes a coefficient.  The minus rows are the plus rows one
+    q-degree down, below an all-zero row 0.
+    """
+    check_index(n_max, "n_max")
+    check_index(k_max, "k_max")
+    if sign is Sign.MINUS:
+        plus_rows = gf_grid(family, reduced, Sign.PLUS, modulus, n_max - 1, k_max) if n_max else []
+        return [[0] * (k_max + 1)] + plus_rows
+    series = series_table(gf_catalog(family, reduced, sign, modulus), n_max, k_max)
+    return [[series.coeff(n, k) for k in range(k_max + 1)] for n in range(n_max + 1)]

@@ -57,6 +57,15 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
+def check_enumeration_cap(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """Refuse, before any work, a run that enumerates n = 0..n_max in turn.
+
+    The error is the one that run would raise at its first n past the cap.
+    """
+    if n_max > cap:
+        _check_cap(max(cap + 1, 0), cap)
+
+
 def enumerate_compositions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Composition]:
     """Yield every composition of n once, ordered by its binary encoding."""
     _check_cap(n, cap)

@@ -82,6 +82,15 @@ def check_modulus(modulus: Modulus) -> Modulus:
     return modulus
 
 
+def check_index(value: int, name: str) -> int:
+    """Validate a count index such as n or k: an int (not a bool) and >= 0."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def composition(parts: Iterable[int]) -> Composition:
     """Validate and normalize an iterable of parts into a composition tuple."""
     c = tuple(parts)
@@ -215,8 +224,7 @@ class CountSpec:
 
     def __post_init__(self) -> None:
         check_modulus(self.modulus)
-        if self.k < 0:
-            raise ValueError(f"statistic index k must be >= 0, got {self.k}")
+        check_index(self.k, "statistic index k")
 
     def statistic(self, c: Composition) -> int:
         """The counted statistic of c: mismatches for PC, matches for AC."""

@@ -24,6 +24,7 @@ from .genfun import gf_catalog, series_table
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     brute_count,
+    check_enumeration_cap,
     count_at_most_one_even_part,
     count_parts_at_most,
     count_parts_equal_one,
@@ -612,11 +613,15 @@ def run_all(
 
     Checks backed by exhaustive enumeration scale with the requested grid;
     formula-only and series-only identities always run over their full fixed
-    ranges (they are cheap and their ranges are part of the contract).  An
-    exception escaping a check (a failed exact division, say) is reported as
-    that check failing rather than aborting the run.
+    ranges (they are cheap and their ranges are part of the contract).  A
+    grid that would enumerate past the cap raises EnumerationCapError before
+    any check runs.  An exception escaping a check (a failed exact division,
+    say) is reported as that check failing rather than aborting the run.
     """
     small_n = min(n_max, 14)
+    deep_n = min(n_max + 4, 18)
+    # each enumerating check walks n upward, to max(n_max, deep_n) at most
+    check_enumeration_cap(max(n_max, deep_n), cap)
     planned = [
         ("three_path_grid", lambda: three_path_grid(n_max, k_max, moduli, cap)),
         ("variant_agreement", lambda: variant_agreement(n_max, k_max, moduli)),
@@ -625,7 +630,7 @@ def run_all(
         ("statistic_partition", lambda: statistic_partition(n_max, moduli, cap)),
         ("reduced_halving", lambda: reduced_halving(small_n, k_max, cap)),
         ("divisibility", lambda: divisibility(20, 6)),
-        ("tribonacci_identity", lambda: tribonacci_identity(min(n_max + 4, 18), cap)),
+        ("tribonacci_identity", lambda: tribonacci_identity(deep_n, cap)),
         ("sequence_identification", lambda: sequence_identification(30)),
         ("parity_vanishing", lambda: parity_vanishing(20, 6)),
         ("special_values", lambda: special_values(24)),
@@ -636,7 +641,7 @@ def run_all(
         ("binary_round_trip", lambda: binary_round_trip(small_n, cap)),
         ("m1_specializations", lambda: m1_specializations(20, 6)),
         ("coloring_interpretations", lambda: coloring_interpretations(min(n_max + 2, 16), cap)),
-        ("parts_equal_one", lambda: parts_equal_one(min(n_max + 4, 18), 5, cap)),
+        ("parts_equal_one", lambda: parts_equal_one(deep_n, 5, cap)),
     ]
     results = []
     for name, check in planned:

@@ -1,13 +1,18 @@
 """Command-line surface: outputs, formats, refusals, exit codes."""
 
 import json
+import time
 
 import pytest
 
 from palcomp import formulas
 from palcomp.cli import main
+from palcomp.concordance import lookup
 from palcomp.formulas import formula_count
+from palcomp.genfun import gf_count
 from palcomp.stats import Family, Sign, parse_modulus
+
+PER_CELL = {"formula": formula_count, "gf": gf_count}
 
 
 def run(capsys, *argv):
@@ -112,6 +117,31 @@ class TestTable:
                 expected = formula_count(Family.PC, True, Sign.PLUS, parse_modulus("inf"), n, k)
                 assert int(value) == expected
 
+    @pytest.mark.parametrize("method", ["formula", "gf"])
+    @pytest.mark.parametrize(
+        "family, reduced, sign, mod",
+        [("pc", False, "minus", "2"), ("ac", True, "total", "inf"), ("ac", False, "plus", "3")],
+    )
+    def test_prints_the_per_cell_loop(self, capsys, method, family, reduced, sign, mod):
+        code, out, _ = run(
+            capsys, "table", "--family", family, *(["--reduced"] if reduced else []),
+            "--sign", sign, "--mod", mod, "--n-max", "13", "--k-max", "3", "--method", method,
+        )
+        cell = (Family(family), reduced, Sign(sign), parse_modulus(mod))
+        expected = "n\tk=0\tk=1\tk=2\tk=3\n" + "".join(
+            "\t".join(str(v) for v in [n] + [PER_CELL[method](*cell, n, k) for k in range(4)]) + "\n"
+            for n in range(14)
+        )
+        assert code == 0 and out == expected
+
+    def test_refusal_prints_nothing(self, capsys):
+        code, out, err = run(
+            capsys, "table", "--family", "ac", "--sign", "plus", "--mod", "inf",
+            "--n-max", "5", "--k-max", "1", "--method", "gf", "--variant", "2",
+        )
+        assert code == 2 and out == ""
+        assert "--method formula" in err
+
     def test_n0_k0_cell(self, capsys):
         for family in ("pc", "ac"):
             code, out, _ = run(
@@ -202,6 +232,39 @@ class TestSequence:
         assert code == 0
         assert out == "0 1\n1 0\n2 2\n3 1\n4 4\n5 4\n6 9\n"
 
+    @pytest.mark.parametrize("method", ["formula", "gf"])
+    @pytest.mark.parametrize(
+        "record_id, k, offset, fmt",
+        [
+            ("A001590", None, 0, "bfile"),  # negative shift: the first term maps below 0
+            ("A105422", 2, 3, "csv"),  # triangle, read at --k
+            ("A008346", None, 1, "bfile"),  # divisor 2
+            ("A036799", None, 0, "csv"),  # stride 2
+        ],
+    )
+    def test_concordance_prints_the_per_cell_loop(self, capsys, method, record_id, k, offset, fmt):
+        code, out, _ = run(
+            capsys, "sequence", "--concordance", record_id, "--n-max", "16", "--method", method,
+            "--offset", str(offset), "--format", fmt, *(["--k", str(k)] if k is not None else []),
+        )
+        record = lookup(record_id)
+        separator = "," if fmt == "csv" else " "
+        cell = (record.family, record.reduced, record.sign, record.modulus)
+        lines = []
+        for idx in range(offset, 17):
+            n, stat = record.mapped_index(idx, k)
+            value = PER_CELL[method](*cell, n, stat) if n >= 0 else 0
+            assert value % record.divisor == 0
+            lines.append(f"{idx}{separator}{value // record.divisor}\n")
+        assert code == 0 and out == "".join(lines)
+
+    def test_concordance_negative_k_is_refused(self, capsys):
+        code, out, err = run(
+            capsys, "sequence", "--concordance", "A105422", "--k", "-1", "--n-max", "3"
+        )
+        assert code == 2 and out == ""
+        assert "must be >= 0" in err
+
     def test_concordance_unknown_id(self, capsys):
         code, _, err = run(capsys, "sequence", "--concordance", "A999999", "--n-max", "3")
         assert code == 2 and "no concordance record" in err
@@ -265,6 +328,14 @@ class TestVerifyCommand:
         assert grid["params"]["family"] == "pc"
         assert grid["params"]["n"] == 6
         assert grid["params"]["k"] == 1
+
+    def test_cap_refusal_comes_before_any_work(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--n-max", "30")
+        elapsed = time.perf_counter() - start
+        assert code == 2 and out == ""
+        assert "compositions of n=25: enumeration cap is 24" in err
+        assert elapsed < 1.0
 
     def test_bad_modulus_list(self, capsys):
         code, _, err = run(capsys, "verify", "--mods", "1,zero")

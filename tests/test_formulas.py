@@ -232,6 +232,13 @@ class TestVariantsAndDispatch:
         with pytest.raises(ValueError):
             formula_count(Family.PC, False, Sign.PLUS, INFINITY, 5, 1, V2)
 
+    @pytest.mark.parametrize(
+        "n, k, name", [(True, 1, "n"), (4, False, "k"), (4.0, 1, "n"), (4, 1.5, "k"), ("4", 1, "n")]
+    )
+    def test_formula_count_rejects_non_int_indices(self, n, k, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            formula_count(Family.PC, False, Sign.TOTAL, INFINITY, n, k)
+
     def test_total_from_plus(self):
         assert total_from_plus(pc_plus_k, 4, 1) == 4
         assert total_from_plus(pc_plus_k, 0, 0) == pc_plus_k(0, 0)

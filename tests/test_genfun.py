@@ -173,6 +173,13 @@ class TestCrossPath:
             expected = fibonacci(n + 1) if n % 2 == 0 else 0
             assert series.coeff(n, 0) == expected
 
+    @pytest.mark.parametrize(
+        "n, k, name", [(True, 1, "n"), (4, False, "k"), (4.0, 1, "n"), (4, 1.5, "k")]
+    )
+    def test_gf_count_rejects_non_int_indices(self, n, k, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            gf_count(Family.PC, False, Sign.TOTAL, INFINITY, n, k)
+
     def test_negative_indices_rejected(self):
         gf = gf_catalog(Family.PC, False, Sign.PLUS, INFINITY)
         with pytest.raises(ValueError):

@@ -1,0 +1,70 @@
+"""Whole-grid readers: gf_grid and formula_column equal their per-cell APIs."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from palcomp.formulas import V2, FormulaVariant, formula_column, formula_count
+from palcomp.genfun import gf_count, gf_grid
+from palcomp.stats import INFINITY, Family, Sign
+
+cells_st = st.tuples(
+    st.sampled_from(Family),
+    st.booleans(),
+    st.sampled_from(Sign),
+    st.sampled_from((1, 2, 3, 4, 5, INFINITY)),
+)
+
+
+@settings(deadline=None)
+@given(cells_st, st.integers(0, 30), st.integers(0, 5))
+def test_gf_grid_equals_gf_count(cell, n_max, k_max):
+    rows = gf_grid(*cell, n_max, k_max)
+    assert rows == [
+        [gf_count(*cell, n, k) for k in range(k_max + 1)] for n in range(n_max + 1)
+    ]
+
+
+@settings(deadline=None)
+@given(cells_st, st.integers(0, 30), st.integers(0, 5))
+def test_formula_column_equals_formula_count(cell, n_max, k):
+    column = formula_column(*cell, n_max, k)
+    assert column == [formula_count(*cell, n, k) for n in range(n_max + 1)]
+
+
+def test_formula_column_passes_the_variant():
+    cell = (Family.AC, False, Sign.TOTAL, INFINITY)
+    for variant in (None, *FormulaVariant):
+        assert formula_column(*cell, 12, 1, variant) == [
+            formula_count(*cell, n, 1, variant) for n in range(13)
+        ]
+
+
+def test_minus_column_at_n0_still_validates_the_variant():
+    with pytest.raises(ValueError, match="single published formula"):
+        formula_column(Family.PC, False, Sign.MINUS, INFINITY, 0, 0, V2)
+    assert formula_column(Family.AC, False, Sign.MINUS, INFINITY, 0, 0, V2) == [0]
+
+
+@pytest.mark.parametrize(
+    "bounds, name",
+    [((True, 2), "n_max"), ((3, False), "k_max"), ((3.0, 2), "n_max"), ((3, "2"), "k_max")],
+)
+def test_gf_grid_rejects_non_int_bounds(bounds, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        gf_grid(Family.PC, False, Sign.PLUS, INFINITY, *bounds)
+
+
+@pytest.mark.parametrize(
+    "n_max, k, name", [(True, 1, "n_max"), (3, True, "k"), (3.5, 1, "n_max"), (3, 1.0, "k")]
+)
+def test_formula_column_rejects_non_int_arguments(n_max, k, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        formula_column(Family.PC, False, Sign.PLUS, INFINITY, n_max, k)
+
+
+@pytest.mark.parametrize("reader", [gf_grid, formula_column])
+def test_negative_bounds_rejected(reader):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        reader(Family.AC, True, Sign.TOTAL, 2, -1, 0)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        reader(Family.AC, True, Sign.TOTAL, 2, 3, -1)

@@ -163,6 +163,9 @@ class TestCountSpec:
             CountSpec(Family.PC, False, Sign.PLUS, 0, 0)
         with pytest.raises(TypeError):
             CountSpec(Family.PC, False, Sign.PLUS, 2.5, 0)
+        for k in (1.5, True, "1"):
+            with pytest.raises(TypeError, match="statistic index k must be an int"):
+                CountSpec(Family.PC, False, Sign.PLUS, INFINITY, k)
 
     def test_statistic_dispatch(self):
         c = (2, 4, 1, 1, 2)

@@ -3,6 +3,7 @@
 import pytest
 
 from palcomp import formulas, verify
+from palcomp.oracle import EnumerationCapError
 from palcomp.stats import INFINITY
 
 
@@ -104,3 +105,10 @@ def test_individual_fixed_checks():
     assert verify.parts_equal_one(12, 4).ok
     assert verify.statistic_partition(8, (2, INFINITY)).ok
     assert verify.reduced_halving(10, 3).ok
+
+
+def test_cap_is_checked_before_any_check_runs():
+    # n_max fits the cap, but tribonacci_identity and parts_equal_one reach n = 10
+    with pytest.raises(EnumerationCapError, match="compositions of n=9: enumeration cap is 8"):
+        verify.run_all(n_max=6, k_max=1, moduli=(2,), cap=8)
+    verify.run_all(n_max=6, k_max=1, moduli=(2,), cap=10)
