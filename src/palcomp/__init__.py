@@ -27,7 +27,6 @@ from .stats import (
     Family,
     Modulus,
     Sign,
-    SignClass,
     composition,
     decode_binary,
     encode_binary,
@@ -57,7 +56,6 @@ from .formulas import (
 from .genfun import (
     BivariatePoly,
     RationalGF,
-    extract_coefficient,
     gf_catalog,
     gf_count,
     gf_grid,
@@ -94,7 +92,6 @@ __all__ = [
     "PairStatistics",
     "RationalGF",
     "Sign",
-    "SignClass",
     "binom",
     "brute_count",
     "composition",
@@ -106,7 +103,6 @@ __all__ = [
     "encode_binary",
     "encode_pair",
     "enumerate_compositions",
-    "extract_coefficient",
     "fibonacci",
     "format_composition",
     "formula_column",

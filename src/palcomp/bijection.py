@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .stats import Composition, SignClass, composition, sign_class
+from .stats import Composition, Sign, composition, sign_class
 
 
 class MinusClassError(ValueError):
@@ -72,7 +72,7 @@ class PairStatistics:
 
 
 def _require_plus(c: Composition) -> None:
-    if sign_class(c) is SignClass.MINUS:
+    if sign_class(c) is Sign.MINUS:
         middle = c[len(c) // 2]
         raise MinusClassError(f"middle part {middle} is odd")
 

@@ -185,10 +185,6 @@ Q = BivariatePoly(((0,), (1,)))
 T = BivariatePoly(((0, 1),))
 
 
-def poly_add(a: BivariatePoly, b: BivariatePoly) -> BivariatePoly:
-    return a + b
-
-
 def poly_mul(
     a: BivariatePoly, b: BivariatePoly, nq: int | None = None, nt: int | None = None
 ) -> BivariatePoly:
@@ -259,11 +255,6 @@ class RationalGF:
         if n < 0 or k < 0:
             raise GFDomainError(f"coefficient indices must be >= 0, got ({n}, {k})")
         return self.series(n, k).coeff(n, k)
-
-
-def extract_coefficient(gf: RationalGF, n: int, k: int) -> int:
-    """Coefficient of q^n t^k in the series expansion of gf."""
-    return gf.coefficient(n, k)
 
 
 @lru_cache(maxsize=32)

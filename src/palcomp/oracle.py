@@ -14,11 +14,20 @@ Counting an n bounded by ``cap`` (default 24) is refused: 2^(n-1) items grow
 fast and a typo should not start an hour-long loop.  The cap is an argument,
 not a constant.
 
-Per-(n, modulus) tallies are cached so repeated queries against the same
-composition space (the verification grid asks thousands) enumerate it once.
-Counts of equivalence classes for the reduced families materialize the set
-of canonical forms; class sizes vary (2^(number of strictly unequal pairs)),
-so dividing by an orbit size would be wrong.
+Each n is walked at most twice, once per record below, and the 32 most
+recent records of each kind are kept, which covers every n up to the default
+cap.  The pair record tallies compositions by sign class, the sorted
+differences |a_i - a_(l+1-i)| of their mirror pairs, and whether the
+composition is its own swap-canonical form.  Two parts are congruent mod m
+exactly when m divides their difference, so one pair record answers every
+modulus and both families; the per-(n, modulus) census behind
+:func:`brute_count` is read off it without enumerating again.  A reduced
+family counts the canonical compositions, because every swap class has
+exactly one representative with the larger part first in each pair; class
+sizes vary (2^(number of strictly unequal pairs)), so dividing by an orbit
+size would be wrong.  The part record tallies compositions by their parts
+equal to 1, their largest part and their even parts, for the auxiliary
+counts.
 """
 
 from __future__ import annotations
@@ -33,9 +42,8 @@ from .stats import (
     Family,
     Modulus,
     Sign,
-    SignClass,
     check_modulus,
-    mismatch_count,
+    congruent,
     sign_class,
     swap_canonical,
 )
@@ -83,55 +91,56 @@ def enumerate_compositions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterat
         yield tuple(parts)
 
 
-@lru_cache(maxsize=None)
-def _census(n: int, modulus: Modulus) -> dict:
-    """Tally all compositions of n: counts keyed by (sign, statistic).
 
-    Returns {'mismatch': Counter[(SignClass, k)], 'match': Counter[...]}.
-    """
-    mismatch: Counter = Counter()
-    match: Counter = Counter()
+
+@lru_cache(maxsize=32)
+def _pair_record(n: int) -> Counter:
+    """Tally the compositions of n by (sign, sorted pair differences, canonical)."""
+    record: Counter = Counter()
     for c in enumerate_compositions(n, cap=n):
-        sign = sign_class(c)
-        mis = mismatch_count(c, modulus)
-        mismatch[(sign, mis)] += 1
-        match[(sign, len(c) // 2 - mis)] += 1
-    return {"mismatch": mismatch, "match": match}
+        l = len(c)
+        differences = sorted([abs(c[i] - c[l - 1 - i]) for i in range(l // 2)])
+        record[(sign_class(c), tuple(differences), c == swap_canonical(c))] += 1
+    return record
 
 
-@lru_cache(maxsize=None)
-def _reduced_census(n: int, modulus: Modulus) -> dict:
-    """Same tallies over distinct swap-canonical forms (equivalence classes)."""
-    forms = {swap_canonical(c) for c in enumerate_compositions(n, cap=n)}
-    mismatch: Counter = Counter()
-    match: Counter = Counter()
-    for c in forms:
-        sign = sign_class(c)
-        mis = mismatch_count(c, modulus)
-        mismatch[(sign, mis)] += 1
-        match[(sign, len(c) // 2 - mis)] += 1
-    return {"mismatch": mismatch, "match": match}
+@lru_cache(maxsize=128)
+def _census(n: int, modulus: Modulus) -> Counter:
+    """Counts keyed by (family, reduced, sign, k), read off the pair record of n."""
+    census: Counter = Counter()
+    for (sign, differences, canonical), count in _pair_record(n).items():
+        mis = sum(1 for d in differences if not congruent(d, 0, modulus))
+        for family, k in ((Family.PC, mis), (Family.AC, len(differences) - mis)):
+            census[(family, False, sign, k)] += count
+            if canonical:
+                census[(family, True, sign, k)] += count
+    return census
 
 
 def brute_count(spec: CountSpec, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Count compositions (or swap classes) of n selected by spec, from scratch."""
     _check_cap(n, cap)
     check_modulus(spec.modulus)
-    census = (_reduced_census if spec.reduced else _census)(n, spec.modulus)
-    stat = census["mismatch"] if spec.family is Family.PC else census["match"]
-    if spec.sign is Sign.TOTAL:
-        return stat[(SignClass.PLUS, spec.k)] + stat[(SignClass.MINUS, spec.k)]
-    sign = SignClass.PLUS if spec.sign is Sign.PLUS else SignClass.MINUS
-    return stat[(sign, spec.k)]
+    census = _census(n, spec.modulus)
+    signs = (Sign.PLUS, Sign.MINUS) if spec.sign is Sign.TOTAL else (spec.sign,)
+    return sum(census[(spec.family, spec.reduced, sign, spec.k)] for sign in signs)
 
 
-@lru_cache(maxsize=None)
-def _ones_distribution(n: int) -> Counter:
-    """Counter: number of parts equal to 1 -> how many compositions of n."""
-    dist: Counter = Counter()
+@lru_cache(maxsize=32)
+def _part_record(n: int) -> tuple[Counter, int]:
+    """Tally the compositions of n by (parts equal to 1, largest part, even parts).
+
+    Also returns the sum of 2^length over the compositions without a part 1.
+    The empty composition has largest part 0.
+    """
+    record: Counter = Counter()
+    two_colored = 0
     for c in enumerate_compositions(n, cap=n):
-        dist[sum(1 for p in c if p == 1)] += 1
-    return dist
+        ones = sum(1 for p in c if p == 1)
+        record[(ones, max(c, default=0), sum(1 for p in c if p % 2 == 0))] += 1
+        if ones == 0:
+            two_colored += 1 << len(c)
+    return record, two_colored
 
 
 def count_parts_equal_one(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -139,16 +148,7 @@ def count_parts_equal_one(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) ->
     _check_cap(n, cap)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return _ones_distribution(n)[k]
-
-
-@lru_cache(maxsize=None)
-def _max_part_distribution(n: int) -> Counter:
-    """Counter: largest part -> how many compositions of n (0 for the empty one)."""
-    dist: Counter = Counter()
-    for c in enumerate_compositions(n, cap=n):
-        dist[max(c, default=0)] += 1
-    return dist
+    return sum(count for (ones, _, _), count in _part_record(n)[0].items() if ones == k)
 
 
 def count_parts_at_most(n: int, limit: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -156,8 +156,7 @@ def count_parts_at_most(n: int, limit: int, cap: int = DEFAULT_ENUMERATION_CAP) 
     _check_cap(n, cap)
     if limit < 1:
         raise ValueError(f"part limit must be >= 1, got {limit}")
-    dist = _max_part_distribution(n)
-    return sum(count for largest, count in dist.items() if largest <= limit)
+    return sum(count for (_, largest, _), count in _part_record(n)[0].items() if largest <= limit)
 
 
 def count_two_colored_no_ones(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -166,24 +165,10 @@ def count_two_colored_no_ones(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int
     Weighted count: sum of 2^length over compositions without a part 1.
     """
     _check_cap(n, cap)
-    return sum(
-        1 << len(c) for c in enumerate_compositions(n, cap=n) if all(p >= 2 for p in c)
-    )
+    return _part_record(n)[1]
 
 
 def count_at_most_one_even_part(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Number of compositions of n with at most one even part."""
     _check_cap(n, cap)
-    return sum(
-        1
-        for c in enumerate_compositions(n, cap=n)
-        if sum(1 for p in c if p % 2 == 0) <= 1
-    )
-
-
-def clear_caches() -> None:
-    """Drop the memoized censuses (mainly for tests that touch large n)."""
-    _census.cache_clear()
-    _reduced_census.cache_clear()
-    _ones_distribution.cache_clear()
-    _max_part_distribution.cache_clear()
+    return sum(count for (_, _, evens), count in _part_record(n)[0].items() if evens <= 1)

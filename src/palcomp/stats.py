@@ -60,11 +60,6 @@ class Family(Enum):
     AC = "ac"  # count by matching pairs (anti-palindromic at k = 0)
 
 
-class SignClass(Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-
-
 class Sign(Enum):
     PLUS = "plus"
     MINUS = "minus"
@@ -188,12 +183,12 @@ def match_count(c: Composition, modulus: Modulus) -> int:
     return len(c) // 2 - mismatch_count(c, modulus)
 
 
-def sign_class(c: Composition) -> SignClass:
+def sign_class(c: Composition) -> Sign:
     """PLUS for even length or even middle part, MINUS for an odd middle part."""
     l = len(c)
     if l % 2 == 1 and c[l // 2] % 2 == 1:
-        return SignClass.MINUS
-    return SignClass.PLUS
+        return Sign.MINUS
+    return Sign.PLUS
 
 
 def swap_canonical(c: Composition) -> Composition:

@@ -19,7 +19,7 @@ from palcomp.formulas import (
 )
 from palcomp.genfun import gf_count
 from palcomp.oracle import brute_count, count_parts_at_most, count_parts_equal_one, enumerate_compositions
-from palcomp.stats import INFINITY, CountSpec, Family, Sign, SignClass, match_count, sign_class
+from palcomp.stats import INFINITY, CountSpec, Family, Sign, match_count, sign_class
 
 ALL_MODULI = (1, 2, 3, 4, 5, INFINITY)
 
@@ -67,7 +67,7 @@ def test_criterion_02_antipalindromic_images_of_six():
     anti_plus = [
         c
         for c in enumerate_compositions(6)
-        if sign_class(c) is SignClass.PLUS and match_count(c, INFINITY) == 0
+        if sign_class(c) is Sign.PLUS and match_count(c, INFINITY) == 0
     ]
     assert sorted(anti_plus) == sorted(PAIRS_N6)
     images = {c: encode_pair(c) for c in anti_plus}

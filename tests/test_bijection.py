@@ -16,7 +16,7 @@ from palcomp.bijection import (
 )
 from palcomp.formulas import pc_plus_k
 from palcomp.oracle import enumerate_compositions
-from palcomp.stats import INFINITY, SignClass, mismatch_count, sign_class
+from palcomp.stats import INFINITY, Sign, mismatch_count, sign_class
 
 WIDE = (2, 1, 4, 1, 1, 2, 4, 1, 1, 1, 2, 3, 2)  # n = 25, three unequal pairs
 NARROW = (2, 1, 3, 4, 1, 1, 5)  # n = 17, two unequal pairs
@@ -24,7 +24,7 @@ NARROW = (2, 1, 3, 4, 1, 1, 5)  # n = 17, two unequal pairs
 plus_compositions = (
     st.lists(st.integers(1, 6), max_size=8)
     .map(tuple)
-    .filter(lambda c: sign_class(c) is SignClass.PLUS)
+    .filter(lambda c: sign_class(c) is Sign.PLUS)
 )
 
 
@@ -114,7 +114,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("n", range(13))
     def test_exhaustive(self, n):
         for c in enumerate_compositions(n):
-            if sign_class(c) is not SignClass.PLUS:
+            if sign_class(c) is not Sign.PLUS:
                 continue
             pair = encode_pair(c)
             assert decode_pair(pair) == c
@@ -128,7 +128,7 @@ class TestRoundTrip:
     def test_image_cardinality_matches_closed_form(self, n):
         by_k = {}
         for c in enumerate_compositions(n):
-            if sign_class(c) is not SignClass.PLUS:
+            if sign_class(c) is not Sign.PLUS:
                 continue
             k = mismatch_count(c, INFINITY)
             by_k.setdefault(k, set()).add(encode_pair(c))

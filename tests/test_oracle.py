@@ -1,8 +1,13 @@
 """Exhaustive-enumeration referee: streams, tallies, cap handling."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
+from palcomp import oracle
 from palcomp.oracle import (
+    DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     brute_count,
     count_at_most_one_even_part,
@@ -11,7 +16,17 @@ from palcomp.oracle import (
     count_two_colored_no_ones,
     enumerate_compositions,
 )
-from palcomp.stats import INFINITY, CountSpec, Family, Sign, encode_binary
+from palcomp.stats import (
+    INFINITY,
+    CountSpec,
+    Family,
+    Sign,
+    encode_binary,
+    match_count,
+    mismatch_count,
+    sign_class,
+    swap_canonical,
+)
 
 
 class TestEnumeration:
@@ -122,3 +137,73 @@ class TestAuxiliaryCounts:
         assert count_at_most_one_even_part(3) == 4
         # n=4: all 8 except (2,2) and (4)... (4) has one even part, (2,2) has two
         assert count_at_most_one_even_part(4) == 7
+
+
+# Reference tallies straight from the stats definitions, one enumeration per
+# query, against which the oracle's per-n records are checked.
+
+
+def _literal_census(n, modulus, reduced):
+    """Counter[(family, sign, k)] over compositions, or over swap-canonical forms."""
+    items = list(enumerate_compositions(n))
+    if reduced:
+        items = {swap_canonical(c) for c in items}
+    tally = Counter()
+    for c in items:
+        tally[(Family.PC, sign_class(c), mismatch_count(c, modulus))] += 1
+        tally[(Family.AC, sign_class(c), match_count(c, modulus))] += 1
+    return tally
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 3, 4, 5, 6, 7, INFINITY])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_brute_count_equals_the_literal_tally(modulus, reduced):
+    for n in range(13):
+        tally = _literal_census(n, modulus, reduced)
+        for family, k in itertools.product(Family, range(n // 2 + 2)):
+            plus, minus = tally[(family, Sign.PLUS, k)], tally[(family, Sign.MINUS, k)]
+            for sign, want in ((Sign.PLUS, plus), (Sign.MINUS, minus), (Sign.TOTAL, plus + minus)):
+                spec = CountSpec(family, reduced, sign, modulus, k)
+                assert brute_count(spec, n) == want, (spec, n)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_part_counts_equal_the_literal_tally(n):
+    items = list(enumerate_compositions(n))
+    for k in range(n + 2):
+        assert count_parts_equal_one(n, k) == sum(1 for c in items if sum(1 for p in c if p == 1) == k)
+    for limit in range(1, n + 2):
+        assert count_parts_at_most(n, limit) == sum(1 for c in items if max(c, default=0) <= limit)
+    assert count_two_colored_no_ones(n) == sum(
+        1 << len(c) for c in items if all(p >= 2 for p in c)
+    )
+    assert count_at_most_one_even_part(n) == sum(
+        1 for c in items if sum(1 for p in c if p % 2 == 0) <= 1
+    )
+
+
+def test_one_walk_per_n(monkeypatch):
+    walks = Counter()
+    honest = oracle.enumerate_compositions
+
+    def counting(n, cap=DEFAULT_ENUMERATION_CAP):
+        walks[n] += 1
+        return honest(n, cap)
+
+    monkeypatch.setattr(oracle, "enumerate_compositions", counting)
+    for cached in (oracle._pair_record, oracle._census, oracle._part_record):
+        cached.cache_clear()
+    ns = range(11)
+    for n, family, reduced, sign, modulus in itertools.product(
+        ns, Family, (False, True), Sign, (1, 2, 3, 5, INFINITY)
+    ):
+        for k in range(n // 2 + 1):
+            brute_count(CountSpec(family, reduced, sign, modulus, k), n)
+    assert walks == {n: 1 for n in ns}
+    walks.clear()
+    for n in ns:
+        count_parts_equal_one(n, 1)
+        count_parts_at_most(n, 3)
+        count_two_colored_no_ones(n)
+        count_at_most_one_even_part(n)
+    assert walks == {n: 1 for n in ns}

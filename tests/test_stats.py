@@ -9,7 +9,6 @@ from palcomp.stats import (
     CountSpec,
     Family,
     Sign,
-    SignClass,
     composition,
     decode_binary,
     encode_binary,
@@ -105,12 +104,12 @@ class TestStatistics:
         assert match_count((3,), 2) == 0
 
     def test_sign_class(self):
-        assert sign_class((3, 1)) is SignClass.PLUS
-        assert sign_class((2, 1, 1)) is SignClass.MINUS
-        assert sign_class((1, 2, 1)) is SignClass.PLUS
-        assert sign_class(()) is SignClass.PLUS
-        assert sign_class((4,)) is SignClass.PLUS
-        assert sign_class((3,)) is SignClass.MINUS
+        assert sign_class((3, 1)) is Sign.PLUS
+        assert sign_class((2, 1, 1)) is Sign.MINUS
+        assert sign_class((1, 2, 1)) is Sign.PLUS
+        assert sign_class(()) is Sign.PLUS
+        assert sign_class((4,)) is Sign.PLUS
+        assert sign_class((3,)) is Sign.MINUS
 
     @given(compositions_st, moduli_st)
     def test_counts_partition_pairs(self, c, modulus):

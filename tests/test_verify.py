@@ -3,8 +3,8 @@
 import pytest
 
 from palcomp import formulas, verify
-from palcomp.oracle import EnumerationCapError
-from palcomp.stats import INFINITY
+from palcomp.oracle import DEFAULT_ENUMERATION_CAP, EnumerationCapError
+from palcomp.stats import INFINITY, Family, Sign
 
 
 def test_all_checks_pass_on_shipped_code():
@@ -63,6 +63,24 @@ def test_grid_pinpoints_a_perturbed_modular_formula(monkeypatch):
     assert result.params["family"] == "ac"
     assert result.params["modulus"] == "2"
     assert (result.params["n"], result.params["k"]) == (6, 1)
+
+
+def test_grid_pinpoints_a_perturbed_brute_count(monkeypatch):
+    honest = verify.brute_count
+    target = (Family.AC, True, Sign.MINUS, 3, 1, 6)
+
+    def corrupted(spec, n, cap=DEFAULT_ENUMERATION_CAP):
+        value = honest(spec, n, cap)
+        cell = (spec.family, spec.reduced, spec.sign, spec.modulus, spec.k, n)
+        return value + 1 if cell == target else value
+
+    monkeypatch.setattr(verify, "brute_count", corrupted)
+    result = verify.three_path_grid(n_max=8, k_max=2, moduli=(2, 3))
+    assert not result.ok
+    assert result.params == {
+        "family": "ac", "reduced": True, "sign": "minus", "modulus": "3", "n": 6, "k": 1,
+    }
+    assert result.actual == {"brute": result.expected["formula"] + 1}
 
 
 def test_variant_check_catches_divergence(monkeypatch):
