@@ -73,7 +73,7 @@ def _nonnegative(value: int, what: str) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _geometric_power_coeffs(m: int, e: int) -> tuple[tuple[int, int], ...]:
     """Coefficients of (1 + q + ... + q^(m-2))^e as (weight, coefficient) pairs.
 
@@ -82,25 +82,21 @@ def _geometric_power_coeffs(m: int, e: int) -> tuple[tuple[int, int], ...]:
     written; the coefficient of weight w collects multinom(e, vector) over
     vectors with i_1 + 2 i_2 + ... + (m-2) i_(m-2) = w.  For m = 1 there are
     no vector entries at all, so only e = 0 contributes (the empty vector).
+    The vectors are walked from an explicit stack of prefixes, so a large m
+    cannot exhaust the interpreter's recursion limit.
     """
     slots = m - 1
     acc: dict[int, int] = {}
-
-    def walk(pos: int, remaining: int, weight: int, prefix: list[int]) -> None:
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), e, 0)]
+    while stack:
+        prefix, remaining, weight = stack.pop()
+        pos = len(prefix)
         if pos == slots:
             if remaining == 0:
                 acc[weight] = acc.get(weight, 0) + multinom(e, prefix)
-            return
+            continue
         for val in range(remaining + 1):
-            prefix.append(val)
-            walk(pos + 1, remaining - val, weight + pos * val, prefix)
-            prefix.pop()
-
-    if slots == 0:
-        if e == 0:
-            acc[0] = 1
-    else:
-        walk(0, e, 0, [])
+            stack.append((prefix + (val,), remaining - val, weight + pos * val))
     return tuple(sorted(acc.items()))
 
 

@@ -458,12 +458,13 @@ def gf_grid(
 
     One series expansion answers every cell, because a larger truncation
     never changes a coefficient.  The minus rows are the plus rows one
-    q-degree down, below an all-zero row 0.
+    q-degree down, below an all-zero row 0; they are read off the plus
+    expansion at (n_max, k_max), so a plus and a minus grid share it.
     """
     check_index(n_max, "n_max")
     check_index(k_max, "k_max")
     if sign is Sign.MINUS:
-        plus_rows = gf_grid(family, reduced, Sign.PLUS, modulus, n_max - 1, k_max) if n_max else []
-        return [[0] * (k_max + 1)] + plus_rows
+        plus_rows = gf_grid(family, reduced, Sign.PLUS, modulus, n_max, k_max)
+        return [[0] * (k_max + 1)] + plus_rows[:n_max]
     series = series_table(gf_catalog(family, reduced, sign, modulus), n_max, k_max)
     return [[series.coeff(n, k) for k in range(k_max + 1)] for n in range(n_max + 1)]

@@ -2,13 +2,20 @@
 
 This module is the referee for every closed formula and generating function
 in the package, so it stays deliberately naive: it walks all 2^(n-1)
-compositions of n (via their binary encodings) and tallies statistics
-directly from the definitions.  No transfer matrices, no recurrences.
+compositions of n, part by part, and tallies statistics directly from the
+definitions.  No transfer matrices, no recurrences.
 
 Enumeration order is the lexicographic order of the binary encodings, which
-makes streamed output deterministic and testable.  The integer mask over
-bits b_1 .. b_(n-1) (most significant bit first, with b_n always 1)
-increases exactly in that order.
+makes streamed output deterministic and testable.  The walk produces it from
+a stack of (prefix, rest) nodes: it pops a node, yields the prefix closed by
+one last part equal to rest, and pushes the prefix extended by p for
+p = 1 .. rest-1, so the largest p is popped next.  A first part a puts a-1
+zeros before the first one in the encoding, so a larger first part sorts
+earlier: the first part runs from n down to 1, and below each first part the
+remaining parts follow the same order for their own sum.  Closing the prefix
+with rest (all zeros to the last bit) is the smallest encoding below a node,
+which is why it is yielded before the node's children.  Each node costs
+O(1) Python steps and the stack holds O(n^2) nodes.
 
 Counting an n bounded by ``cap`` (default 24) is refused: 2^(n-1) items grow
 fast and a typo should not start an hour-long loop.  The cap is an argument,
@@ -26,8 +33,8 @@ family counts the canonical compositions, because every swap class has
 exactly one representative with the larger part first in each pair; class
 sizes vary (2^(number of strictly unequal pairs)), so dividing by an orbit
 size would be wrong.  The part record tallies compositions by their parts
-equal to 1, their largest part and their even parts, for the auxiliary
-counts.
+equal to 1, their largest part, their even parts and their length, for
+the auxiliary counts.
 """
 
 from __future__ import annotations
@@ -80,17 +87,12 @@ def enumerate_compositions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterat
     if n == 0:
         yield ()
         return
-    for mask in range(1 << (n - 1)):
-        parts = []
-        prev = 0
-        for pos in range(1, n):
-            if (mask >> (n - 1 - pos)) & 1:
-                parts.append(pos - prev)
-                prev = pos
-        parts.append(n - prev)
-        yield tuple(parts)
-
-
+    stack = [((), n)]
+    while stack:
+        prefix, rest = stack.pop()
+        yield prefix + (rest,)
+        for p in range(1, rest):
+            stack.append((prefix + (p,), rest - p))
 
 
 @lru_cache(maxsize=32)
@@ -127,20 +129,15 @@ def brute_count(spec: CountSpec, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> 
 
 
 @lru_cache(maxsize=32)
-def _part_record(n: int) -> tuple[Counter, int]:
-    """Tally the compositions of n by (parts equal to 1, largest part, even parts).
+def _part_record(n: int) -> Counter:
+    """Tally the compositions of n by (parts equal to 1, largest part, even parts, length).
 
-    Also returns the sum of 2^length over the compositions without a part 1.
     The empty composition has largest part 0.
     """
-    record: Counter = Counter()
-    two_colored = 0
-    for c in enumerate_compositions(n, cap=n):
-        ones = sum(1 for p in c if p == 1)
-        record[(ones, max(c, default=0), sum(1 for p in c if p % 2 == 0))] += 1
-        if ones == 0:
-            two_colored += 1 << len(c)
-    return record, two_colored
+    return Counter(
+        (c.count(1), max(c, default=0), sum(1 for p in c if p % 2 == 0), len(c))
+        for c in enumerate_compositions(n, cap=n)
+    )
 
 
 def count_parts_equal_one(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -148,7 +145,7 @@ def count_parts_equal_one(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) ->
     _check_cap(n, cap)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return sum(count for (ones, _, _), count in _part_record(n)[0].items() if ones == k)
+    return sum(count for (ones, _, _, _), count in _part_record(n).items() if ones == k)
 
 
 def count_parts_at_most(n: int, limit: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -156,7 +153,7 @@ def count_parts_at_most(n: int, limit: int, cap: int = DEFAULT_ENUMERATION_CAP) 
     _check_cap(n, cap)
     if limit < 1:
         raise ValueError(f"part limit must be >= 1, got {limit}")
-    return sum(count for (_, largest, _), count in _part_record(n)[0].items() if largest <= limit)
+    return sum(count for (_, largest, _, _), count in _part_record(n).items() if largest <= limit)
 
 
 def count_two_colored_no_ones(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -165,10 +162,10 @@ def count_two_colored_no_ones(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int
     Weighted count: sum of 2^length over compositions without a part 1.
     """
     _check_cap(n, cap)
-    return _part_record(n)[1]
+    return sum(count << length for (ones, _, _, length), count in _part_record(n).items() if ones == 0)
 
 
 def count_at_most_one_even_part(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Number of compositions of n with at most one even part."""
     _check_cap(n, cap)
-    return sum(count for (_, _, evens), count in _part_record(n)[0].items() if evens <= 1)
+    return sum(count for (_, _, evens, _), count in _part_record(n).items() if evens <= 1)

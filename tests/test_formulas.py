@@ -226,6 +226,23 @@ class TestVariantsAndDispatch:
                 assert ac_plus_k_mod(n, k, m, V1) == ac_plus_k_mod(n, k, m, V2)
                 assert rac_plus_k_mod(n, k, m, V1) == rac_plus_k_mod(n, k, m, V2)
 
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_geometric_power_coeffs_equal_repeated_products(self, m):
+        base = [1] * (m - 1)  # 1 + q + ... + q^(m-2); empty for m = 1
+        poly = [1]
+        for e in range(7):
+            want = tuple((w, c) for w, c in enumerate(poly) if c)
+            assert formulas._geometric_power_coeffs(m, e) == want, (m, e)
+            product = [0] * (len(poly) + len(base) - 1) if base else []
+            for i, a in enumerate(poly):
+                for j, b in enumerate(base):
+                    product[i + j] += a * b
+            poly = product
+
+    def test_multinomial_walk_survives_a_large_modulus(self):
+        assert formulas._geometric_power_coeffs(2000, 0) == ((0, 1),)
+        assert pc_plus_k_mod(10, 0, 2000, V2) == pc_plus_k_mod(10, 0, 2000, V1)
+
     def test_variant_rejection(self):
         with pytest.raises(ValueError):
             ac_plus_k_mod(5, 1, 2, V3)

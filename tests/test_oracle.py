@@ -21,6 +21,7 @@ from palcomp.stats import (
     CountSpec,
     Family,
     Sign,
+    decode_binary,
     encode_binary,
     match_count,
     mismatch_count,
@@ -180,6 +181,27 @@ def test_part_counts_equal_the_literal_tally(n):
     assert count_at_most_one_even_part(n) == sum(
         1 for c in items if sum(1 for p in c if p % 2 == 0) <= 1
     )
+
+
+def _decoded_compositions(n):
+    """All compositions of n in encoding order, decoded from the masks without the walk."""
+    if n == 0:
+        return [()]
+    # the slice drops the lone "0" that formatting prints for n = 1
+    return [decode_binary(f"{mask:0{n - 1}b}"[: n - 1] + "1") for mask in range(1 << (n - 1))]
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_walk_equals_the_decoded_masks(n):
+    assert list(enumerate_compositions(n)) == _decoded_compositions(n)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_records_equal_tallies_over_the_decoded_masks(monkeypatch, n):
+    built = {record: record(n) for record in (oracle._pair_record, oracle._part_record)}
+    monkeypatch.setattr(oracle, "enumerate_compositions", lambda n, cap: iter(_decoded_compositions(n)))
+    for record, walked in built.items():
+        assert record.__wrapped__(n) == walked
 
 
 def test_one_walk_per_n(monkeypatch):
