@@ -30,7 +30,7 @@ half of the even middle part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .stats import Composition, Sign, composition, sign_class
 
@@ -43,8 +43,7 @@ class InvalidPairError(ValueError):
     """Raised when a sequence pair is not the image of any composition."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Split of a plus-class composition into swaps and a palindromic core."""
 
     unequal: tuple[int, ...]  # 1-based pair positions with differing parts
@@ -52,16 +51,14 @@ class Decomposition:
     core: Composition  # palindromic, same length as the input
 
 
-@dataclass(frozen=True)
-class PairSequences:
+class PairSequences(NamedTuple):
     """Image of a plus-class composition; head tracks the first half, tail the mirror."""
 
     head: tuple[int, ...]
     tail: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PairStatistics:
+class PairStatistics(NamedTuple):
     """Statistics read off a pair without reconstructing the composition."""
 
     n: int

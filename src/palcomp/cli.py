@@ -17,11 +17,9 @@ errors and refusals.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
-from . import concordance as concordance_mod
 from .bijection import (
     InvalidPairError,
     MinusClassError,
@@ -157,10 +155,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_sequence(args: argparse.Namespace) -> int:
     indices = range(args.offset, args.n_max + 1)
     if args.concordance:
+        # imported here, like json below, so that other commands start faster
+        from .concordance import lookup
+
         try:
-            record = concordance_mod.lookup(args.concordance)
+            record = lookup(args.concordance)
         except KeyError as error:
-            raise CliError(str(error)) from None
+            raise CliError(error.args[0]) from None
         for flag, value in (("--family", args.family), ("--sign", args.sign), ("--mod", args.mod)):
             if value is not None:
                 raise CliError(f"{flag} conflicts with --concordance (the record pins it)")
@@ -225,6 +226,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except EnumerationCapError as error:
         raise CliError(str(error)) from None
     if args.report == "json":
+        import json
+
         print(json.dumps([r.as_dict() for r in results], indent=2))
     else:
         for r in results:

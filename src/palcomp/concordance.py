@@ -15,15 +15,14 @@ suite checks a sample of records against independently computed closed forms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .stats import Family, Modulus, Sign, check_modulus, parse_modulus
 
 
-@dataclass(frozen=True)
-class ConcordanceRecord:
+class ConcordanceRecord(NamedTuple):
     id: str
     family: Family
     reduced: bool

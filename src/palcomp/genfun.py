@@ -20,9 +20,8 @@ value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .stats import Family, Modulus, Sign, _InfinityType, check_index, check_modulus
 
@@ -239,8 +238,7 @@ class GFDomainError(ValueError):
     """Raised for coefficient requests outside the series domain."""
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(NamedTuple):
     """numerator / denominator as a formal power series in q and t."""
 
     numerator: BivariatePoly
@@ -369,8 +367,7 @@ def _totalized(plus_gf: RationalGF) -> RationalGF:
     return RationalGF((ONE + Q) * plus_gf.numerator, plus_gf.denominator)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One generating function of the catalog."""
 
     family: Family

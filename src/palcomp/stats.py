@@ -22,9 +22,8 @@ representative with the larger part first in every pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 
 class _InfinityType:
@@ -207,19 +206,29 @@ def swap_canonical(c: Composition) -> Composition:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CountSpec:
-    """Selects one counting function: family, reduced flag, sign, modulus, k."""
-
+class _CountSpecFields(NamedTuple):
     family: Family
     reduced: bool
     sign: Sign
     modulus: Modulus
     k: int
 
-    def __post_init__(self) -> None:
-        check_modulus(self.modulus)
-        check_index(self.k, "statistic index k")
+
+class CountSpec(_CountSpecFields):
+    """Selects one counting function: family, reduced flag, sign, modulus, k."""
+
+    __slots__ = ()
+
+    # NamedTuple forbids __new__ in its own body, hence the fields base class.
+    def __new__(cls, family: Family, reduced: bool, sign: Sign, modulus: Modulus, k: int):
+        check_modulus(modulus)
+        check_index(k, "statistic index k")
+        return super().__new__(cls, family, reduced, sign, modulus, k)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CountSpec:
+        """Build through the validating constructor, so ``_replace`` checks too."""
+        return cls(*iterable)
 
     def statistic(self, c: Composition) -> int:
         """The counted statistic of c: mismatches for PC, matches for AC."""

@@ -14,8 +14,7 @@ the harness pinpoints it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import formulas
 from .bijection import decode_pair, encode_pair, pair_statistics
@@ -47,8 +46,7 @@ from .stats import (
 DEFAULT_MODULI: tuple[Modulus, ...] = (1, 2, 3, 4, 5, INFINITY)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     status: str  # "pass" | "fail"
     params: dict | None = None

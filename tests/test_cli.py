@@ -1,10 +1,14 @@
 """Command-line surface: outputs, formats, refusals, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import palcomp
 from palcomp import formulas
 from palcomp.cli import main
 from palcomp.concordance import lookup
@@ -268,6 +272,7 @@ class TestSequence:
     def test_concordance_unknown_id(self, capsys):
         code, _, err = run(capsys, "sequence", "--concordance", "A999999", "--n-max", "3")
         assert code == 2 and "no concordance record" in err
+        assert err.startswith("error: no concordance record for 'A999999'")
 
     def test_concordance_conflicting_flags(self, capsys):
         code, _, err = run(
@@ -368,3 +373,20 @@ class TestBijectionCommand:
         assert code == 0 and out == ";\n"
         code, out, _ = run(capsys, "bijection", "decode", ";")
         assert code == 0 and out == "\n"
+
+
+class TestStartup:
+    def test_import_loads_the_layers_and_nothing_heavier(self):
+        """A fresh `import palcomp.cli` loads every layer that
+        perfbench/traced_cli.py looks up in sys.modules right after it, and
+        none of the modules that only some commands need."""
+        src = os.path.dirname(os.path.dirname(palcomp.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import palcomp.cli; "
+                "print('\\n'.join(sys.modules))")
+        # -S keeps site's own imports out, so every module seen came from palcomp.cli
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                              capture_output=True, text=True, timeout=60, check=True)
+        loaded = set(done.stdout.split())
+        for layer in ("cli", "formulas", "genfun", "oracle", "bijection", "verify", "core"):
+            assert f"palcomp.{layer}" in loaded
+        assert not {"dataclasses", "inspect", "json", "palcomp.concordance"} & loaded
