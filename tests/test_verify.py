@@ -130,3 +130,170 @@ def test_cap_is_checked_before_any_check_runs():
     with pytest.raises(EnumerationCapError, match="compositions of n=9: enumeration cap is 8"):
         verify.run_all(n_max=6, k_max=1, moduli=(2,), cap=8)
     verify.run_all(n_max=6, k_max=1, moduli=(2,), cap=10)
+
+
+def _bumped(honest, at):
+    """honest, plus 1 wherever at(*args) holds."""
+
+    def corrupted(*args, **kwargs):
+        return honest(*args, **kwargs) + (1 if at(*args) else 0)
+
+    return corrupted
+
+
+def _raising(honest, at):
+    """honest, raising ArithmeticError wherever at(*args) holds."""
+
+    def corrupted(*args, **kwargs):
+        if at(*args):
+            raise ArithmeticError(f"perturbed at {args}")
+        return honest(*args, **kwargs)
+
+    return corrupted
+
+
+def _total_cell(family, reduced, modulus, n, k):
+    return {
+        "family": family, "reduced": reduced, "sign": "total", "modulus": modulus, "n": n, "k": k,
+    }
+
+
+@pytest.mark.parametrize(
+    "name, at, call, params",
+    [
+        pytest.param(
+            "ac_total_k_mod", lambda n, k, m: (n, k, m) == (7, 1, 3),
+            lambda: verify.totals_from_plus(9, 2, (1, 2, 3, INFINITY)),
+            _total_cell("ac", False, "3", 7, 1),
+            id="ac_total_k_mod",
+        ),
+        pytest.param(
+            "rac_total_k_mod", lambda n, k, m: m == 5,
+            lambda: verify.totals_from_plus(6, 1, (2, 5)),
+            _total_cell("ac", True, "5", 0, 0),
+            id="rac_total_k_mod",
+        ),
+        pytest.param(
+            "ac_total_k_alt", lambda n, k: (n, k) == (6, 2),
+            lambda: verify.totals_from_plus(8, 2, (2, INFINITY)),
+            _total_cell("ac", False, "inf", 6, 2),
+            id="ac_total_k_alt",
+        ),
+        pytest.param(
+            "rpc_total_k", lambda n, k: n == 4,
+            lambda: verify.totals_from_plus(6, 1, (2, INFINITY)),
+            _total_cell("pc", True, "inf", 4, 0),
+            id="rpc_total_k",
+        ),
+        pytest.param(
+            "rpc_plus_mod_k0", lambda n, m: (n, m) == (8, 3),
+            lambda: verify.variant_agreement(9, 1, (2, 3, INFINITY)),
+            {"quantity": "rpc_plus_mod_k0", "modulus": 3, "n": 8, "k": 0},
+            id="rpc_plus_mod_k0",
+        ),
+    ],
+)
+def test_direct_totals_and_k0_specializations_are_pinpointed(monkeypatch, name, at, call, params):
+    # no other check compares these formulas at these moduli
+    monkeypatch.setattr(formulas, name, _bumped(getattr(formulas, name), at))
+    result = call()
+    assert not result.ok
+    assert result.params == params
+    if result.check == "totals_from_plus":
+        assert result.actual == result.expected + 1
+    else:
+        assert result.actual == [result.expected, result.expected - 1]
+
+
+@pytest.mark.parametrize(
+    "module, name, corrupt, call, report",
+    [
+        pytest.param(
+            verify, "count_parts_at_most", lambda h: _bumped(h, lambda n, *_: n == 7),
+            lambda: verify.tribonacci_identity(12),
+            ({"n": 7}, 44, {"sum": 44, "compositions": 45}),
+            id="tribonacci_identity",
+        ),
+        pytest.param(
+            formulas, "ac_plus_k", lambda h: _bumped(h, lambda n, k, *_: (n, k) == (5, 0)),
+            lambda: verify.sequence_identification(18),
+            ({"quantity": "ac_plus", "n": 5}, 6, 7),
+            id="sequence_identification-ac_plus",
+        ),
+        pytest.param(
+            verify, "tribonacci", lambda h: _bumped(h, lambda n: n == 6),
+            lambda: verify.sequence_identification(18),
+            ({"quantity": "ac_total_forms", "n": 5}, 9, {"prime": 9, "diff": 10, "plain": 9}),
+            id="sequence_identification-forms",
+        ),
+        pytest.param(
+            formulas, "rac_total_k", lambda h: _bumped(h, lambda n, k: (n, k) == (4, 0)),
+            lambda: verify.sequence_identification(18),
+            ({"quantity": "rac_total", "n": 4}, 3, 4),
+            id="sequence_identification-rac_total",
+        ),
+        pytest.param(
+            verify, "decode_binary",
+            lambda h: lambda bits: h(bits)[::-1] if len(bits) == 5 else h(bits),
+            lambda: verify.binary_round_trip(9),
+            ({"n": 5, "composition": [4, 1]}, [4, 1], None),
+            id="binary_round_trip",
+        ),
+        pytest.param(
+            formulas, "rpc_total_k", lambda h: _raising(h, lambda n, k: (n, k) == (9, 2)),
+            lambda: verify.divisibility(14, 4),
+            ({"n": 9, "k": 2}, "exact division", "perturbed at (9, 2)"),
+            id="divisibility",
+        ),
+        pytest.param(
+            verify, "mismatch_count", lambda h: _bumped(h, lambda c, m: c == (6,)),
+            lambda: verify.bijection_round_trip(9),
+            ({"n": 6, "composition": [6], "aspect": "statistic"},
+             {"mismatches": 1, "n": 6}, {"mismatches": 0, "n": 6}),
+            id="bijection_round_trip-statistic",
+        ),
+        pytest.param(
+            formulas, "ac_plus_k_mod",
+            lambda h: _raising(h, lambda n, k, m, *_: (n, k, m) == (5, 1, 2)),
+            lambda: verify.three_path_grid(8, 2, (2,)),
+            ({"family": "ac", "reduced": False, "sign": "plus", "modulus": "2", "n": 5, "k": 1},
+             "a count", "perturbed at (5, 1, 2, <FormulaVariant.V1: 1>)"),
+            id="three_path_grid-error",
+        ),
+        pytest.param(
+            formulas, "rac_plus_k", lambda h: _raising(h, lambda n, k: (n, k) == (9, 0)),
+            lambda: next(r for r in verify.run_all(8, 2, (2, INFINITY))
+                         if r.check == "sequence_identification"),
+            ({}, "no internal errors", "perturbed at (9, 0)"),
+            id="run_all-internal-error",
+        ),
+    ],
+)
+def test_failure_report_is_pinned(monkeypatch, module, name, corrupt, call, report):
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    result = call()
+    assert result.status == "fail"
+    assert (result.params, result.expected, result.actual) == report
+
+
+def test_run_all_calls_each_check_through_the_module(monkeypatch):
+    # run_all looks the checks up when it runs, so a rebound verify.<check> is the one called
+    names = [
+        "three_path_grid", "variant_agreement", "totals_from_plus", "reflection_identity",
+        "statistic_partition", "reduced_halving", "divisibility", "tribonacci_identity",
+        "sequence_identification", "parity_vanishing", "special_values",
+        "gf_total_plus_relation", "rpc_mod2_fibonacci_fold", "truncation_soundness",
+        "bijection_round_trip", "binary_round_trip", "m1_specializations",
+        "coloring_interpretations", "parts_equal_one",
+    ]
+    called = []
+    for name in names:
+        def stub(*args, name=name):
+            called.append(name)
+            return verify.CheckResult(name, "pass", {"stub": True})
+
+        monkeypatch.setattr(verify, name, stub)
+    results = verify.run_all(n_max=4, k_max=1, moduli=(2,))
+    assert called == names
+    assert [r.check for r in results] == names
+    assert all(r.params == {"stub": True} for r in results)
