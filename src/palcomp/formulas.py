@@ -1,10 +1,14 @@
 """Closed-form counts for every palindromicity family.
 
-Each function evaluates one published summation literally: the loops run
-over the exact set of nonnegative index tuples satisfying the stated linear
-constraint, and every binomial goes through :func:`palcomp.core.binom` (the
-three-case convention).  Nothing here is simplified, telescoped, or shared
-with the generating-function engine; agreement between the two paths and the
+Each function evaluates one published summation over its exact index set:
+the terms are those of the nonnegative index tuples satisfying the stated
+linear constraint, and every binomial goes through :func:`palcomp.core.binom`
+(the three-case convention).  In the V1 finite-modulus sums, an inner
+sub-sum that depends on only one or two free indices is evaluated once per
+call and reused for every outer index.  The index sets, the terms and the
+exact arithmetic are those of the literal nested loops, and so are the values.
+Nothing here is simplified, telescoped, or shared with the
+generating-function engine; agreement between the two paths and the
 exhaustive oracle is what the verification suite checks.
 
 Naming scheme: ``pc``/``ac`` count by mismatching/matching mirror pairs, an
@@ -31,7 +35,7 @@ reading that makes those sums finite.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable, Iterator
 
 from .core import binom, fibonacci, multinom, tribonacci, tribonacci_prime
@@ -100,6 +104,84 @@ def _geometric_power_coeffs(m: int, e: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(acc.items()))
 
 
+# Inner sub-sums of the V1 finite-modulus sums.  Each factory returns a
+# function cached for the one formula call that makes it, so nothing is kept
+# between calls.
+
+
+def _alternating_sum(a: int, after: int, m: int, tail: Callable[[int], int]) -> int:
+    """Sum over (m-1)r + rest = after of (-1)^r binom(a, r) tail(rest).
+
+    For m = 1 the r loop is bounded by the binomial factor (module doc).
+    """
+    r_max = a if m == 1 else after // (m - 1)
+    total = 0
+    for r in range(r_max + 1):
+        ar = binom(a, r)
+        if not ar:
+            continue
+        rest = after - (m - 1) * r
+        if rest < 0:
+            break
+        term = ar * tail(rest)
+        total += -term if r % 2 else term
+    return total
+
+
+def _pc_tail(k: int, m: int) -> Callable[[int], int]:
+    """rest -> sum over (m-1)r + s = rest of (-1)^r binom(k, r) binom(k+s-1, s)."""
+    return cache(lambda rest: _alternating_sum(k, rest, m, lambda s: binom(k + s - 1, s)))
+
+
+def _ac_plus_tail(k: int, m: int) -> Callable[[int, int], int]:
+    """(j, after) -> sum over md + s = after of binom(k+j+d-1, d) binom(j+s-1, s)."""
+
+    @cache
+    def tail(j: int, after: int) -> int:
+        total = 0
+        for d in range(after // m + 1):
+            s = after - m * d
+            total += binom(k + j + d - 1, d) * binom(j + s - 1, s)
+        return total
+
+    return tail
+
+
+def _ac_total_tail(k: int, m: int) -> Callable[[int, int], int]:
+    """(i, after) -> sum over md + 2s + j = after of
+    binom(i+k+d-1, d) binom(i+k+s-1, s) binom(i+j, j)."""
+
+    @cache
+    def tail(i: int, after: int) -> int:
+        total = 0
+        for d in range(after // m + 1):
+            after_d = after - m * d
+            hd = binom(i + k + d - 1, d)
+            if not hd:
+                continue
+            for s in range(after_d // 2 + 1):
+                j = after_d - 2 * s
+                total += hd * binom(i + k + s - 1, s) * binom(i + j, j)
+        return total
+
+    return tail
+
+
+def _with_c(k: int, m: int, tail: Callable[[int, int], int]) -> Callable[[int, int], int]:
+    """(a, after) -> sum over mc + rest = after of binom(k, c) tail(a, rest)."""
+
+    @cache
+    def c_tail(a: int, after: int) -> int:
+        total = 0
+        for c in range(after // m + 1):
+            kc = binom(k, c)
+            if kc:
+                total += kc * tail(a, after - m * c)
+        return total
+
+    return c_tail
+
+
 # ---------------------------------------------------------------------------
 # modulus-free families
 # ---------------------------------------------------------------------------
@@ -118,8 +200,7 @@ def pc_plus_k(n: int, k: int) -> int:
 
 def pc_plus_1_closed(n: int) -> int:
     """Closed form 2 + (ceil(n/2) - 2) 2^ceil(n/2) for pc_plus_k(n, 1)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_index(n, "n")
     h = (n + 1) // 2
     return _nonnegative(2 + (h - 2) * (1 << h), "pc_plus_1_closed")
 
@@ -275,6 +356,7 @@ def pc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
+        tail = _pc_tail(k, m)
         for i in range(target // 2 + 1):
             ik = binom(i, k)
             if not ik:
@@ -282,19 +364,8 @@ def pc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
             head = ik << i
             for j in range((target - 2 * i) // m + 1):
                 ij = head * binom(i + j - 1, j)
-                if not ij:
-                    continue
-                rest = target - 2 * i - m * j
-                r_max = k if m == 1 else rest // (m - 1)
-                for r in range(r_max + 1):
-                    kr = binom(k, r)
-                    if not kr:
-                        continue
-                    s = rest - (m - 1) * r
-                    if s < 0:
-                        break
-                    term = ij * kr * binom(k + s - 1, s)
-                    total += -term if r % 2 else term
+                if ij:
+                    total += ij * tail(target - 2 * i - m * j)
     else:
         for weight, coeff in _geometric_power_coeffs(m, k):
             rest = target - weight
@@ -346,8 +417,7 @@ def pc_plus_1_mod2_odd(n: int) -> int:
     written gives 2 because binom(-1, 0) = 1 under the package convention,
     while the true count is 0, so that point is outside the domain.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_index(n, "n")
     if n == 1:
         raise ValueError("the closed form for the k=1, m=2 plus count starts at n=3")
     if n % 2 == 0:
@@ -378,6 +448,7 @@ def rpc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
+        tail = _pc_tail(k, m)
         for i in range(target // 2 + 1):
             ik = binom(i, k)
             if not ik:
@@ -386,19 +457,9 @@ def rpc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
                 ij = ik * binom(i + j - 1, j)
                 if not ij:
                     continue
-                for c in range((target - 2 * i - m * j) // 2 + 1):
-                    ijc = ij * binom(i + c, c)
-                    rest = target - 2 * i - m * j - 2 * c
-                    r_max = k if m == 1 else rest // (m - 1)
-                    for r in range(r_max + 1):
-                        kr = binom(k, r)
-                        if not kr:
-                            continue
-                        s = rest - (m - 1) * r
-                        if s < 0:
-                            break
-                        term = ijc * kr * binom(k + s - 1, s)
-                        total += -term if r % 2 else term
+                after_j = target - 2 * i - m * j
+                for c in range(after_j // 2 + 1):
+                    total += ij * binom(i + c, c) * tail(after_j - 2 * c)
     else:
         for weight, coeff in _geometric_power_coeffs(m, k):
             budget = target - weight
@@ -448,8 +509,7 @@ def rpc_plus_k_mod2(n: int, k: int) -> int:
 
 def rpc_plus_1_mod2_odd(n: int) -> int:
     """rpc_plus_k_mod(n, 1, 2) at odd n = 2t + 1: sum of i binom(t+i, 2i)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_index(n, "n")
     if n % 2 == 0:
         return 0
     t = (n - 1) // 2
@@ -477,32 +537,14 @@ def ac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
+        tail = _with_c(k, m, _ac_plus_tail(k, m))
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
             for j in range(target - 2 * i + 1):
                 ij = binom(i, j)
-                if not ij:
-                    continue
-                hj = (head * ij) << j
-                after_j = target - 2 * i - j
-                r_max = j if m == 1 else after_j // (m - 1)
-                for r in range(r_max + 1):
-                    jr = binom(j, r)
-                    if not jr:
-                        continue
-                    after_r = after_j - (m - 1) * r
-                    if after_r < 0:
-                        break
-                    hr = hj * jr if r % 2 == 0 else -hj * jr
-                    for c in range(after_r // m + 1):
-                        kc = binom(k, c)
-                        if not kc:
-                            continue
-                        after_c = after_r - m * c
-                        hc = hr * kc
-                        for d in range(after_c // m + 1):
-                            s = after_c - m * d
-                            total += hc * binom(k + j + d - 1, d) * binom(j + s - 1, s)
+                if ij:
+                    inner = _alternating_sum(j, target - 2 * i - j, m, partial(tail, j))
+                    total += ((head * ij) << j) * inner
     else:
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
@@ -538,32 +580,10 @@ def ac_total_k_mod(n: int, k: int, m: int) -> int:
     if target < 0:
         return 0
     total = 0
+    tail = _with_c(k, m, _ac_total_tail(k, m))
     for i in range(target // 3 + 1):
         head = binom(i + k, k) << i
-        after_i = target - 3 * i
-        r_max = i if m == 1 else after_i // (m - 1)
-        for r in range(r_max + 1):
-            ir = binom(i, r)
-            if not ir:
-                continue
-            after_r = after_i - (m - 1) * r
-            if after_r < 0:
-                break
-            hr = head * ir if r % 2 == 0 else -head * ir
-            for c in range(after_r // m + 1):
-                kc = binom(k, c)
-                if not kc:
-                    continue
-                after_c = after_r - m * c
-                hc = hr * kc
-                for d in range(after_c // m + 1):
-                    after_d = after_c - m * d
-                    hd = hc * binom(i + k + d - 1, d)
-                    if not hd:
-                        continue
-                    for s in range(after_d // 2 + 1):
-                        j = after_d - 2 * s
-                        total += hd * binom(i + k + s - 1, s) * binom(i + j, j)
+        total += head * _alternating_sum(i, target - 3 * i, m, partial(tail, i))
     return _nonnegative(total, "ac_total_k_mod")
 
 
@@ -607,26 +627,14 @@ def rac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
+        tail = _ac_plus_tail(k, m)
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
             for j in range(target - 2 * i + 1):
                 ij = binom(i, j)
-                if not ij:
-                    continue
-                hj = head * ij
-                after_j = target - 2 * i - j
-                r_max = j if m == 1 else after_j // (m - 1)
-                for r in range(r_max + 1):
-                    jr = binom(j, r)
-                    if not jr:
-                        continue
-                    after_r = after_j - (m - 1) * r
-                    if after_r < 0:
-                        break
-                    hr = hj * jr if r % 2 == 0 else -hj * jr
-                    for d in range(after_r // m + 1):
-                        s = after_r - m * d
-                        total += hr * binom(k + j + d - 1, d) * binom(j + s - 1, s)
+                if ij:
+                    inner = _alternating_sum(j, target - 2 * i - j, m, partial(tail, j))
+                    total += head * ij * inner
     else:
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
@@ -654,26 +662,9 @@ def rac_total_k_mod(n: int, k: int, m: int) -> int:
     if target < 0:
         return 0
     total = 0
+    tail = _ac_total_tail(k, m)
     for i in range(target // 3 + 1):
-        head = binom(i + k, k)
-        after_i = target - 3 * i
-        r_max = i if m == 1 else after_i // (m - 1)
-        for r in range(r_max + 1):
-            ir = binom(i, r)
-            if not ir:
-                continue
-            after_r = after_i - (m - 1) * r
-            if after_r < 0:
-                break
-            hr = head * ir if r % 2 == 0 else -head * ir
-            for d in range(after_r // m + 1):
-                after_d = after_r - m * d
-                hd = hr * binom(i + k + d - 1, d)
-                if not hd:
-                    continue
-                for s in range(after_d // 2 + 1):
-                    j = after_d - 2 * s
-                    total += hd * binom(i + k + s - 1, s) * binom(i + j, j)
+        total += binom(i + k, k) * _alternating_sum(i, target - 3 * i, m, partial(tail, i))
     return _nonnegative(total, "rac_total_k_mod")
 
 
@@ -965,6 +956,7 @@ def special_value(name: str, n: int) -> int:
     except KeyError:
         known = ", ".join(sorted(_SPECIAL_VALUES))
         raise ValueError(f"unknown special value {name!r}; known: {known}") from None
+    check_index(n, "n")
     if not domain(n):
         raise ValueError(f"{name} ({description}) is not valid at n={n}")
     return fn(n)

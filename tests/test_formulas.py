@@ -3,8 +3,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from palcomp import formulas
+from palcomp import core, formulas
 from palcomp.core import binom, fibonacci, tribonacci, tribonacci_prime
 from palcomp.formulas import (
     V1,
@@ -36,6 +37,7 @@ from palcomp.formulas import (
     special_value_names,
     total_from_plus,
 )
+from palcomp.genfun import gf_count
 from palcomp.oracle import brute_count, count_parts_equal_one
 from palcomp.stats import INFINITY, CountSpec, Family, Sign
 
@@ -316,3 +318,275 @@ class TestSpecialValues:
             domain = formulas.special_value_domain(name)
             n = next(n for n in range(40) if domain(n))
             assert special_value(name, n) >= 0
+
+
+
+# ---------------------------------------------------------------------------
+# The V1 finite-modulus sums as literal nested loops, one loop per index: the
+# executable spec that the factored evaluations in formulas.py must reproduce.
+# ---------------------------------------------------------------------------
+
+
+def literal_pc_plus_k_mod(n, k, m):
+    target = n - k
+    if target < 0:
+        return 0
+    total = 0
+    for i in range(target // 2 + 1):
+        ik = binom(i, k)
+        if not ik:
+            continue
+        head = ik << i
+        for j in range((target - 2 * i) // m + 1):
+            ij = head * binom(i + j - 1, j)
+            if not ij:
+                continue
+            rest = target - 2 * i - m * j
+            r_max = k if m == 1 else rest // (m - 1)
+            for r in range(r_max + 1):
+                kr = binom(k, r)
+                if not kr:
+                    continue
+                s = rest - (m - 1) * r
+                if s < 0:
+                    break
+                term = ij * kr * binom(k + s - 1, s)
+                total += -term if r % 2 else term
+    return total
+
+
+def literal_rpc_plus_k_mod(n, k, m):
+    target = n - k
+    if target < 0:
+        return 0
+    total = 0
+    for i in range(target // 2 + 1):
+        ik = binom(i, k)
+        if not ik:
+            continue
+        for j in range((target - 2 * i) // m + 1):
+            ij = ik * binom(i + j - 1, j)
+            if not ij:
+                continue
+            for c in range((target - 2 * i - m * j) // 2 + 1):
+                ijc = ij * binom(i + c, c)
+                rest = target - 2 * i - m * j - 2 * c
+                r_max = k if m == 1 else rest // (m - 1)
+                for r in range(r_max + 1):
+                    kr = binom(k, r)
+                    if not kr:
+                        continue
+                    s = rest - (m - 1) * r
+                    if s < 0:
+                        break
+                    term = ijc * kr * binom(k + s - 1, s)
+                    total += -term if r % 2 else term
+    return total
+
+
+def literal_ac_plus_k_mod(n, k, m):
+    target = n - 2 * k
+    if target < 0:
+        return 0
+    total = 0
+    for i in range(target // 2 + 1):
+        head = binom(i + k, k)
+        for j in range(target - 2 * i + 1):
+            ij = binom(i, j)
+            if not ij:
+                continue
+            hj = (head * ij) << j
+            after_j = target - 2 * i - j
+            r_max = j if m == 1 else after_j // (m - 1)
+            for r in range(r_max + 1):
+                jr = binom(j, r)
+                if not jr:
+                    continue
+                after_r = after_j - (m - 1) * r
+                if after_r < 0:
+                    break
+                hr = hj * jr if r % 2 == 0 else -hj * jr
+                for c in range(after_r // m + 1):
+                    kc = binom(k, c)
+                    if not kc:
+                        continue
+                    after_c = after_r - m * c
+                    hc = hr * kc
+                    for d in range(after_c // m + 1):
+                        s = after_c - m * d
+                        total += hc * binom(k + j + d - 1, d) * binom(j + s - 1, s)
+    return total
+
+
+def literal_rac_plus_k_mod(n, k, m):
+    target = n - 2 * k
+    if target < 0:
+        return 0
+    total = 0
+    for i in range(target // 2 + 1):
+        head = binom(i + k, k)
+        for j in range(target - 2 * i + 1):
+            ij = binom(i, j)
+            if not ij:
+                continue
+            hj = head * ij
+            after_j = target - 2 * i - j
+            r_max = j if m == 1 else after_j // (m - 1)
+            for r in range(r_max + 1):
+                jr = binom(j, r)
+                if not jr:
+                    continue
+                after_r = after_j - (m - 1) * r
+                if after_r < 0:
+                    break
+                hr = hj * jr if r % 2 == 0 else -hj * jr
+                for d in range(after_r // m + 1):
+                    s = after_r - m * d
+                    total += hr * binom(k + j + d - 1, d) * binom(j + s - 1, s)
+    return total
+
+
+def literal_ac_total_k_mod(n, k, m):
+    target = n - 2 * k
+    if target < 0:
+        return 0
+    total = 0
+    for i in range(target // 3 + 1):
+        head = binom(i + k, k) << i
+        after_i = target - 3 * i
+        r_max = i if m == 1 else after_i // (m - 1)
+        for r in range(r_max + 1):
+            ir = binom(i, r)
+            if not ir:
+                continue
+            after_r = after_i - (m - 1) * r
+            if after_r < 0:
+                break
+            hr = head * ir if r % 2 == 0 else -head * ir
+            for c in range(after_r // m + 1):
+                kc = binom(k, c)
+                if not kc:
+                    continue
+                after_c = after_r - m * c
+                hc = hr * kc
+                for d in range(after_c // m + 1):
+                    after_d = after_c - m * d
+                    hd = hc * binom(i + k + d - 1, d)
+                    if not hd:
+                        continue
+                    for s in range(after_d // 2 + 1):
+                        j = after_d - 2 * s
+                        total += hd * binom(i + k + s - 1, s) * binom(i + j, j)
+    return total
+
+
+def literal_rac_total_k_mod(n, k, m):
+    target = n - 2 * k
+    if target < 0:
+        return 0
+    total = 0
+    for i in range(target // 3 + 1):
+        head = binom(i + k, k)
+        after_i = target - 3 * i
+        r_max = i if m == 1 else after_i // (m - 1)
+        for r in range(r_max + 1):
+            ir = binom(i, r)
+            if not ir:
+                continue
+            after_r = after_i - (m - 1) * r
+            if after_r < 0:
+                break
+            hr = head * ir if r % 2 == 0 else -head * ir
+            for d in range(after_r // m + 1):
+                after_d = after_r - m * d
+                hd = hr * binom(i + k + d - 1, d)
+                if not hd:
+                    continue
+                for s in range(after_d // 2 + 1):
+                    j = after_d - 2 * s
+                    total += hd * binom(i + k + s - 1, s) * binom(i + j, j)
+    return total
+
+
+# factored function -> (literal spec, the count it is: family, reduced, sign)
+FACTORED_V1 = {
+    pc_plus_k_mod: (literal_pc_plus_k_mod, (Family.PC, False, Sign.PLUS)),
+    rpc_plus_k_mod: (literal_rpc_plus_k_mod, (Family.PC, True, Sign.PLUS)),
+    ac_plus_k_mod: (literal_ac_plus_k_mod, (Family.AC, False, Sign.PLUS)),
+    rac_plus_k_mod: (literal_rac_plus_k_mod, (Family.AC, True, Sign.PLUS)),
+    ac_total_k_mod: (literal_ac_total_k_mod, (Family.AC, False, Sign.TOTAL)),
+    rac_total_k_mod: (literal_rac_total_k_mod, (Family.AC, True, Sign.TOTAL)),
+}
+
+
+class TestFactoredSums:
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("fn", list(FACTORED_V1), ids=lambda fn: fn.__name__)
+    def test_equals_the_literal_loops(self, fn, m):
+        literal = FACTORED_V1[fn][0]
+        for n in range(31):
+            for k in range(9):
+                assert fn(n, k, m) == literal(n, k, m), (n, k, m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        fn=st.sampled_from(list(FACTORED_V1)),
+        n=st.integers(60, 120),
+        k=st.integers(0, 6),
+        m=st.integers(1, 7),
+    )
+    def test_equals_the_generating_function_far_out(self, fn, n, k, m):
+        family, reduced, sign = FACTORED_V1[fn][1]
+        assert fn(n, k, m) == gf_count(family, reduced, sign, m, n, k)
+
+    # binom calls at n = 60, k = 3 with the inner sub-sums evaluated once per
+    # call; the literal loops take (m = 1 / m = 3): ac 232782 / 48167,
+    # rac 58577 / 16264, rpc 59699 / 27370, pc 6347 / 3444, and for the
+    # totals at m = 1, ac 219336 and rac 59729.
+    @pytest.mark.parametrize(
+        "fn, m, bound",
+        [
+            (ac_plus_k_mod, 1, 36_000),
+            (ac_plus_k_mod, 3, 15_000),
+            (rac_plus_k_mod, 1, 17_000),
+            (rac_plus_k_mod, 3, 9_000),
+            (rpc_plus_k_mod, 1, 10_000),
+            (rpc_plus_k_mod, 3, 4_500),
+            (pc_plus_k_mod, 1, 1_500),
+            (pc_plus_k_mod, 3, 1_500),
+            (ac_total_k_mod, 1, 52_000),
+            (rac_total_k_mod, 1, 14_000),
+        ],
+    )
+    def test_binom_calls_are_bounded(self, monkeypatch, fn, m, bound):
+        calls = 0
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return core.binom(a, b)
+
+        monkeypatch.setattr(formulas, "binom", counted)
+        value = fn(60, 3, m)
+        monkeypatch.undo()
+        assert value == FACTORED_V1[fn][0](60, 3, m)
+        assert 0 < calls <= bound, calls
+
+
+class TestIndexValidation:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: special_value("AC_PLUS1_MOD1", n),
+            pc_plus_1_closed,
+            pc_plus_1_mod2_odd,
+            rpc_plus_1_mod2_odd,
+        ],
+        ids=["special_value", "pc_plus_1_closed", "pc_plus_1_mod2_odd", "rpc_plus_1_mod2_odd"],
+    )
+    def test_n_goes_through_check_index(self, call):
+        for bad in (5.0, True, "5"):
+            with pytest.raises(TypeError, match="^n must be an int"):
+                call(bad)
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            call(-1)
