@@ -50,21 +50,23 @@ class CliError(Exception):
     """Raised for refusals and invalid requests; rendered on stderr, exit 2."""
 
 
-def _add_family_options(parser: argparse.ArgumentParser, with_k: bool = True) -> None:
-    parser.add_argument("--family", choices=["pc", "ac"], required=True,
+def _add_family_options(
+    parser: argparse.ArgumentParser, with_k: bool = True, required: bool = True
+) -> None:
+    parser.add_argument("--family", choices=[f.value for f in Family], required=required,
                         help="count by mismatching (pc) or matching (ac) mirror pairs")
     parser.add_argument("--reduced", action="store_true",
                         help="count swap-equivalence classes instead of compositions")
-    parser.add_argument("--sign", choices=["plus", "minus", "total"], required=True)
-    parser.add_argument("--mod", required=True, metavar="M|inf",
+    parser.add_argument("--sign", choices=[s.value for s in Sign], required=required)
+    parser.add_argument("--mod", required=required, metavar="M|inf",
                         help="modulus for the pair comparison; 'inf' means equality")
     if with_k:
-        parser.add_argument("--k", type=int, required=True, help="statistic value")
+        parser.add_argument("--k", type=int, required=required, help="statistic value")
 
 
 def _add_method_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=["formula", "gf", "brute"], default="formula")
-    parser.add_argument("--variant", type=int, choices=[1, 2, 3],
+    parser.add_argument("--variant", type=int, choices=[v.value for v in FormulaVariant],
                         help="published formula variant (only with --method formula)")
     parser.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                         help="enumeration cap for --method brute")
@@ -272,11 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     p_seq = sub.add_parser("sequence", help="export one sequence (b-file or CSV)")
-    p_seq.add_argument("--family", choices=["pc", "ac"])
-    p_seq.add_argument("--reduced", action="store_true")
-    p_seq.add_argument("--sign", choices=["plus", "minus", "total"])
-    p_seq.add_argument("--mod", metavar="M|inf")
-    p_seq.add_argument("--k", type=int)
+    _add_family_options(p_seq, required=False)
     p_seq.add_argument("--n-max", type=int, required=True)
     p_seq.add_argument("--format", choices=["bfile", "csv"], default="bfile")
     p_seq.add_argument("--offset", type=int, default=0, help="first printed index")

@@ -28,7 +28,6 @@ both following x(n) = x(n-1) + x(n-2) + x(n-3).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
 
@@ -58,7 +57,6 @@ def multinom(k: int, parts: Sequence[int]) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
 def fibonacci(n: int) -> int:
     """F(n) with F(0) = 0, F(1) = 1."""
     if n < 0:
@@ -69,7 +67,6 @@ def fibonacci(n: int) -> int:
     return a
 
 
-@lru_cache(maxsize=None)
 def tribonacci(n: int) -> int:
     """T(n) with T(i) = 0 for i < 1 and T(1) = T(2) = 1; defined for all integers."""
     if n < 1:
@@ -82,7 +79,6 @@ def tribonacci(n: int) -> int:
     return c
 
 
-@lru_cache(maxsize=None)
 def tribonacci_prime(n: int) -> int:
     """T'(n) with T'(0) = 0, T'(1) = 1, T'(2) = 0."""
     if n < 0:

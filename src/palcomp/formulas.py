@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache, lru_cache, partial
-from typing import Callable, Iterator
+from typing import Callable, NamedTuple
 
 from .core import binom, fibonacci, multinom, tribonacci, tribonacci_prime
 from .stats import INFINITY, Family, Modulus, Sign, _InfinityType, check_index, check_modulus
@@ -792,80 +792,74 @@ def _fib_fold(n: int) -> int:
     return fibonacci(2 * (n // 2) + 1)
 
 
-# name -> ((family, reduced, sign, modulus, k) of the count it equals,
-#          closed form, domain in n, description)
-_SPECIAL_VALUES: dict[str, tuple[tuple, Callable[[int], int], Callable[[int], bool], str]] = {
-    "PC_TOTAL_POW2": (
-        (Family.PC, False, Sign.TOTAL, INFINITY, 0),
-        lambda n: 1 << (n // 2), lambda n: n >= 0, "pc(n) = 2^floor(n/2)",
+def _nonnegative_n(n: int) -> bool:
+    return n >= 0
+
+
+class SpecialValue(NamedTuple):
+    """A named closed form and the count it equals on its domain in n."""
+
+    cell: tuple[Family, bool, Sign, Modulus, int]  # (family, reduced, sign, modulus, k)
+    closed_form: Callable[[int], int]
+    description: str
+    domain: Callable[[int], bool] = _nonnegative_n
+
+
+SPECIAL_VALUES: dict[str, SpecialValue] = {
+    "PC_TOTAL_POW2": SpecialValue(
+        (Family.PC, False, Sign.TOTAL, INFINITY, 0), lambda n: 1 << (n // 2),
+        "pc(n) = 2^floor(n/2)",
     ),
-    "PC_PLUS1_CLOSED": (
-        (Family.PC, False, Sign.PLUS, INFINITY, 1),
-        pc_plus_1_closed, lambda n: n >= 0, "pc_plus at k=1 closed form",
+    "PC_PLUS1_CLOSED": SpecialValue(
+        (Family.PC, False, Sign.PLUS, INFINITY, 1), pc_plus_1_closed,
+        "pc_plus at k=1 closed form",
     ),
-    "PC_MOD2": (
-        (Family.PC, False, Sign.TOTAL, 2, 0),
-        lambda n: 2 * 3 ** (n // 2 - 1),
-        lambda n: n >= 2,
-        "pc(n, 2) = 2 * 3^(floor(n/2) - 1) for n >= 2",
+    "PC_MOD2": SpecialValue(
+        (Family.PC, False, Sign.TOTAL, 2, 0), lambda n: 2 * 3 ** (n // 2 - 1),
+        "pc(n, 2) = 2 * 3^(floor(n/2) - 1) for n >= 2", domain=lambda n: n >= 2,
     ),
-    "PC_MOD3": (
-        (Family.PC, False, Sign.TOTAL, 3, 0),
-        lambda n: 2 * fibonacci(n - 1),
-        lambda n: n >= 2,
-        "pc(n, 3) = 2 F(n-1) for n >= 2",
+    "PC_MOD3": SpecialValue(
+        (Family.PC, False, Sign.TOTAL, 3, 0), lambda n: 2 * fibonacci(n - 1),
+        "pc(n, 3) = 2 F(n-1) for n >= 2", domain=lambda n: n >= 2,
     ),
-    "PC_PLUS_MOD3": (
-        (Family.PC, False, Sign.PLUS, 3, 0),
-        lambda n: 2 * (fibonacci(n - 2) + (-1) ** (n - 2)),
-        lambda n: n >= 2,
-        "pc_plus(n, 3) = 2 (F(n-2) + (-1)^(n-2)) for n >= 2",
+    "PC_PLUS_MOD3": SpecialValue(
+        (Family.PC, False, Sign.PLUS, 3, 0), lambda n: 2 * (fibonacci(n - 2) + (-1) ** (n - 2)),
+        "pc_plus(n, 3) = 2 (F(n-2) + (-1)^(n-2)) for n >= 2", domain=lambda n: n >= 2,
     ),
-    "AC_TOTAL_TRIB": (
-        (Family.AC, False, Sign.TOTAL, INFINITY, 0),
-        lambda n: tribonacci(n) + tribonacci(n - 2),
-        lambda n: n >= 1,
-        "ac(n) = T(n) + T(n-2) for n >= 1",
+    "AC_TOTAL_TRIB": SpecialValue(
+        (Family.AC, False, Sign.TOTAL, INFINITY, 0), lambda n: tribonacci(n) + tribonacci(n - 2),
+        "ac(n) = T(n) + T(n-2) for n >= 1", domain=lambda n: n >= 1,
     ),
-    "AC_TOTAL_TRIB_PRIME": (
+    "AC_TOTAL_TRIB_PRIME": SpecialValue(
         (Family.AC, False, Sign.TOTAL, INFINITY, 0),
         lambda n: tribonacci_prime(n + 1) + tribonacci_prime(n),
-        lambda n: n >= 0,
         "ac(n) = T'(n+1) + T'(n)",
     ),
-    "AC_TOTAL_TRIB_DIFF": (
+    "AC_TOTAL_TRIB_DIFF": SpecialValue(
         (Family.AC, False, Sign.TOTAL, INFINITY, 0),
         lambda n: tribonacci(n + 1) - tribonacci(n - 1),
-        lambda n: n >= 0,
         "ac(n) = T(n+1) - T(n-1)",
     ),
-    "AC_PLUS_TRIB_PRIME": (
-        (Family.AC, False, Sign.PLUS, INFINITY, 0),
-        lambda n: tribonacci_prime(n + 1),
-        lambda n: n >= 0,
+    "AC_PLUS_TRIB_PRIME": SpecialValue(
+        (Family.AC, False, Sign.PLUS, INFINITY, 0), lambda n: tribonacci_prime(n + 1),
         "ac_plus(n) = T'(n+1)",
     ),
-    "RAC_FIB": (
-        (Family.AC, True, Sign.TOTAL, INFINITY, 0),
-        lambda n: 1 if n == 0 else fibonacci(n),
-        lambda n: n >= 0,
+    "RAC_FIB": SpecialValue(
+        (Family.AC, True, Sign.TOTAL, INFINITY, 0), lambda n: 1 if n == 0 else fibonacci(n),
         "rac(0) = 1, rac(n) = F(n) for n >= 1",
     ),
-    "RAC_PLUS_FIB": (
-        (Family.AC, True, Sign.PLUS, INFINITY, 0),
-        lambda n: 1 if n == 0 else fibonacci(n - 1),
-        lambda n: n >= 0,
+    "RAC_PLUS_FIB": SpecialValue(
+        (Family.AC, True, Sign.PLUS, INFINITY, 0), lambda n: 1 if n == 0 else fibonacci(n - 1),
         "rac_plus(0) = 1, rac_plus(n) = F(n-1) for n >= 1",
     ),
-    "RAC_PLUS1_INF": (
+    "RAC_PLUS1_INF": SpecialValue(
         (Family.AC, True, Sign.PLUS, INFINITY, 1),
         lambda n: sum(
             (r + 1) * binom(n - r - 3, n - 2 * r - 2) for r in range(max(n - 1, 0) // 2 + 1)
         ),
-        lambda n: n >= 0,
         "rac_plus at k=1: compositions of n-1 with exactly one part 1",
     ),
-    "RAC_PLUS2_INF": (
+    "RAC_PLUS2_INF": SpecialValue(
         (Family.AC, True, Sign.PLUS, INFINITY, 2),
         lambda n: sum(
             binom(r + 2, 2) * binom(r + (n - 4 - 2 * r) - 1, n - 4 - 2 * r)
@@ -873,103 +867,71 @@ _SPECIAL_VALUES: dict[str, tuple[tuple, Callable[[int], int], Callable[[int], bo
         )
         if n >= 4
         else 0,
-        lambda n: n >= 0,
         "rac_plus at k=2: compositions of n-2 with exactly two parts 1",
     ),
-    "AC_PLUS_MOD1_PARITY": (
-        (Family.AC, False, Sign.PLUS, 1, 0),
-        lambda n: (1 + (-1) ** n) // 2,
-        lambda n: n >= 0,
+    "AC_PLUS_MOD1_PARITY": SpecialValue(
+        (Family.AC, False, Sign.PLUS, 1, 0), lambda n: (1 + (-1) ** n) // 2,
         "ac_plus(n, 1) = 1 for even n, 0 for odd n",
     ),
-    "AC_PLUS1_MOD1": (
-        (Family.AC, False, Sign.PLUS, 1, 1),
-        lambda n: n * n // 4, lambda n: n >= 0, "ac_plus^1(n, 1) = floor(n^2/4)",
+    "AC_PLUS1_MOD1": SpecialValue(
+        (Family.AC, False, Sign.PLUS, 1, 1), lambda n: n * n // 4,
+        "ac_plus^1(n, 1) = floor(n^2/4)",
     ),
-    "RAC1_MOD1": (
-        (Family.AC, True, Sign.TOTAL, 1, 1),
-        lambda n: (n // 2) * ((n + 1) // 2),
-        lambda n: n >= 0,
+    "RAC1_MOD1": SpecialValue(
+        (Family.AC, True, Sign.TOTAL, 1, 1), lambda n: (n // 2) * ((n + 1) // 2),
         "rac^1(n, 1) = floor(n/2) ceil(n/2)",
     ),
-    "RAC_PLUS1_MOD1": (
-        (Family.AC, True, Sign.PLUS, 1, 1),
-        lambda n: (n // 2) * (n // 2 + 1) // 2,
-        lambda n: n >= 0,
+    "RAC_PLUS1_MOD1": SpecialValue(
+        (Family.AC, True, Sign.PLUS, 1, 1), lambda n: (n // 2) * (n // 2 + 1) // 2,
         "rac_plus^1(2t, 1) = rac_plus^1(2t+1, 1) = t(t+1)/2",
     ),
-    "RAC_PLUS2_MOD1": (
+    "RAC_PLUS2_MOD1": SpecialValue(
         (Family.AC, True, Sign.PLUS, 1, 2),
         lambda n: sum(binom(i + 2, 2) * (n - 4 - 2 * i + 1) for i in range(max(n - 4, -1) // 2 + 1))
         if n >= 4
         else 0,
-        lambda n: n >= 0,
         "rac_plus^2(n, 1) = sum over 2i + j = n-4 of binom(i+2, 2) (j+1)",
     ),
-    "RAC2_MOD1": (
+    "RAC2_MOD1": SpecialValue(
         (Family.AC, True, Sign.TOTAL, 1, 2),
         lambda n: sum((i + 1) * binom(n - 4 - 2 * i + 2, 2) for i in range(max(n - 4, -1) // 2 + 1))
         if n >= 4
         else 0,
-        lambda n: n >= 0,
         "rac^2(n, 1) = sum over 2i + j = n-4 of (i+1) binom(j+2, 2)",
     ),
-    "RAC_MOD1_ONE": (
-        (Family.AC, True, Sign.TOTAL, 1, 0),
-        lambda n: 1, lambda n: n >= 0, "rac(n, 1) = 1",
-    ),
-    "RAC_PLUS_MOD1_PARITY": (
-        (Family.AC, True, Sign.PLUS, 1, 0),
-        lambda n: 1 if n % 2 == 0 else 0,
-        lambda n: n >= 0,
+    "RAC_MOD1_ONE": SpecialValue((Family.AC, True, Sign.TOTAL, 1, 0), lambda n: 1, "rac(n, 1) = 1"),
+    "RAC_PLUS_MOD1_PARITY": SpecialValue(
+        (Family.AC, True, Sign.PLUS, 1, 0), lambda n: 1 if n % 2 == 0 else 0,
         "rac_plus(n, 1) = 1 for even n, 0 for odd n",
     ),
-    "RPC_PLUS_MOD2_FIB": (
-        (Family.PC, True, Sign.PLUS, 2, 0),
-        lambda n: fibonacci(n + 1) if n % 2 == 0 else 0,
-        lambda n: n >= 0,
+    "RPC_PLUS_MOD2_FIB": SpecialValue(
+        (Family.PC, True, Sign.PLUS, 2, 0), lambda n: fibonacci(n + 1) if n % 2 == 0 else 0,
         "rpc_plus(2t, 2) = F(2t+1), rpc_plus(2t+1, 2) = 0",
     ),
-    "RPC_MOD2_FIB": (
-        (Family.PC, True, Sign.TOTAL, 2, 0),
-        _fib_fold, lambda n: n >= 0, "rpc(2t, 2) = rpc(2t+1, 2) = F(2t+1)",
+    "RPC_MOD2_FIB": SpecialValue(
+        (Family.PC, True, Sign.TOTAL, 2, 0), _fib_fold,
+        "rpc(2t, 2) = rpc(2t+1, 2) = F(2t+1)",
     ),
-    "RPC_PLUS1_MOD2": (
-        (Family.PC, True, Sign.PLUS, 2, 1),
-        rpc_plus_1_mod2_odd,
-        lambda n: n >= 0,
+    "RPC_PLUS1_MOD2": SpecialValue(
+        (Family.PC, True, Sign.PLUS, 2, 1), rpc_plus_1_mod2_odd,
         "rpc_plus^1(n, 2): 0 for even n, sum of i binom(t+i, 2i) at n = 2t+1",
     ),
-    "PC_PLUS1_MOD2": (
-        (Family.PC, False, Sign.PLUS, 2, 1),
-        pc_plus_1_mod2_odd,
-        lambda n: n >= 0 and n != 1,
+    "PC_PLUS1_MOD2": SpecialValue(
+        (Family.PC, False, Sign.PLUS, 2, 1), pc_plus_1_mod2_odd,
         "pc_plus^1(n, 2): 0 for even n, sum of (i+1) 2^(i+1) binom(t-1, i) at n = 2t+1 >= 3",
+        domain=lambda n: n >= 0 and n != 1,
     ),
 }
 
 
 def special_value(name: str, n: int) -> int:
-    """Evaluate a named closed form from the catalog of special cases."""
+    """Evaluate a named closed form from :data:`SPECIAL_VALUES`."""
     try:
-        _, fn, domain, description = _SPECIAL_VALUES[name]
+        value = SPECIAL_VALUES[name]
     except KeyError:
-        known = ", ".join(sorted(_SPECIAL_VALUES))
+        known = ", ".join(sorted(SPECIAL_VALUES))
         raise ValueError(f"unknown special value {name!r}; known: {known}") from None
     check_index(n, "n")
-    if not domain(n):
-        raise ValueError(f"{name} ({description}) is not valid at n={n}")
-    return fn(n)
-
-
-def special_value_names() -> Iterator[str]:
-    return iter(sorted(_SPECIAL_VALUES))
-
-
-def special_value_cell(name: str) -> tuple[Family, bool, Sign, Modulus, int]:
-    """The (family, reduced, sign, modulus, k) count that the named form equals."""
-    return _SPECIAL_VALUES[name][0]
-
-
-def special_value_domain(name: str) -> Callable[[int], bool]:
-    return _SPECIAL_VALUES[name][2]
+    if not value.domain(n):
+        raise ValueError(f"{name} ({value.description}) is not valid at n={n}")
+    return value.closed_form(n)

@@ -16,6 +16,11 @@ recurrence: u(0,0) = 1 and each further coefficient of u is determined by
 d * u = 1 from lower-order ones.  Truncation bounds only discard higher
 terms, so recomputing any coefficient with larger bounds returns the same
 value.
+
+Every coefficient is read from one expansion, :func:`series_table`: the
+inverse of the denominator times the numerator, truncated to the requested
+bounds and cached.  :func:`gf_grid` reads a whole grid from it, and
+:func:`gf_count` reads one cell of that grid.
 """
 
 from __future__ import annotations
@@ -50,17 +55,6 @@ class BivariatePoly:
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePoly is immutable")
 
-    @classmethod
-    def from_terms(cls, terms: dict[tuple[int, int], int]) -> "BivariatePoly":
-        if not terms:
-            return cls(())
-        nq = max(p for p, _ in terms)
-        nt = max(s for _, s in terms)
-        rows = [[0] * (nt + 1) for _ in range(nq + 1)]
-        for (p, s), c in terms.items():
-            rows[p][s] += c
-        return cls(rows)
-
     def terms(self) -> Iterator[tuple[int, int, int]]:
         """Yield (q_degree, t_degree, coefficient) for the nonzero terms."""
         for p, row in enumerate(self._rows):
@@ -84,10 +78,6 @@ class BivariatePoly:
 
     def is_zero(self) -> bool:
         return not self._rows
-
-    def truncate(self, nq: int, nt: int) -> "BivariatePoly":
-        """Drop all terms with q-degree > nq or t-degree > nt."""
-        return BivariatePoly(row[: nt + 1] for row in self._rows[: nq + 1])
 
     def __add__(self, other):
         other = _coerce(other)
@@ -117,12 +107,6 @@ class BivariatePoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -234,44 +218,29 @@ def series_inverse(d: BivariatePoly, nq: int, nt: int) -> BivariatePoly:
     return BivariatePoly(rows)
 
 
-class GFDomainError(ValueError):
-    """Raised for coefficient requests outside the series domain."""
-
-
 class RationalGF(NamedTuple):
     """numerator / denominator as a formal power series in q and t."""
 
     numerator: BivariatePoly
     denominator: BivariatePoly
 
-    def series(self, nq: int, nt: int) -> BivariatePoly:
-        """All coefficients with q-degree <= nq and t-degree <= nt."""
-        inverse = series_inverse(self.denominator, nq, nt)
-        return poly_mul(self.numerator, inverse, nq, nt)
-
-    def coefficient(self, n: int, k: int) -> int:
-        if n < 0 or k < 0:
-            raise GFDomainError(f"coefficient indices must be >= 0, got ({n}, {k})")
-        return self.series(n, k).coeff(n, k)
-
 
 @lru_cache(maxsize=32)
 def series_table(gf: RationalGF, nq: int, nt: int) -> BivariatePoly:
-    """Cached series expansion; use when reading many coefficients of one gf.
+    """The expansion of gf: every coefficient with q-degree <= nq and t-degree <= nt.
 
-    Only the 32 most recent expansions are kept, so a long-running process
-    does not hold every table it has ever expanded.
+    The denominator is inverted to those bounds and multiplied by the
+    numerator, truncated to the same bounds.  Only the 32 most recent
+    expansions are kept, so a long-running process does not hold every
+    table it has ever expanded.
     """
-    return gf.series(nq, nt)
+    inverse = series_inverse(gf.denominator, nq, nt)
+    return poly_mul(gf.numerator, inverse, nq, nt)
 
 
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
-
-
-def _qpow(e: int) -> BivariatePoly:
-    return Q**e
 
 
 def _pc_plus_inf() -> RationalGF:
@@ -306,57 +275,57 @@ def _rac_plus_inf() -> RationalGF:
 
 
 def _pc_plus_mod(m: int) -> RationalGF:
-    num = (ONE - Q) * (ONE - _qpow(m))
-    den = (ONE - Q) * (ONE - _qpow(m)) - 2 * Q**2 * ((ONE - Q) + Q * (ONE - _qpow(m - 1)) * T)
+    num = (ONE - Q) * (ONE - Q**m)
+    den = (ONE - Q) * (ONE - Q**m) - 2 * Q**2 * ((ONE - Q) + Q * (ONE - Q ** (m - 1)) * T)
     return RationalGF(num, den)
 
 
 def _rpc_plus_mod(m: int) -> RationalGF:
-    num = (ONE - Q) * (ONE - _qpow(m))
+    num = (ONE - Q) * (ONE - Q**m)
     den = (
-        (ONE - Q) * (ONE - Q**2) * (ONE - _qpow(m))
+        (ONE - Q) * (ONE - Q**2) * (ONE - Q**m)
         - Q**2 * (ONE - Q)
-        - Q**3 * (ONE - _qpow(m - 1)) * T
+        - Q**3 * (ONE - Q ** (m - 1)) * T
     )
     return RationalGF(num, den)
 
 
 def _ac_plus_mod(m: int) -> RationalGF:
-    num = (ONE - Q) * (ONE - _qpow(m))
+    num = (ONE - Q) * (ONE - Q**m)
     den = (
-        (ONE - Q) * (ONE - _qpow(m))
-        - Q**2 * (ONE - Q) * (ONE - _qpow(m))
-        - 2 * Q**3 * (ONE - _qpow(m - 1))
-        - Q**2 * (ONE - Q) * (ONE + _qpow(m)) * T
+        (ONE - Q) * (ONE - Q**m)
+        - Q**2 * (ONE - Q) * (ONE - Q**m)
+        - 2 * Q**3 * (ONE - Q ** (m - 1))
+        - Q**2 * (ONE - Q) * (ONE + Q**m) * T
     )
     return RationalGF(num, den)
 
 
 def _ac_total_mod(m: int) -> RationalGF:
-    num = (ONE - Q**2) * (ONE - _qpow(m))
+    num = (ONE - Q**2) * (ONE - Q**m)
     den = (
-        (ONE - Q) * (ONE - Q**2) * (ONE - _qpow(m))
-        - 2 * Q**3 * (ONE - _qpow(m - 1))
-        - Q**2 * (ONE - Q) * (ONE + _qpow(m)) * T
+        (ONE - Q) * (ONE - Q**2) * (ONE - Q**m)
+        - 2 * Q**3 * (ONE - Q ** (m - 1))
+        - Q**2 * (ONE - Q) * (ONE + Q**m) * T
     )
     return RationalGF(num, den)
 
 
 def _rac_plus_mod(m: int) -> RationalGF:
-    num = (ONE - Q) * (ONE - _qpow(m))
+    num = (ONE - Q) * (ONE - Q**m)
     den = (
-        (ONE - Q) * (ONE - _qpow(m))
-        - Q**2 * (ONE - 2 * _qpow(m) + _qpow(m + 1))
+        (ONE - Q) * (ONE - Q**m)
+        - Q**2 * (ONE - 2 * Q**m + Q ** (m + 1))
         - Q**2 * (ONE - Q) * T
     )
     return RationalGF(num, den)
 
 
 def _rac_total_mod(m: int) -> RationalGF:
-    num = (ONE - Q**2) * (ONE - _qpow(m))
+    num = (ONE - Q**2) * (ONE - Q**m)
     den = (
-        (ONE - Q) * (ONE - Q**2) * (ONE - _qpow(m))
-        - Q**3 * (ONE - _qpow(m - 1))
+        (ONE - Q) * (ONE - Q**2) * (ONE - Q**m)
+        - Q**3 * (ONE - Q ** (m - 1))
         - Q**2 * (ONE - Q) * T
     )
     return RationalGF(num, den)
@@ -367,37 +336,25 @@ def _totalized(plus_gf: RationalGF) -> RationalGF:
     return RationalGF((ONE + Q) * plus_gf.numerator, plus_gf.denominator)
 
 
-class CatalogEntry(NamedTuple):
-    """One generating function of the catalog."""
-
-    family: Family
-    reduced: bool
-    sign: Sign
-    modular: bool
-
-
-_CATALOG: dict[CatalogEntry, object] = {
-    CatalogEntry(Family.PC, False, Sign.PLUS, False): _pc_plus_inf,
-    CatalogEntry(Family.PC, False, Sign.TOTAL, False): lambda: _totalized(_pc_plus_inf()),
-    CatalogEntry(Family.PC, True, Sign.PLUS, False): _rpc_plus_inf,
-    CatalogEntry(Family.PC, True, Sign.TOTAL, False): lambda: _totalized(_rpc_plus_inf()),
-    CatalogEntry(Family.AC, False, Sign.PLUS, False): _ac_plus_inf,
-    CatalogEntry(Family.AC, False, Sign.TOTAL, False): _ac_total_inf,
-    CatalogEntry(Family.AC, True, Sign.PLUS, False): _rac_plus_inf,
-    CatalogEntry(Family.AC, True, Sign.TOTAL, False): lambda: _totalized(_rac_plus_inf()),
-    CatalogEntry(Family.PC, False, Sign.PLUS, True): _pc_plus_mod,
-    CatalogEntry(Family.PC, False, Sign.TOTAL, True): lambda m: _totalized(_pc_plus_mod(m)),
-    CatalogEntry(Family.PC, True, Sign.PLUS, True): _rpc_plus_mod,
-    CatalogEntry(Family.PC, True, Sign.TOTAL, True): lambda m: _totalized(_rpc_plus_mod(m)),
-    CatalogEntry(Family.AC, False, Sign.PLUS, True): _ac_plus_mod,
-    CatalogEntry(Family.AC, False, Sign.TOTAL, True): _ac_total_mod,
-    CatalogEntry(Family.AC, True, Sign.PLUS, True): _rac_plus_mod,
-    CatalogEntry(Family.AC, True, Sign.TOTAL, True): _rac_total_mod,
+# (family, reduced, sign, finite modulus) -> builder; a finite-modulus builder takes m
+_CATALOG: dict[tuple[Family, bool, Sign, bool], object] = {
+    (Family.PC, False, Sign.PLUS, False): _pc_plus_inf,
+    (Family.PC, False, Sign.TOTAL, False): lambda: _totalized(_pc_plus_inf()),
+    (Family.PC, True, Sign.PLUS, False): _rpc_plus_inf,
+    (Family.PC, True, Sign.TOTAL, False): lambda: _totalized(_rpc_plus_inf()),
+    (Family.AC, False, Sign.PLUS, False): _ac_plus_inf,
+    (Family.AC, False, Sign.TOTAL, False): _ac_total_inf,
+    (Family.AC, True, Sign.PLUS, False): _rac_plus_inf,
+    (Family.AC, True, Sign.TOTAL, False): lambda: _totalized(_rac_plus_inf()),
+    (Family.PC, False, Sign.PLUS, True): _pc_plus_mod,
+    (Family.PC, False, Sign.TOTAL, True): lambda m: _totalized(_pc_plus_mod(m)),
+    (Family.PC, True, Sign.PLUS, True): _rpc_plus_mod,
+    (Family.PC, True, Sign.TOTAL, True): lambda m: _totalized(_rpc_plus_mod(m)),
+    (Family.AC, False, Sign.PLUS, True): _ac_plus_mod,
+    (Family.AC, False, Sign.TOTAL, True): _ac_total_mod,
+    (Family.AC, True, Sign.PLUS, True): _rac_plus_mod,
+    (Family.AC, True, Sign.TOTAL, True): _rac_total_mod,
 }
-
-
-def catalog_entries() -> Iterator[CatalogEntry]:
-    return iter(_CATALOG)
 
 
 @lru_cache(maxsize=64)
@@ -408,22 +365,11 @@ def gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> R
         raise KeyError(
             "no catalog entry for the minus part; expand the plus entry at n-1"
         )
-    modular = not isinstance(modulus, _InfinityType)
-    entry = next(
-        (
-            e
-            for e in _CATALOG
-            if e.family is family
-            and e.reduced == reduced
-            and e.sign is sign
-            and e.modular == modular
-        ),
-        None,
-    )
-    if entry is None:
+    finite = not isinstance(modulus, _InfinityType)
+    builder = _CATALOG.get((family, reduced, sign, finite))
+    if builder is None:
         raise KeyError(f"no catalog entry for {family}, reduced={reduced}, {sign}")
-    builder = _CATALOG[entry]
-    gf = builder(modulus) if modular else builder()
+    gf = builder(modulus) if finite else builder()
     if gf.denominator.coeff(0, 0) != 1:
         raise AssertionError("catalog invariant violated: denominator constant term != 1")
     return gf
@@ -432,20 +378,11 @@ def gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> R
 def gf_count(
     family: Family, reduced: bool, sign: Sign, modulus: Modulus, n: int, k: int
 ) -> int:
-    """Evaluate one counting function through its generating function.
-
-    The minus part is read off the plus series at q-degree n-1 (the same
-    reflection the formula path uses).
-    """
+    """Evaluate one counting function through its generating function: the
+    (n, k) cell of :func:`gf_grid`."""
     check_index(n, "n")
     check_index(k, "k")
-    if sign is Sign.MINUS:
-        if n == 0:
-            return 0
-        gf = gf_catalog(family, reduced, Sign.PLUS, modulus)
-        return series_table(gf, n - 1, k).coeff(n - 1, k)
-    gf = gf_catalog(family, reduced, sign, modulus)
-    return series_table(gf, n, k).coeff(n, k)
+    return gf_grid(family, reduced, sign, modulus, n, k)[n][k]
 
 
 def gf_grid(

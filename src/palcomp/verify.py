@@ -284,9 +284,9 @@ def parity_vanishing(n_max: int = 20, k_max: int = 6) -> _Cells:
 @_check
 def special_values(n_max: int = 24) -> _Cells:
     """The named closed forms match the formula path on their domains."""
-    for name in formulas.special_value_names():
-        family, reduced, sign, modulus, k = formulas.special_value_cell(name)
-        for n in filter(formulas.special_value_domain(name), range(n_max + 1)):
+    for name, value in sorted(formulas.SPECIAL_VALUES.items()):
+        family, reduced, sign, modulus, k = value.cell
+        for n in filter(value.domain, range(n_max + 1)):
             closed = formulas.special_value(name, n)
             direct = formulas.formula_count(family, reduced, sign, modulus, n, k)
             yield {"name": name, "n": n}, direct, closed
@@ -320,7 +320,8 @@ def truncation_soundness(samples: Iterable[tuple[int, int]] = ((6, 1), (11, 3), 
     for block, cells in _grid((Sign.PLUS, Sign.TOTAL), (1, 3, INFINITY), samples):
         gf = gf_catalog(*block)
         for n, k, params in cells:
-            yield params, gf.series(n, k).coeff(n, k), gf.series(n + 5, k + 3).coeff(n, k)
+            narrow, wide = series_table(gf, n, k), series_table(gf, n + 5, k + 3)
+            yield params, narrow.coeff(n, k), wide.coeff(n, k)
 
 
 @_check
@@ -328,7 +329,7 @@ def bijection_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) ->
     """decode(encode(c)) == c on every plus-class composition, the pair statistic
     transports the mismatch count, and image counts per statistic match the
     plus-class closed formula."""
-    for n in range(min(n_max, 14) + 1):
+    for n in range(n_max + 1):
         image_by_k: dict[int, set] = {}
         for c in enumerate_compositions(n, cap=cap):
             if sign_class(c) is not Sign.PLUS:
@@ -347,7 +348,7 @@ def bijection_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) ->
 @_check
 def binary_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """Binary encoding and decoding invert each other."""
-    for n in range(min(n_max, 14) + 1):
+    for n in range(n_max + 1):
         for c in enumerate_compositions(n, cap=cap):
             bits = encode_binary(c)
             if len(bits) != n or decode_binary(bits) != c:
@@ -444,17 +445,17 @@ def run_all(
         (reflection_identity, n_max, k_max, moduli, cap),
         (statistic_partition, n_max, moduli, cap),
         (reduced_halving, small_n, k_max, cap),
-        (divisibility, 20, 6),
+        (divisibility,),
         (tribonacci_identity, deep_n, cap),
-        (sequence_identification, 30),
-        (parity_vanishing, 20, 6),
-        (special_values, 24),
+        (sequence_identification,),
+        (parity_vanishing,),
+        (special_values,),
         (gf_total_plus_relation, n_max, k_max, moduli),
-        (rpc_mod2_fibonacci_fold, 24),
+        (rpc_mod2_fibonacci_fold,),
         (truncation_soundness,),
         (bijection_round_trip, small_n, cap),
         (binary_round_trip, small_n, cap),
-        (m1_specializations, 20, 6),
+        (m1_specializations,),
         (coloring_interpretations, min(n_max + 2, 16), cap),
         (parts_equal_one, deep_n, 5, cap),
     ]

@@ -127,3 +127,21 @@ class TestTribonacciIdentity:
     @pytest.mark.parametrize("n", range(31))
     def test_equals_shifted_tribonacci(self, n):
         assert tribonacci_identity_sum(n) == tribonacci(n + 1)
+
+
+def test_every_module_cache_is_bounded():
+    # an unbounded cache keeps one entry per distinct argument for the life
+    # of the process; every module-level cache must name a finite maxsize
+    import importlib
+    import pkgutil
+
+    import palcomp
+
+    caches = {}
+    for info in pkgutil.iter_modules(palcomp.__path__, "palcomp."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters"):
+                caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert caches, "no module-level caches found"
+    assert {name: size for name, size in caches.items() if size is None} == {}

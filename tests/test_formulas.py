@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from palcomp import core, formulas
 from palcomp.core import binom, fibonacci, tribonacci, tribonacci_prime
 from palcomp.formulas import (
+    SPECIAL_VALUES,
     V1,
     V2,
     V3,
@@ -34,7 +35,6 @@ from palcomp.formulas import (
     rpc_plus_mod_k0,
     rpc_total_k,
     special_value,
-    special_value_names,
     total_from_plus,
 )
 from palcomp.genfun import gf_count
@@ -314,9 +314,8 @@ class TestSpecialValues:
             assert a == b == c
 
     def test_every_name_evaluates_somewhere(self):
-        for name in special_value_names():
-            domain = formulas.special_value_domain(name)
-            n = next(n for n in range(40) if domain(n))
+        for name, value in SPECIAL_VALUES.items():
+            n = next(n for n in range(40) if value.domain(n))
             assert special_value(name, n) >= 0
 
 

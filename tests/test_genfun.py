@@ -14,7 +14,7 @@ from palcomp.genfun import (
     ZERO,
     BivariatePoly,
     RationalGF,
-    catalog_entries,
+    _CATALOG,
     gf_catalog,
     gf_count,
     poly_mul,
@@ -27,9 +27,13 @@ from palcomp.stats import INFINITY, CountSpec, Family, Sign
 ALL_MODULI = (1, 2, 3, 4, 5, INFINITY)
 
 
+def coefficient(gf: RationalGF, n: int, k: int) -> int:
+    return series_table(gf, n, k).coeff(n, k)
+
+
 class TestPolyArithmetic:
     def test_telescoping(self):
-        geometric = BivariatePoly.from_terms({(i, 0): 1 for i in range(11)})
+        geometric = sum((Q**i for i in range(11)), ZERO)
         product = poly_mul(ONE - Q, geometric, nq=10, nt=0)
         assert product == ONE
 
@@ -39,7 +43,7 @@ class TestPolyArithmetic:
 
     def test_hand_expansion(self):
         expanded = (ONE - Q) * (ONE - 2 * Q**2)
-        assert expanded == BivariatePoly.from_terms({(0, 0): 1, (1, 0): -1, (2, 0): -2, (3, 0): 2})
+        assert expanded == ONE - Q - 2 * Q**2 + 2 * Q**3
 
     def test_add_and_coeff(self):
         p = Q * T + 3 * Q
@@ -49,13 +53,13 @@ class TestPolyArithmetic:
         assert p.coeff(9, 9) == 0
 
     def test_normalization_and_equality(self):
-        assert BivariatePoly.from_terms({(2, 1): 0, (0, 0): 1}) == ONE
+        assert BivariatePoly([[1, 0], [], [0, 0]]) == ONE
         assert Q - Q == ZERO
         assert (ONE + Q) * (ONE - Q) == ONE - Q**2
 
     def test_truncate(self):
         p = (ONE + Q + T) ** 3
-        cut = p.truncate(1, 1)
+        cut = poly_mul(p, ONE, 1, 1)
         assert cut.q_degree <= 1 and cut.t_degree <= 1
         assert cut.coeff(1, 1) == p.coeff(1, 1) == 6
 
@@ -89,7 +93,7 @@ class TestSeriesInverse:
     )
     def test_inverse_times_self_is_one(self, terms):
         terms[(0, 0)] = 1
-        d = BivariatePoly.from_terms(terms)
+        d = sum((c * Q**p * T**s for (p, s), c in terms.items()), ZERO)
         inv = series_inverse(d, 8, 4)
         assert poly_mul(d, inv, nq=8, nt=4) == ONE
 
@@ -102,31 +106,31 @@ class TestCatalog:
         ):
             gf = gf_catalog(family, reduced, sign, modulus)
             assert gf.denominator.coeff(0, 0) == 1
-            assert gf.coefficient(0, 0) == 1 or sign is Sign.PLUS
             # the constant term of every entry is the empty composition
-            assert gf.coefficient(0, 0) == 1
+            assert coefficient(gf, 0, 0) == 1
 
     def test_minus_has_no_entry(self):
         with pytest.raises(KeyError):
             gf_catalog(Family.PC, False, Sign.MINUS, INFINITY)
 
     def test_fixture_coefficients(self):
-        assert gf_catalog(Family.PC, False, Sign.PLUS, INFINITY).coefficient(4, 1) == 2
-        assert gf_catalog(Family.AC, False, Sign.TOTAL, 2).coefficient(8, 2) == 32
+        assert coefficient(gf_catalog(Family.PC, False, Sign.PLUS, INFINITY), 4, 1) == 2
+        assert coefficient(gf_catalog(Family.AC, False, Sign.TOTAL, 2), 8, 2) == 32
 
     def test_mod1_collapses_to_univariate_form(self):
         # after cancellation the modulus-1 plus series is (1-q)/(1-q-2q^2); the
         # catalog keeps the uncancelled displayed form, so compare coefficients
         cancelled = RationalGF(ONE - Q, ONE - Q - 2 * Q**2)
         kept = gf_catalog(Family.PC, False, Sign.PLUS, 1)
+        kept_series, cancelled_series = series_table(kept, 20, 3), series_table(cancelled, 20, 3)
         for n in range(21):
-            assert kept.coefficient(n, 0) == cancelled.coefficient(n, 0)
+            assert kept_series.coeff(n, 0) == cancelled_series.coeff(n, 0)
             for k in range(1, 4):
-                assert kept.coefficient(n, k) == 0
+                assert kept_series.coeff(n, k) == 0
 
     def test_rac_plus_mod2_matches_formula(self):
         gf = gf_catalog(Family.AC, True, Sign.PLUS, 2)
-        series = gf.series(20, 3)
+        series = series_table(gf, 20, 3)
         for n in range(21):
             for k in range(4):
                 assert series.coeff(n, k) == rac_plus_k_mod(n, k, 2)
@@ -134,19 +138,18 @@ class TestCatalog:
     @pytest.mark.parametrize("modulus", ALL_MODULI)
     def test_total_equals_shifted_plus(self, modulus):
         for family, reduced in itertools.product(Family, (False, True)):
-            plus = gf_catalog(family, reduced, Sign.PLUS, modulus).series(14, 4)
-            total = gf_catalog(family, reduced, Sign.TOTAL, modulus).series(14, 4)
+            plus = series_table(gf_catalog(family, reduced, Sign.PLUS, modulus), 14, 4)
+            total = series_table(gf_catalog(family, reduced, Sign.TOTAL, modulus), 14, 4)
             for n in range(15):
                 for k in range(5):
                     expected = plus.coeff(n, k) + (plus.coeff(n - 1, k) if n else 0)
                     assert total.coeff(n, k) == expected
 
     def test_catalog_covers_all_cells(self):
-        cells = {(e.family, e.reduced, e.sign, e.modular) for e in catalog_entries()}
         wanted = set(
             itertools.product(Family, (False, True), (Sign.PLUS, Sign.TOTAL), (False, True))
         )
-        assert cells == wanted
+        assert set(_CATALOG) == wanted
 
 
 class TestCrossPath:
@@ -163,7 +166,7 @@ class TestCrossPath:
         for modulus in (1, 4, INFINITY):
             gf = gf_catalog(Family.AC, False, Sign.TOTAL, modulus)
             for n, k in [(3, 0), (9, 2), (13, 4)]:
-                assert gf.series(n, k).coeff(n, k) == gf.series(n + 5, k + 3).coeff(n, k)
+                assert coefficient(gf, n, k) == series_table(gf, n + 5, k + 3).coeff(n, k)
 
     def test_rpc_mod2_fibonacci_fold(self):
         series = series_table(gf_catalog(Family.PC, True, Sign.PLUS, 2), 24, 0)
@@ -179,8 +182,9 @@ class TestCrossPath:
             gf_count(Family.PC, False, Sign.TOTAL, INFINITY, n, k)
 
     def test_negative_indices_rejected(self):
-        gf = gf_catalog(Family.PC, False, Sign.PLUS, INFINITY)
-        with pytest.raises(ValueError):
-            gf.coefficient(-1, 0)
-        with pytest.raises(ValueError):
-            gf.coefficient(2, -1)
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            gf_count(Family.PC, False, Sign.PLUS, INFINITY, -1, 0)
+        with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+            gf_count(Family.PC, False, Sign.PLUS, INFINITY, 2, -1)
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            gf_count(Family.PC, False, Sign.MINUS, INFINITY, -1, 0)

@@ -4,7 +4,7 @@ import pytest
 
 from palcomp.bijection import decompose, encode_pair, pair_statistics
 from palcomp.concordance import ConcordanceRecord
-from palcomp.genfun import ONE, Q, CatalogEntry, RationalGF, _CATALOG, gf_catalog, series_table
+from palcomp.genfun import ONE, Q, RationalGF, series_table
 from palcomp.stats import INFINITY, CountSpec, Family, Sign
 from palcomp.verify import CheckResult
 
@@ -14,7 +14,6 @@ RECORDS = {
     "PairSequences": lambda: encode_pair((2, 1, 3, 4, 1, 1, 5)),
     "PairStatistics": lambda: pair_statistics(encode_pair((2, 1, 3, 4, 1, 1, 5))),
     "RationalGF": lambda: RationalGF(ONE - Q, ONE - Q - Q**2),
-    "CatalogEntry": lambda: CatalogEntry(Family.AC, True, Sign.TOTAL, True),
     "ConcordanceRecord": lambda: ConcordanceRecord("A000000", Family.PC, False, Sign.PLUS, 2, 0, 1),
     "CheckResult": lambda: CheckResult("three_path_grid", "pass"),
 }
@@ -59,12 +58,6 @@ def test_equal_series_hit_the_expansion_cache():
     again = series_table(RationalGF(ONE - Q, ONE - 3 * Q), 9, 2)
     assert again is first
     assert series_table.cache_info().hits == before + 1
-
-
-def test_equal_catalog_entries_find_the_same_series():
-    entry = CatalogEntry(Family.PC, False, Sign.TOTAL, False)
-    assert _CATALOG[CatalogEntry(Family.PC, False, Sign.TOTAL, False)] is _CATALOG[entry]
-    assert gf_catalog(Family.PC, False, Sign.TOTAL, INFINITY) == _CATALOG[entry]()
 
 
 def test_pair_repr_names_its_fields():

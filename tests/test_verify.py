@@ -297,3 +297,34 @@ def test_run_all_calls_each_check_through_the_module(monkeypatch):
     assert called == names
     assert [r.check for r in results] == names
     assert all(r.params == {"stub": True} for r in results)
+
+
+def test_run_all_leaves_fixed_ranges_to_the_check_defaults(monkeypatch):
+    fixed = [
+        "divisibility", "sequence_identification", "parity_vanishing", "special_values",
+        "rpc_mod2_fibonacci_fold", "truncation_soundness", "m1_specializations",
+    ]
+    received = {}
+    for name in fixed:
+        def stub(*args, name=name, **kwargs):
+            received[name] = (args, kwargs)
+            return verify.CheckResult(name, "pass")
+
+        monkeypatch.setattr(verify, name, stub)
+    verify.run_all(n_max=4, k_max=1, moduli=(2,))
+    assert received == {name: ((), {}) for name in fixed}
+
+
+@pytest.mark.parametrize("check", [verify.binary_round_trip, verify.bijection_round_trip])
+def test_round_trips_walk_every_requested_n(monkeypatch, check):
+    # run_all bounds these checks; called directly they reach the n they are given
+    walked = []
+    enumerate_compositions = verify.enumerate_compositions
+
+    def recording(n, cap):
+        walked.append(n)
+        return enumerate_compositions(n, cap=cap)
+
+    monkeypatch.setattr(verify, "enumerate_compositions", recording)
+    assert check(15).ok
+    assert walked == list(range(16))
