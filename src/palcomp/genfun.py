@@ -1,106 +1,81 @@
-"""Truncated bivariate formal power series and the generating-function catalog.
+"""Sparse bivariate polynomials, dense series tables and the generating-function catalog.
 
 The second, independent computation path: every counting family has a
 rational generating function in q (marking the composition total) and t
 (marking the statistic), and counts fall out as series coefficients.
 
-Polynomials are exact over Python integers and immutable; q-degree is the
-first index, t-degree the second.  The catalog stores each rational function
-with numerator and denominator built from the factored displayed form, never
-cancelled (no polynomial GCD here); equality of presentations is confirmed
-by coefficient comparison in the tests.
+Two representations serve the path's two jobs.  A catalog polynomial,
+:class:`BivariatePoly`, is sparse, a map of its few nonzero terms: a factor
+such as 1 - q^m has two terms whatever m is, so building an entry costs the
+same at m = 13 and at m = 10^18.  An expansion is dense, a tuple of row
+tuples read as ``table[p][s]`` (the coefficient of q^p t^s), because every
+coefficient up to the bounds is filled in and read by index.  Both are exact
+over Python integers and immutable.  The catalog builds each numerator and
+denominator from the factored displayed form, never cancelled (no polynomial
+GCD here); equality of presentations is confirmed by coefficient comparison
+in the tests.
 
 Series inversion requires a denominator with constant term exactly 1 (true
 of every catalog entry for every modulus) and runs the graded coefficient
 recurrence: u(0,0) = 1 and each further coefficient of u is determined by
-d * u = 1 from lower-order ones.  Truncation bounds only discard higher
-terms, so recomputing any coefficient with larger bounds returns the same
-value.
+d * u = 1 from lower-order ones.  Terms of d beyond the bounds reach no
+coefficient within them and are dropped first, so the work depends on the
+bounds, not on d's degree.  Truncation bounds only discard higher terms, so
+recomputing any coefficient with larger bounds returns the same value.
 
 Every coefficient is read from one expansion, :func:`series_table`: the
-inverse of the denominator times the numerator, truncated to the requested
-bounds and cached.  :func:`gf_grid` reads a whole grid from it, and
-:func:`gf_count` reads one cell of that grid.
+inverse of the denominator, shift-added once per term of the numerator,
+truncated to the requested bounds and cached.  :func:`gf_grid` reads a whole
+grid from it, and :func:`gf_count` reads one cell of that grid.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .stats import Family, Modulus, Sign, _InfinityType, check_index, check_modulus
 
 
 class BivariatePoly:
-    """Polynomial in q and t with integer coefficients, immutable and hashable."""
+    """Polynomial in q and t with integer coefficients, immutable and hashable.
 
-    __slots__ = ("_rows", "_hash")
+    Built from a map {(p, s): c} of the coefficients c of q^p t^s.  Only
+    nonzero terms are kept, so equal polynomials hold equal maps and q^m is
+    one entry for any m.
+    """
 
-    def __init__(self, rows):
-        trimmed = [tuple(row) for row in rows]
-        # normalize: strip trailing zero columns per row, then trailing empty rows
-        trimmed = [self._trim_row(row) for row in trimmed]
-        while trimmed and not trimmed[-1]:
-            trimmed.pop()
-        object.__setattr__(self, "_rows", tuple(trimmed))
-        object.__setattr__(self, "_hash", hash(self._rows))
+    __slots__ = ("_terms", "_hash")
 
-    @staticmethod
-    def _trim_row(row: tuple[int, ...]) -> tuple[int, ...]:
-        end = len(row)
-        while end and row[end - 1] == 0:
-            end -= 1
-        return row[:end]
+    def __init__(self, terms: Mapping[tuple[int, int], int]):
+        kept = {key: c for key, c in terms.items() if c}
+        object.__setattr__(self, "_terms", kept)
+        object.__setattr__(self, "_hash", hash(frozenset(kept.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariatePoly is immutable")
 
     def terms(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (q_degree, t_degree, coefficient) for the nonzero terms."""
-        for p, row in enumerate(self._rows):
-            for s, c in enumerate(row):
-                if c:
-                    yield p, s, c
+        """Yield (q_degree, t_degree, coefficient) for the nonzero terms, sorted."""
+        for (p, s), c in sorted(self._terms.items()):
+            yield p, s, c
 
     def coeff(self, p: int, s: int) -> int:
-        if 0 <= p < len(self._rows) and 0 <= s < len(self._rows[p]):
-            return self._rows[p][s]
-        return 0
-
-    @property
-    def q_degree(self) -> int:
-        """Degree in q (-1 for the zero polynomial)."""
-        return len(self._rows) - 1
-
-    @property
-    def t_degree(self) -> int:
-        return max((len(row) - 1 for row in self._rows), default=-1)
-
-    def is_zero(self) -> bool:
-        return not self._rows
+        return self._terms.get((p, s), 0)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        nq = max(len(self._rows), len(other._rows))
-        rows = []
-        for p in range(nq):
-            a = self._rows[p] if p < len(self._rows) else ()
-            b = other._rows[p] if p < len(other._rows) else ()
-            width = max(len(a), len(b))
-            rows.append(
-                [
-                    (a[s] if s < len(a) else 0) + (b[s] if s < len(b) else 0)
-                    for s in range(width)
-                ]
-            )
-        return BivariatePoly(rows)
+        sums = dict(self._terms)
+        for key, c in other._terms.items():
+            sums[key] = sums.get(key, 0) + c
+        return BivariatePoly(sums)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BivariatePoly([-c for c in row] for row in self._rows)
+        return BivariatePoly({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -133,77 +108,49 @@ class BivariatePoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._rows == other._rows
+        return self._terms == other._terms
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        if self.is_zero():
-            return "BivariatePoly(0)"
-
-        def mono(p: int, s: int, c: int) -> str:
-            factors = [str(c)] if abs(c) != 1 or (p == 0 and s == 0) else (["-"] if c == -1 else [])
-            if p:
-                factors.append("q" if p == 1 else f"q^{p}")
-            if s:
-                factors.append("t" if s == 1 else f"t^{s}")
-            joined = "*".join(f for f in factors if f != "-")
-            return ("-" + joined) if factors and factors[0] == "-" else joined
-
-        return "BivariatePoly(" + " + ".join(mono(*t) for t in self.terms()) + ")"
+        return f"BivariatePoly({dict(sorted(self._terms.items()))!r})"
 
 
 def _coerce(value):
     if isinstance(value, BivariatePoly):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return BivariatePoly(((value,),)) if value else BivariatePoly(())
+        return BivariatePoly({(0, 0): value})
     return NotImplemented
 
 
-ZERO = BivariatePoly(())
-ONE = BivariatePoly(((1,),))
-Q = BivariatePoly(((0,), (1,)))
-T = BivariatePoly(((0, 1),))
+ZERO = BivariatePoly({})
+ONE = BivariatePoly({(0, 0): 1})
+Q = BivariatePoly({(1, 0): 1})
+T = BivariatePoly({(0, 1): 1})
 
 
-def poly_mul(
-    a: BivariatePoly, b: BivariatePoly, nq: int | None = None, nt: int | None = None
-) -> BivariatePoly:
-    """Product, optionally discarding q-degrees > nq and t-degrees > nt."""
-    if a.is_zero() or b.is_zero():
-        return ZERO
-    max_q = a.q_degree + b.q_degree
-    max_t = a.t_degree + b.t_degree
-    if nq is not None:
-        max_q = min(max_q, nq)
-    if nt is not None:
-        max_t = min(max_t, nt)
-    if max_q < 0 or max_t < 0:
-        return ZERO
-    rows = [[0] * (max_t + 1) for _ in range(max_q + 1)]
-    b_terms = list(b.terms())
-    for pa, sa, ca in a.terms():
-        if pa > max_q or sa > max_t:
-            continue
-        for pb, sb, cb in b_terms:
-            p = pa + pb
-            s = sa + sb
-            if p <= max_q and s <= max_t:
-                rows[p][s] += ca * cb
-    return BivariatePoly(rows)
+def poly_mul(a: BivariatePoly, b: BivariatePoly) -> BivariatePoly:
+    """The exact product a * b."""
+    product: dict[tuple[int, int], int] = {}
+    for (pa, sa), ca in a._terms.items():
+        for (pb, sb), cb in b._terms.items():
+            key = (pa + pb, sa + sb)
+            product[key] = product.get(key, 0) + ca * cb
+    return BivariatePoly(product)
 
 
-def series_inverse(d: BivariatePoly, nq: int, nt: int) -> BivariatePoly:
-    """u with d * u = 1 modulo (q^(nq+1), t^(nt+1)); d must have constant term 1."""
+def series_inverse(d: BivariatePoly, nq: int, nt: int) -> tuple[tuple[int, ...], ...]:
+    """The table u[p][s], p <= nq and s <= nt, of u with d * u = 1 modulo
+    (q^(nq+1), t^(nt+1)); d must have constant term 1."""
     if nq < 0 or nt < 0:
         raise ValueError(f"truncation bounds must be >= 0, got ({nq}, {nt})")
     if d.coeff(0, 0) != 1:
         raise ValueError(
             f"series inversion needs constant term 1, got {d.coeff(0, 0)}"
         )
-    tail = [(p, s, c) for p, s, c in d.terms() if (p, s) != (0, 0)]
+    tail = [(p, s, c) for p, s, c in d.terms() if (p, s) != (0, 0) and p <= nq and s <= nt]
     rows = [[0] * (nt + 1) for _ in range(nq + 1)]
     rows[0][0] = 1
     for p in range(nq + 1):
@@ -215,7 +162,7 @@ def series_inverse(d: BivariatePoly, nq: int, nt: int) -> BivariatePoly:
                 if dp <= p and ds <= s:
                     acc += dc * rows[p - dp][s - ds]
             rows[p][s] = -acc
-    return BivariatePoly(rows)
+    return tuple(map(tuple, rows))
 
 
 class RationalGF(NamedTuple):
@@ -226,16 +173,23 @@ class RationalGF(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def series_table(gf: RationalGF, nq: int, nt: int) -> BivariatePoly:
-    """The expansion of gf: every coefficient with q-degree <= nq and t-degree <= nt.
+def series_table(gf: RationalGF, nq: int, nt: int) -> tuple[tuple[int, ...], ...]:
+    """The expansion of gf as a table[p][s]: every coefficient with q-degree
+    <= nq and t-degree <= nt.
 
-    The denominator is inverted to those bounds and multiplied by the
-    numerator, truncated to the same bounds.  Only the 32 most recent
-    expansions are kept, so a long-running process does not hold every
-    table it has ever expanded.
+    The denominator is inverted to those bounds, and each numerator term
+    c q^dp t^ds adds c times the inverse, shifted by (dp, ds), into the rows.
+    Only the 32 most recent expansions are kept, so a long-running process
+    does not hold every table it has ever expanded.
     """
     inverse = series_inverse(gf.denominator, nq, nt)
-    return poly_mul(gf.numerator, inverse, nq, nt)
+    rows = [[0] * (nt + 1) for _ in range(nq + 1)]
+    for dp, ds, c in gf.numerator.terms():
+        for p in range(dp, nq + 1):
+            row, source = rows[p], inverse[p - dp]
+            for s in range(ds, nt + 1):
+                row[s] += c * source[s - ds]
+    return tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -401,4 +355,4 @@ def gf_grid(
         plus_rows = gf_grid(family, reduced, Sign.PLUS, modulus, n_max, k_max)
         return [[0] * (k_max + 1)] + plus_rows[:n_max]
     series = series_table(gf_catalog(family, reduced, sign, modulus), n_max, k_max)
-    return [[series.coeff(n, k) for k in range(k_max + 1)] for n in range(n_max + 1)]
+    return [list(row) for row in series]

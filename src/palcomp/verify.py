@@ -301,8 +301,8 @@ def gf_total_plus_relation(
         plus = series_table(gf_catalog(family, reduced, Sign.PLUS, modulus), n_max, k_max)
         total = series_table(gf_catalog(family, reduced, sign, modulus), n_max, k_max)
         for n, k, params in cells:
-            want = plus.coeff(n, k) + (plus.coeff(n - 1, k) if n >= 1 else 0)
-            yield params, want, total.coeff(n, k)
+            want = plus[n][k] + (plus[n - 1][k] if n >= 1 else 0)
+            yield params, want, total[n][k]
 
 
 @_check
@@ -311,7 +311,7 @@ def rpc_mod2_fibonacci_fold(n_max: int = 24) -> _Cells:
     even ones interleave the odd-indexed Fibonacci numbers."""
     series = series_table(gf_catalog(Family.PC, True, Sign.PLUS, 2), n_max, 0)
     for n in range(n_max + 1):
-        yield {"n": n}, fibonacci(n + 1) if n % 2 == 0 else 0, series.coeff(n, 0)
+        yield {"n": n}, fibonacci(n + 1) if n % 2 == 0 else 0, series[n][0]
 
 
 @_check
@@ -321,7 +321,7 @@ def truncation_soundness(samples: Iterable[tuple[int, int]] = ((6, 1), (11, 3), 
         gf = gf_catalog(*block)
         for n, k, params in cells:
             narrow, wide = series_table(gf, n, k), series_table(gf, n + 5, k + 3)
-            yield params, narrow.coeff(n, k), wide.coeff(n, k)
+            yield params, narrow[n][k], wide[n][k]
 
 
 @_check

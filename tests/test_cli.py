@@ -59,6 +59,15 @@ class TestCount:
             outputs.add(out)
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize("family", ["pc", "ac"])
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("sign", ["plus", "minus", "total"])
+    def test_gf_matches_formula_at_a_huge_modulus(self, capsys, family, reduced, sign):
+        cell = ("count", "--family", family, *(["--reduced"] if reduced else []),
+                "--sign", sign, "--n", "10", "--k", "1", "--mod", "1000000000")
+        outputs = {run(capsys, *cell, "--method", method) for method in ("formula", "gf")}
+        assert len(outputs) == 1 and outputs.pop()[0] == 0
+
     def test_variant_requires_formula_method(self, capsys):
         code, _, err = run(
             capsys, "count", "--family", "ac", "--sign", "plus", "--n", "6",
