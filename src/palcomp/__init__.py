@@ -12,6 +12,8 @@ Three independent computation paths for every counting family:
 pair correspondence underlying the plus-class formulas.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     binom,
     fibonacci,
@@ -23,7 +25,6 @@ from .core import (
 from .stats import (
     INFINITY,
     Composition,
-    CountSpec,
     Family,
     Modulus,
     Sign,
@@ -75,53 +76,8 @@ from .bijection import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivariatePoly",
-    "Composition",
-    "CountSpec",
-    "DEFAULT_ENUMERATION_CAP",
-    "Decomposition",
-    "EnumerationCapError",
-    "Family",
-    "FormulaVariant",
-    "INFINITY",
-    "InvalidPairError",
-    "MinusClassError",
-    "Modulus",
-    "PairSequences",
-    "PairStatistics",
-    "RationalGF",
-    "Sign",
-    "binom",
-    "brute_count",
-    "composition",
-    "count_parts_at_most",
-    "count_parts_equal_one",
-    "decode_binary",
-    "decode_pair",
-    "decompose",
-    "encode_binary",
-    "encode_pair",
-    "enumerate_compositions",
-    "fibonacci",
-    "format_composition",
-    "formula_column",
-    "formula_count",
-    "gf_catalog",
-    "gf_count",
-    "gf_grid",
-    "match_count",
-    "mismatch_count",
-    "multinom",
-    "pair_statistics",
-    "parse_composition",
-    "parse_modulus",
-    "series_inverse",
-    "sign_class",
-    "special_value",
-    "swap_canonical",
-    "total_from_plus",
-    "tribonacci",
-    "tribonacci_identity_sum",
-    "tribonacci_prime",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -32,7 +32,6 @@ from .formulas import FormulaVariant, formula_column, formula_count
 from .genfun import gf_count, gf_grid
 from .oracle import DEFAULT_ENUMERATION_CAP, EnumerationCapError, brute_count
 from .stats import (
-    CountSpec,
     Family,
     Modulus,
     Sign,
@@ -107,7 +106,7 @@ def _evaluate(args: argparse.Namespace, family, reduced, sign, modulus, n: int, 
                 f"brute force above n={BRUTE_OPTIN_LIMIT} needs --force "
                 f"(2^{n - 1} compositions)"
             )
-        return brute_count(CountSpec(family, reduced, sign, modulus, k), n, cap=args.cap)
+        return brute_count(family, reduced, sign, modulus, n, k, cap=args.cap)
     except ValueError as error:
         raise CliError(str(error)) from None
 

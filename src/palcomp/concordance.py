@@ -19,7 +19,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from .stats import Family, Modulus, Sign, check_modulus, parse_modulus
+from .stats import Family, Modulus, Sign, parse_modulus
 
 
 class ConcordanceRecord(NamedTuple):
@@ -50,19 +50,12 @@ def load_concordance() -> dict[str, ConcordanceRecord]:
     raw = json.loads(resources.files("palcomp").joinpath("concordance.json").read_text())
     records = {}
     for entry in raw:
-        record = ConcordanceRecord(
-            id=entry["id"],
-            family=Family(entry["family"]),
-            reduced=entry["reduced"],
-            sign=Sign(entry["sign"]),
-            modulus=check_modulus(parse_modulus(str(entry["modulus"]))),
-            k=entry["k"],
-            shift=entry["shift"],
-            stride=entry.get("stride", 1),
-            divisor=entry.get("divisor", 1),
-            shift_per_k=entry.get("shift_per_k", 0),
-            note=entry.get("note", ""),
-        )
+        record = ConcordanceRecord(**{
+            **entry,
+            "family": Family(entry["family"]),
+            "sign": Sign(entry["sign"]),
+            "modulus": parse_modulus(str(entry["modulus"])),
+        })
         if record.stride < 1 or record.divisor < 1:
             raise ValueError(f"{record.id}: stride and divisor must be >= 1")
         records[record.id] = record

@@ -39,7 +39,9 @@ from functools import cache, lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .core import binom, fibonacci, multinom, tribonacci, tribonacci_prime
-from .stats import INFINITY, Family, Modulus, Sign, _InfinityType, check_index, check_modulus
+from .stats import (
+    INFINITY, Family, Modulus, Sign, _InfinityType, check_cell, check_index, check_modulus,
+)
 
 
 class FormulaVariant(Enum):
@@ -310,8 +312,7 @@ def rpc_plus_k(n: int, k: int) -> int:
 def rpc_total_k(n: int, k: int) -> int:
     """(pc_plus_k(n, k) + pc_plus_k(n-1, k)) / 2^k; the division must be exact."""
     _check_nk(n, k)
-    numerator = pc_plus_k(n, k) + (pc_plus_k(n - 1, k) if n >= 1 else 0)
-    return _exact_halving(numerator, k, "rpc_total_k")
+    return _exact_halving(total_from_plus(pc_plus_k, n, k), k, "rpc_total_k")
 
 
 def rac_plus_k(n: int, k: int) -> int:
@@ -721,7 +722,7 @@ def formula_count(
     anti-palindromic infinity family and all finite-modulus plus families).
     """
     _check_nk(n, k)
-    check_modulus(modulus)
+    check_cell(family, reduced, sign, modulus)
     infinite = isinstance(modulus, _InfinityType)
 
     if infinite and family is Family.AC and not reduced:
@@ -776,15 +777,15 @@ def formula_column(
     The plus column comes from one formula_count call per n; minus(n) is
     plus(n-1) and total(n) is plus(n) + plus(n-1), both read from that list.
     """
+    check_cell(family, reduced, sign, modulus)
     check_index(n_max, "n_max")
-    if sign is Sign.MINUS:
-        if n_max == 0:
-            # formula_count validates the request and evaluates no plus value here
-            return [formula_count(family, reduced, sign, modulus, 0, k, variant)]
-        return [0] + formula_column(family, reduced, Sign.PLUS, modulus, n_max - 1, k, variant)
-    plus = [formula_count(family, reduced, Sign.PLUS, modulus, n, k, variant) for n in range(n_max + 1)]
+    # a minus column of n_max = 0 still evaluates plus(0), which validates k and the variant
+    top = max(n_max - 1, 0) if sign is Sign.MINUS else n_max
+    plus = [formula_count(family, reduced, Sign.PLUS, modulus, n, k, variant) for n in range(top + 1)]
     if sign is Sign.PLUS:
         return plus
+    if sign is Sign.MINUS:
+        return [0] + plus[:n_max]
     return [now + before for now, before in zip(plus, [0] + plus)]
 
 

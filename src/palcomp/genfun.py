@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
-from .stats import Family, Modulus, Sign, _InfinityType, check_index, check_modulus
+from .stats import Family, Modulus, Sign, _InfinityType, check_cell, check_index, check_modulus
 
 
 class BivariatePoly:
@@ -349,6 +349,7 @@ def gf_grid(
     q-degree down, below an all-zero row 0; they are read off the plus
     expansion at (n_max, k_max), so a plus and a minus grid share it.
     """
+    check_cell(family, reduced, sign, modulus)
     check_index(n_max, "n_max")
     check_index(k_max, "k_max")
     if sign is Sign.MINUS:

@@ -17,9 +17,11 @@ with rest (all zeros to the last bit) is the smallest encoding below a node,
 which is why it is yielded before the node's children.  Each node costs
 O(1) Python steps and the stack holds O(n^2) nodes.
 
-Counting an n bounded by ``cap`` (default 24) is refused: 2^(n-1) items grow
-fast and a typo should not start an hour-long loop.  The cap is an argument,
-not a constant.
+:func:`brute_count` takes a cell like the other two paths,
+``(family, reduced, sign, modulus, n, k)``, and refuses a bad cell (through
+:func:`palcomp.stats.check_cell`), then a bad k, then an n above ``cap``
+(default 24): 2^(n-1) items grow fast and a typo should not start an
+hour-long loop.  The cap is an argument, not a constant.
 
 Each n is walked at most twice, once per record below, and the 32 most
 recent records of each kind are kept, which covers every n up to the default
@@ -45,11 +47,11 @@ from typing import Iterator
 
 from .stats import (
     Composition,
-    CountSpec,
     Family,
     Modulus,
     Sign,
-    check_modulus,
+    check_cell,
+    check_index,
     congruent,
     sign_class,
     swap_canonical,
@@ -119,13 +121,17 @@ def _census(n: int, modulus: Modulus) -> Counter:
     return census
 
 
-def brute_count(spec: CountSpec, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Count compositions (or swap classes) of n selected by spec, from scratch."""
+def brute_count(
+    family: Family, reduced: bool, sign: Sign, modulus: Modulus, n: int, k: int,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> int:
+    """Count compositions (or swap classes) of n in one cell, from scratch."""
+    check_cell(family, reduced, sign, modulus)
+    check_index(k, "k")
     _check_cap(n, cap)
-    check_modulus(spec.modulus)
-    census = _census(n, spec.modulus)
-    signs = (Sign.PLUS, Sign.MINUS) if spec.sign is Sign.TOTAL else (spec.sign,)
-    return sum(census[(spec.family, spec.reduced, sign, spec.k)] for sign in signs)
+    census = _census(n, modulus)
+    signs = (Sign.PLUS, Sign.MINUS) if sign is Sign.TOTAL else (sign,)
+    return sum(census[(family, reduced, s, k)] for s in signs)
 
 
 @lru_cache(maxsize=32)

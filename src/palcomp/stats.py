@@ -3,6 +3,7 @@
 A composition of n is a tuple of positive integers summing to n; the empty
 tuple is the unique composition of 0.  Compositions are kept as plain tuples
 throughout the package, validated at API boundaries by :func:`composition`.
+Every counting path validates the cell it is asked for with :func:`check_cell`.
 
 For a composition (a_1, ..., a_l), position i and its mirror l+1-i form a
 pair for 1 <= i <= l//2.  A pair *mismatches* modulo m when the two parts are
@@ -23,7 +24,7 @@ representative with the larger part first in every pair.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 class _InfinityType:
@@ -74,6 +75,15 @@ def check_modulus(modulus: Modulus) -> Modulus:
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     return modulus
+
+
+def check_cell(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> None:
+    """Validate the cell every counting path takes, before the indices n and k."""
+    fields = (("family", family, Family), ("reduced", reduced, bool), ("sign", sign, Sign))
+    for name, value, kind in fields:
+        if not isinstance(value, kind):
+            raise TypeError(f"{name} must be a {kind.__name__}, got {value!r}")
+    check_modulus(modulus)
 
 
 def check_index(value: int, name: str) -> int:
@@ -204,34 +214,3 @@ def swap_canonical(c: Composition) -> Composition:
         if out[i] < out[j]:
             out[i], out[j] = out[j], out[i]
     return tuple(out)
-
-
-class _CountSpecFields(NamedTuple):
-    family: Family
-    reduced: bool
-    sign: Sign
-    modulus: Modulus
-    k: int
-
-
-class CountSpec(_CountSpecFields):
-    """Selects one counting function: family, reduced flag, sign, modulus, k."""
-
-    __slots__ = ()
-
-    # NamedTuple forbids __new__ in its own body, hence the fields base class.
-    def __new__(cls, family: Family, reduced: bool, sign: Sign, modulus: Modulus, k: int):
-        check_modulus(modulus)
-        check_index(k, "statistic index k")
-        return super().__new__(cls, family, reduced, sign, modulus, k)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> CountSpec:
-        """Build through the validating constructor, so ``_replace`` checks too."""
-        return cls(*iterable)
-
-    def statistic(self, c: Composition) -> int:
-        """The counted statistic of c: mismatches for PC, matches for AC."""
-        if self.family is Family.PC:
-            return mismatch_count(c, self.modulus)
-        return match_count(c, self.modulus)

@@ -37,7 +37,6 @@ from .oracle import (
 )
 from .stats import (
     INFINITY,
-    CountSpec,
     Family,
     Modulus,
     Sign,
@@ -132,7 +131,7 @@ def three_path_grid(
             except ArithmeticError as error:
                 yield params, "a count", str(error)
             else:
-                b = brute_count(CountSpec(family, reduced, sign, modulus, k), n, cap=cap)
+                b = brute_count(family, reduced, sign, modulus, n, k, cap=cap)
                 yield params, {"formula": f, "genfun": rows[n][k]}, {"brute": b}
 
 
@@ -198,8 +197,8 @@ def reflection_identity(
     """Brute force: minus(n) == plus(n-1) for every family and modulus."""
     for (family, reduced, _, modulus), cells in _grid((Sign.MINUS,), moduli, _box(n_max, k_max, 1)):
         for n, k, params in cells:
-            minus = brute_count(CountSpec(family, reduced, Sign.MINUS, modulus, k), n, cap=cap)
-            plus = brute_count(CountSpec(family, reduced, Sign.PLUS, modulus, k), n - 1, cap=cap)
+            minus = brute_count(family, reduced, Sign.MINUS, modulus, n, k, cap=cap)
+            plus = brute_count(family, reduced, Sign.PLUS, modulus, n - 1, k, cap=cap)
             yield params, plus, minus
 
 
@@ -216,7 +215,7 @@ def statistic_partition(
     """
     for modulus, n, family in itertools.product(moduli, range(n_max + 1), Family):
         acc = sum(
-            brute_count(CountSpec(family, False, Sign.TOTAL, modulus, k), n, cap=cap)
+            brute_count(family, False, Sign.TOTAL, modulus, n, k, cap=cap)
             for k in range(n // 2 + 1)
         )
         params = {"family": family.value, "modulus": format_modulus(modulus), "n": n}
@@ -227,8 +226,8 @@ def statistic_partition(
 def reduced_halving(n_max: int = 14, k_max: int = 4, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """Brute force at infinity: reduced PC count * 2^k == PC count."""
     for n, k, sign in itertools.product(range(n_max + 1), range(k_max + 1), Sign):
-        reduced = brute_count(CountSpec(Family.PC, True, sign, INFINITY, k), n, cap=cap)
-        full = brute_count(CountSpec(Family.PC, False, sign, INFINITY, k), n, cap=cap)
+        reduced = brute_count(Family.PC, True, sign, INFINITY, n, k, cap=cap)
+        full = brute_count(Family.PC, False, sign, INFINITY, n, k, cap=cap)
         params = {"family": "pc", "reduced": True, "sign": sign.value, "modulus": "inf",
                   "n": n, "k": k}
         yield params, full, reduced << k

@@ -19,7 +19,7 @@ from palcomp.formulas import (
 )
 from palcomp.genfun import gf_count
 from palcomp.oracle import brute_count, count_parts_at_most, count_parts_equal_one, enumerate_compositions
-from palcomp.stats import INFINITY, CountSpec, Family, Sign, match_count, sign_class
+from palcomp.stats import INFINITY, Family, Sign, match_count, sign_class
 
 ALL_MODULI = (1, 2, 3, 4, 5, INFINITY)
 
@@ -29,7 +29,7 @@ def three_ways(family, reduced, sign, modulus, n, k):
     return (
         formula_count(family, reduced, sign, modulus, n, k),
         gf_count(family, reduced, sign, modulus, n, k),
-        brute_count(CountSpec(family, reduced, sign, modulus, k), n),
+        brute_count(family, reduced, sign, modulus, n, k),
     )
 
 
@@ -83,7 +83,7 @@ def test_criterion_03_palindromic_powers_of_two():
         expected = 1 << (n // 2)
         assert formula_count(Family.PC, False, Sign.TOTAL, INFINITY, n, 0) == expected
         if n <= 20:
-            assert brute_count(CountSpec(Family.PC, False, Sign.TOTAL, INFINITY, 0), n) == expected
+            assert brute_count(Family.PC, False, Sign.TOTAL, INFINITY, n, 0) == expected
     passed(3, "palindromic counts are 2^floor(n/2) up to n=24 (brute to 20)")
 
 
@@ -109,7 +109,7 @@ def test_criterion_05_mod3_fibonacci():
 def test_criterion_06_three_tribonacci_forms():
     for n in range(21):
         via_formula = total_from_plus(ac_plus_k, n, 0)
-        brute = brute_count(CountSpec(Family.AC, False, Sign.TOTAL, INFINITY, 0), n)
+        brute = brute_count(Family.AC, False, Sign.TOTAL, INFINITY, n, 0)
         assert via_formula == brute
         assert tribonacci_prime(n + 1) + tribonacci_prime(n) == brute
         assert tribonacci(n + 1) - tribonacci(n - 1) == brute
@@ -155,9 +155,8 @@ def test_criterion_08_modulus_one_closed_forms():
                 (Family.AC, True, Sign.TOTAL),
                 (Family.AC, True, Sign.PLUS),
             ):
-                assert formula_count(family, reduced, sign, 1, n, k) == brute_count(
-                    CountSpec(family, reduced, sign, 1, k), n
-                )
+                cell = (family, reduced, sign, 1, n, k)
+                assert formula_count(*cell) == brute_count(*cell)
     passed(8, "modulus-1 closed forms hold and match brute force")
 
 

@@ -1,7 +1,10 @@
 """Bundled OEIS concordance records against independently known closed forms."""
 
+import json
+
 import pytest
 
+from palcomp import concordance
 from palcomp.concordance import ConcordanceRecord, load_concordance, lookup
 from palcomp.core import binom, fibonacci, tribonacci_prime
 from palcomp.formulas import formula_count, pc_plus_1_closed
@@ -101,3 +104,20 @@ def test_triangle_records_match_direct_counts():
     for k in range(4):
         n, stat = a060098.mapped_index(5, k)
         assert n == 5 + 2 * k and stat == k
+
+
+@pytest.mark.parametrize("key, loads", [("divisor", True), ("divsor", False)])
+def test_a_misspelt_field_is_refused(monkeypatch, tmp_path, key, loads):
+    entry = {"id": "A000000", "family": "pc", "reduced": False, "sign": "plus",
+             "modulus": "inf", "k": 0, "shift": 0, key: 2}
+    (tmp_path / "concordance.json").write_text(json.dumps([entry]))
+    monkeypatch.setattr(concordance.resources, "files", lambda package: tmp_path)
+    load_concordance.cache_clear()
+    try:
+        if loads:
+            assert load_concordance()["A000000"].divisor == 2
+        else:
+            with pytest.raises(TypeError, match="divsor"):
+                load_concordance()
+    finally:
+        load_concordance.cache_clear()

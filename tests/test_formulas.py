@@ -39,13 +39,9 @@ from palcomp.formulas import (
 )
 from palcomp.genfun import gf_count
 from palcomp.oracle import brute_count, count_parts_equal_one
-from palcomp.stats import INFINITY, CountSpec, Family, Sign
+from palcomp.stats import INFINITY, Family, Sign
 
 ALL_MODULI = (1, 2, 3, 4, 5, INFINITY)
-
-
-def brute(family, reduced, sign, modulus, n, k):
-    return brute_count(CountSpec(family, reduced, sign, modulus, k), n)
 
 
 class TestInfinityFamilies:
@@ -53,7 +49,7 @@ class TestInfinityFamilies:
         assert pc_plus_k(4, 1) == 2
         assert pc_plus_k(6, 0) == 8
         assert pc_plus_k(5, 0) == 0
-        assert pc_plus_k(10, 2) == brute(Family.PC, False, Sign.PLUS, INFINITY, 10, 2)
+        assert pc_plus_k(10, 2) == brute_count(Family.PC, False, Sign.PLUS, INFINITY, 10, 2)
 
     def test_pc_plus_1_closed(self):
         assert pc_plus_1_closed(4) == 2
@@ -70,7 +66,7 @@ class TestInfinityFamilies:
     def test_ac_total_alt(self):
         assert ac_total_k_alt(6, 0) == 17
         assert ac_total_k_alt(0, 0) == 1
-        assert ac_total_k_alt(4, 1) == brute(Family.AC, False, Sign.TOTAL, INFINITY, 4, 1)
+        assert ac_total_k_alt(4, 1) == brute_count(Family.AC, False, Sign.TOTAL, INFINITY, 4, 1)
         for n in range(15):
             for k in range(5):
                 assert ac_total_k_alt(n, k) == total_from_plus(ac_plus_k, n, k)
@@ -79,7 +75,7 @@ class TestInfinityFamilies:
         assert rpc_total_k(4, 1) == 2
         for n in range(16):
             assert rpc_total_k(n, 0) == 1 << (n // 2)
-        assert rpc_total_k(7, 2) == brute(Family.PC, True, Sign.TOTAL, INFINITY, 7, 2)
+        assert rpc_total_k(7, 2) == brute_count(Family.PC, True, Sign.TOTAL, INFINITY, 7, 2)
 
     def test_rac_plus(self):
         assert rac_plus_k(5, 0) == 3
@@ -109,7 +105,7 @@ class TestModularFamilies:
         assert pc_plus_k_mod(7, 1, 2) == sum(
             (i + 1) * 2 ** (i + 1) * binom(2, i) for i in range(3)
         )
-        assert pc_plus_k_mod(7, 1, 2) == brute(Family.PC, False, Sign.PLUS, 2, 7, 1)
+        assert pc_plus_k_mod(7, 1, 2) == brute_count(Family.PC, False, Sign.PLUS, 2, 7, 1)
 
     def test_pc_plus_mod_k0(self):
         # modulus 3 totals are doubled Fibonacci numbers
@@ -129,12 +125,12 @@ class TestModularFamilies:
             assert rpc_plus_k_mod(n, 1, 1) == 0
             assert rpc_plus_k_mod(n, 2, 1) == 0
         assert rpc_plus_k_mod(7, 1, 2) == sum(i * binom(3 + i, 2 * i) for i in range(4))
-        assert rpc_plus_k_mod(7, 1, 2) == brute(Family.PC, True, Sign.PLUS, 2, 7, 1)
+        assert rpc_plus_k_mod(7, 1, 2) == brute_count(Family.PC, True, Sign.PLUS, 2, 7, 1)
 
     def test_rpc_plus_mod_k0(self):
         assert rpc_plus_mod_k0(4, 2) == 5
         assert rpc_plus_mod_k0(0, 3) == 1
-        assert rpc_plus_mod_k0(6, 1) == brute(Family.PC, True, Sign.PLUS, 1, 6, 0)
+        assert rpc_plus_mod_k0(6, 1) == brute_count(Family.PC, True, Sign.PLUS, 1, 6, 0)
         for n in range(13):
             for m in range(1, 6):
                 assert rpc_plus_mod_k0(n, m) == rpc_plus_k_mod(n, 0, m)
@@ -143,7 +139,7 @@ class TestModularFamilies:
         assert ac_plus_k_mod(5, 1, 1) == 6
         for n in range(13):
             assert ac_plus_k_mod(n, 0, 1) == (1 + (-1) ** n) // 2
-        assert ac_plus_k_mod(8, 2, 2) == brute(Family.AC, False, Sign.PLUS, 2, 8, 2)
+        assert ac_plus_k_mod(8, 2, 2) == brute_count(Family.AC, False, Sign.PLUS, 2, 8, 2)
 
     def test_ac_total_mod_fixtures(self):
         assert ac_total_k_mod(5, 1, 2) == 8
@@ -159,13 +155,13 @@ class TestModularFamilies:
         for n in range(0, 13, 2):
             assert rac_plus_k_mod(n, 0, 1) == 1
             assert rac_plus_k_mod(n + 1, 0, 1) == 0
-        assert rac_plus_k_mod(7, 2, 2) == brute(Family.AC, True, Sign.PLUS, 2, 7, 2)
+        assert rac_plus_k_mod(7, 2, 2) == brute_count(Family.AC, True, Sign.PLUS, 2, 7, 2)
 
     def test_rac_total_mod_fixtures(self):
         assert rac_total_k_mod(5, 1, 1) == 6
         for n in range(13):
             assert rac_total_k_mod(n, 0, 1) == 1
-        assert rac_total_k_mod(6, 1, 3) == brute(Family.AC, True, Sign.TOTAL, 3, 6, 1)
+        assert rac_total_k_mod(6, 1, 3) == brute_count(Family.AC, True, Sign.TOTAL, 3, 6, 1)
         for n in range(13):
             for k in range(4):
                 for m in (1, 2, 3):
@@ -272,7 +268,7 @@ class TestVariantsAndDispatch:
         for n in range(11):
             for k in range(4):
                 for sign in Sign:
-                    assert formula_count(family, reduced, sign, modulus, n, k) == brute(
+                    assert formula_count(family, reduced, sign, modulus, n, k) == brute_count(
                         family, reduced, sign, modulus, n, k
                     )
 

@@ -23,7 +23,7 @@ from palcomp.genfun import (
     series_table,
 )
 from palcomp.oracle import brute_count
-from palcomp.stats import INFINITY, CountSpec, Family, Sign
+from palcomp.stats import INFINITY, Family, Sign
 
 ALL_MODULI = (1, 2, 3, 4, 5, INFINITY)
 
@@ -188,7 +188,7 @@ class TestCrossPath:
                 for k in range(4):
                     g = gf_count(family, reduced, sign, modulus, n, k)
                     assert g == formula_count(family, reduced, sign, modulus, n, k)
-                    assert g == brute_count(CountSpec(family, reduced, sign, modulus, k), n)
+                    assert g == brute_count(family, reduced, sign, modulus, n, k)
 
     def test_truncation_soundness(self):
         for modulus in (1, 4, INFINITY):

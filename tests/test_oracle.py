@@ -18,7 +18,6 @@ from palcomp.oracle import (
 )
 from palcomp.stats import (
     INFINITY,
-    CountSpec,
     Family,
     Sign,
     decode_binary,
@@ -61,17 +60,26 @@ class TestEnumeration:
 
 class TestBruteCount:
     def test_definition_fixtures(self):
-        assert brute_count(CountSpec(Family.PC, False, Sign.PLUS, INFINITY, 1), 4) == 2
-        assert brute_count(CountSpec(Family.PC, False, Sign.MINUS, INFINITY, 1), 4) == 2
-        assert brute_count(CountSpec(Family.PC, False, Sign.TOTAL, INFINITY, 1), 4) == 4
-        assert brute_count(CountSpec(Family.AC, False, Sign.PLUS, INFINITY, 0), 6) == 11
-        assert brute_count(CountSpec(Family.PC, False, Sign.TOTAL, 2, 0), 4) == 6
-        assert brute_count(CountSpec(Family.AC, True, Sign.TOTAL, INFINITY, 0), 5) == 5
+        assert brute_count(Family.PC, False, Sign.PLUS, INFINITY, 4, 1) == 2
+        assert brute_count(Family.PC, False, Sign.MINUS, INFINITY, 4, 1) == 2
+        assert brute_count(Family.PC, False, Sign.TOTAL, INFINITY, 4, 1) == 4
+        assert brute_count(Family.AC, False, Sign.PLUS, INFINITY, 6, 0) == 11
+        assert brute_count(Family.PC, False, Sign.TOTAL, 2, 4, 0) == 6
+        assert brute_count(Family.AC, True, Sign.TOTAL, INFINITY, 5, 0) == 5
 
     def test_cap_enforced(self):
-        spec = CountSpec(Family.PC, False, Sign.TOTAL, INFINITY, 0)
         with pytest.raises(EnumerationCapError):
-            brute_count(spec, 9, cap=8)
+            brute_count(Family.PC, False, Sign.TOTAL, INFINITY, 9, 0, cap=8)
+
+    def test_refuses_the_cell_then_k_then_n(self):
+        with pytest.raises(TypeError, match="family must be a Family"):
+            brute_count("pc", False, Sign.TOTAL, 0, 99, -1)
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            brute_count(Family.PC, False, Sign.TOTAL, 0, 99, -1)
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            brute_count(Family.PC, False, Sign.TOTAL, INFINITY, 99, -1)
+        with pytest.raises(EnumerationCapError):
+            brute_count(Family.PC, False, Sign.TOTAL, INFINITY, 99, 0)
 
     @pytest.mark.parametrize("n", range(11))
     @pytest.mark.parametrize("modulus", [1, 2, 3, INFINITY])
@@ -79,7 +87,7 @@ class TestBruteCount:
         expected = 1 if n == 0 else 1 << (n - 1)
         for family in Family:
             total = sum(
-                brute_count(CountSpec(family, False, Sign.TOTAL, modulus, k), n)
+                brute_count(family, False, Sign.TOTAL, modulus, n, k)
                 for k in range(n // 2 + 1)
             )
             assert total == expected
@@ -90,9 +98,9 @@ class TestBruteCount:
         for family in Family:
             for reduced in (False, True):
                 for k in range(n // 2 + 1):
-                    plus = brute_count(CountSpec(family, reduced, Sign.PLUS, modulus, k), n)
-                    minus = brute_count(CountSpec(family, reduced, Sign.MINUS, modulus, k), n)
-                    total = brute_count(CountSpec(family, reduced, Sign.TOTAL, modulus, k), n)
+                    plus = brute_count(family, reduced, Sign.PLUS, modulus, n, k)
+                    minus = brute_count(family, reduced, Sign.MINUS, modulus, n, k)
+                    total = brute_count(family, reduced, Sign.TOTAL, modulus, n, k)
                     assert plus + minus == total
 
     @pytest.mark.parametrize("n", range(1, 12))
@@ -100,15 +108,15 @@ class TestBruteCount:
         for family in Family:
             for k in range(n // 2 + 1):
                 for modulus in (2, INFINITY):
-                    minus = brute_count(CountSpec(family, False, Sign.MINUS, modulus, k), n)
-                    plus_prev = brute_count(CountSpec(family, False, Sign.PLUS, modulus, k), n - 1)
+                    minus = brute_count(family, False, Sign.MINUS, modulus, n, k)
+                    plus_prev = brute_count(family, False, Sign.PLUS, modulus, n - 1, k)
                     assert minus == plus_prev
 
     @pytest.mark.parametrize("n", range(13))
     def test_reduced_pc_halving(self, n):
         for k in range(n // 2 + 1):
-            reduced = brute_count(CountSpec(Family.PC, True, Sign.TOTAL, INFINITY, k), n)
-            full = brute_count(CountSpec(Family.PC, False, Sign.TOTAL, INFINITY, k), n)
+            reduced = brute_count(Family.PC, True, Sign.TOTAL, INFINITY, n, k)
+            full = brute_count(Family.PC, False, Sign.TOTAL, INFINITY, n, k)
             assert reduced * (1 << k) == full
 
 
@@ -164,8 +172,8 @@ def test_brute_count_equals_the_literal_tally(modulus, reduced):
         for family, k in itertools.product(Family, range(n // 2 + 2)):
             plus, minus = tally[(family, Sign.PLUS, k)], tally[(family, Sign.MINUS, k)]
             for sign, want in ((Sign.PLUS, plus), (Sign.MINUS, minus), (Sign.TOTAL, plus + minus)):
-                spec = CountSpec(family, reduced, sign, modulus, k)
-                assert brute_count(spec, n) == want, (spec, n)
+                cell = (family, reduced, sign, modulus, n, k)
+                assert brute_count(*cell) == want, cell
 
 
 @pytest.mark.parametrize("n", range(13))
@@ -220,7 +228,7 @@ def test_one_walk_per_n(monkeypatch):
         ns, Family, (False, True), Sign, (1, 2, 3, 5, INFINITY)
     ):
         for k in range(n // 2 + 1):
-            brute_count(CountSpec(family, reduced, sign, modulus, k), n)
+            brute_count(family, reduced, sign, modulus, n, k)
     assert walks == {n: 1 for n in ns}
     walks.clear()
     for n in ns:

@@ -1,5 +1,6 @@
 """The three computation paths stay independent: each imports only the shared
-modules and the standard library, never another path."""
+modules and the standard library, never another path.  They take the same
+cell and refuse the same bad cells."""
 
 import ast
 import sys
@@ -8,6 +9,10 @@ from pathlib import Path
 import pytest
 
 import palcomp
+from palcomp.formulas import formula_column, formula_count
+from palcomp.genfun import gf_count, gf_grid
+from palcomp.oracle import brute_count
+from palcomp.stats import INFINITY, Family, Sign
 
 PATHS = ("formulas", "genfun", "oracle")
 SHARED = frozenset({"core", "stats"})
@@ -58,3 +63,32 @@ def test_a_path_imports_only_shared_modules_and_the_stdlib(path):
     imports = imported_modules((SOURCE / f"{path}.py").read_text())
     assert imports & set(PATHS) - {path} == set()
     assert imports - SHARED - sys.stdlib_module_names == set()
+
+
+# each entry point asked for one small cell: (family, reduced, sign, modulus) -> answer
+ENTRY_POINTS = {
+    "formula_count": lambda *cell: formula_count(*cell, 6, 0),
+    "formula_column": lambda *cell: formula_column(*cell, 4, 0),
+    "gf_count": lambda *cell: gf_count(*cell, 6, 0),
+    "gf_grid": lambda *cell: gf_grid(*cell, 4, 0),
+    "brute_count": lambda *cell: brute_count(*cell, 6, 0),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "field, bad, good",
+    [
+        ("family", "pc", Family.PC),
+        ("sign", "plus", Sign.PLUS),
+        ("sign", "minus", Sign.MINUS),
+        ("reduced", 1, True),  # 1 == True, so a cache keyed on the cell cannot tell them apart
+    ],
+    ids=["family-pc", "sign-plus", "sign-minus", "reduced-1"],
+)
+def test_every_path_refuses_a_bad_cell_by_name(entry, field, bad, good):
+    count = ENTRY_POINTS[entry]
+    cell = {"family": Family.PC, "reduced": False, "sign": Sign.PLUS, "modulus": INFINITY}
+    count(*{**cell, field: good}.values())  # the corrected cell answers, and warms any cache
+    with pytest.raises(TypeError, match=f"^{field} must be a "):
+        count(*{**cell, field: bad}.values())

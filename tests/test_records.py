@@ -5,11 +5,10 @@ import pytest
 from palcomp.bijection import decompose, encode_pair, pair_statistics
 from palcomp.concordance import ConcordanceRecord
 from palcomp.genfun import ONE, Q, RationalGF, series_table
-from palcomp.stats import INFINITY, CountSpec, Family, Sign
+from palcomp.stats import Family, Sign
 from palcomp.verify import CheckResult
 
 RECORDS = {
-    "CountSpec": lambda: CountSpec(Family.PC, False, Sign.PLUS, INFINITY, 1),
     "Decomposition": lambda: decompose((2, 1, 3, 4, 1, 1, 5)),
     "PairSequences": lambda: encode_pair((2, 1, 3, 4, 1, 1, 5)),
     "PairStatistics": lambda: pair_statistics(encode_pair((2, 1, 3, 4, 1, 1, 5))),
@@ -65,19 +64,3 @@ def test_pair_repr_names_its_fields():
         "PairSequences(head=(0, 1, 1, 3, 0, 0), tail=(0, 4, 1, 1, 0, 0))"
     )
 
-
-class TestCountSpecValidation:
-    def test_keywords_are_validated(self):
-        spec = CountSpec(family=Family.AC, reduced=True, sign=Sign.MINUS, modulus=3, k=2)
-        assert spec == (Family.AC, True, Sign.MINUS, 3, 2)
-        with pytest.raises(ValueError, match="modulus must be >= 1"):
-            CountSpec(family=Family.AC, reduced=True, sign=Sign.MINUS, modulus=0, k=2)
-
-    def test_replace_is_validated(self):
-        spec = CountSpec(Family.PC, False, Sign.PLUS, INFINITY, 1)
-        assert spec._replace(k=3) == CountSpec(Family.PC, False, Sign.PLUS, INFINITY, 3)
-        assert type(spec._replace(k=3)) is CountSpec
-        with pytest.raises(TypeError, match="statistic index k must be an int"):
-            spec._replace(k=True)
-        with pytest.raises(ValueError, match="modulus must be >= 1"):
-            spec._replace(modulus=0)

@@ -3,12 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from palcomp.oracle import enumerate_compositions
+from palcomp.oracle import brute_count, enumerate_compositions
 from palcomp.stats import (
     INFINITY,
-    CountSpec,
     Family,
     Sign,
+    check_cell,
     composition,
     decode_binary,
     encode_binary,
@@ -154,21 +154,32 @@ class TestSwapCanonical:
 
 
 class TestCountSpec:
+    """The cell (family, reduced, sign, modulus) and index k that every path validates."""
+
     def test_validation(self):
-        CountSpec(Family.PC, False, Sign.PLUS, INFINITY, 0)
+        check_cell(Family.PC, False, Sign.PLUS, INFINITY)
+        assert brute_count(Family.PC, False, Sign.PLUS, INFINITY, 0, 0) == 1
         with pytest.raises(ValueError):
-            CountSpec(Family.PC, False, Sign.PLUS, INFINITY, -1)
+            brute_count(Family.PC, False, Sign.PLUS, INFINITY, 0, -1)
         with pytest.raises(ValueError):
-            CountSpec(Family.PC, False, Sign.PLUS, 0, 0)
+            check_cell(Family.PC, False, Sign.PLUS, 0)
         with pytest.raises(TypeError):
-            CountSpec(Family.PC, False, Sign.PLUS, 2.5, 0)
+            check_cell(Family.PC, False, Sign.PLUS, 2.5)
         for k in (1.5, True, "1"):
-            with pytest.raises(TypeError, match="statistic index k must be an int"):
-                CountSpec(Family.PC, False, Sign.PLUS, INFINITY, k)
+            with pytest.raises(TypeError, match="k must be an int"):
+                brute_count(Family.PC, False, Sign.PLUS, INFINITY, 0, k)
+        for field, cell in (
+            ("family", ("pc", False, Sign.PLUS, INFINITY)),
+            ("reduced", (Family.PC, 1, Sign.PLUS, INFINITY)),
+            ("reduced", (Family.PC, None, Sign.PLUS, INFINITY)),
+            ("sign", (Family.PC, False, "plus", INFINITY)),
+            ("sign", (Family.PC, False, Family.PC, INFINITY)),
+        ):
+            with pytest.raises(TypeError, match=f"^{field} must be a "):
+                check_cell(*cell)
 
     def test_statistic_dispatch(self):
+        # pc counts mismatching pairs, ac matching ones; 4 and 1 agree mod 3
         c = (2, 4, 1, 1, 2)
-        pc_spec = CountSpec(Family.PC, False, Sign.TOTAL, INFINITY, 0)
-        ac_spec = CountSpec(Family.AC, False, Sign.TOTAL, INFINITY, 0)
-        assert pc_spec.statistic(c) == 1
-        assert ac_spec.statistic(c) == 1
+        assert (mismatch_count(c, INFINITY), match_count(c, INFINITY)) == (1, 1)
+        assert (mismatch_count(c, 3), match_count(c, 3)) == (0, 2)

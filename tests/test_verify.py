@@ -67,11 +67,10 @@ def test_grid_pinpoints_a_perturbed_modular_formula(monkeypatch):
 
 def test_grid_pinpoints_a_perturbed_brute_count(monkeypatch):
     honest = verify.brute_count
-    target = (Family.AC, True, Sign.MINUS, 3, 1, 6)
+    target = (Family.AC, True, Sign.MINUS, 3, 6, 1)
 
-    def corrupted(spec, n, cap=DEFAULT_ENUMERATION_CAP):
-        value = honest(spec, n, cap)
-        cell = (spec.family, spec.reduced, spec.sign, spec.modulus, spec.k, n)
+    def corrupted(*cell, cap=DEFAULT_ENUMERATION_CAP):
+        value = honest(*cell, cap=cap)
         return value + 1 if cell == target else value
 
     monkeypatch.setattr(verify, "brute_count", corrupted)
