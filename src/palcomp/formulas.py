@@ -4,9 +4,12 @@ Each function evaluates one published summation over its exact index set:
 the terms are those of the nonnegative index tuples satisfying the stated
 linear constraint, and every binomial goes through :func:`palcomp.core.binom`
 (the three-case convention).  In the V1 finite-modulus sums, an inner
-sub-sum that depends on only one or two free indices is evaluated once per
-call and reused for every outer index.  The index sets, the terms and the
-exact arithmetic are those of the literal nested loops, and so are the values.
+sub-sum that depends on k, m and one or two free indices, but not on n, is
+memoised and reused for every outer index.  Each memo set is kept for the
+last (k, m) only, so the calls of a formula column, which share k and m,
+share it too, and a call at another k or m replaces it.  The index sets, the
+terms and the exact arithmetic are those of the literal nested loops, and so
+are the values.
 Nothing here is simplified, telescoped, or shared with the
 generating-function engine; agreement between the two paths and the
 exhaustive oracle is what the verification suite checks.
@@ -106,9 +109,12 @@ def _geometric_power_coeffs(m: int, e: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(acc.items()))
 
 
-# Inner sub-sums of the V1 finite-modulus sums.  Each factory returns a
-# function cached for the one formula call that makes it, so nothing is kept
-# between calls.
+# Inner sub-sums of the V1 finite-modulus sums.  Each factory is cached per
+# (k, m) and keeps only the last (k, m) it was asked for, so each holds at most
+# one memo set.  Its memos are keyed by free indices that do not involve n:
+# consecutive calls at one k and m share them (every n of a formula column,
+# and plus(n) and plus(n-1) of a total), and a call at another k or m
+# replaces them.
 
 
 def _alternating_sum(a: int, after: int, m: int, tail: Callable[[int], int]) -> int:
@@ -130,11 +136,28 @@ def _alternating_sum(a: int, after: int, m: int, tail: Callable[[int], int]) -> 
     return total
 
 
+@lru_cache(maxsize=1)
 def _pc_tail(k: int, m: int) -> Callable[[int], int]:
     """rest -> sum over (m-1)r + s = rest of (-1)^r binom(k, r) binom(k+s-1, s)."""
     return cache(lambda rest: _alternating_sum(k, rest, m, lambda s: binom(k + s - 1, s)))
 
 
+@lru_cache(maxsize=1)
+def _rpc_c_tail(k: int, m: int) -> Callable[[int, int], int]:
+    """(i, after) -> sum over 2c + rest = after of binom(i+c, c) _pc_tail(k, m)(rest)."""
+    tail = _pc_tail(k, m)
+
+    @cache
+    def c_tail(i: int, after: int) -> int:
+        total = 0
+        for c in range(after // 2 + 1):
+            total += binom(i + c, c) * tail(after - 2 * c)
+        return total
+
+    return c_tail
+
+
+@lru_cache(maxsize=1)
 def _ac_plus_tail(k: int, m: int) -> Callable[[int, int], int]:
     """(j, after) -> sum over md + s = after of binom(k+j+d-1, d) binom(j+s-1, s)."""
 
@@ -149,21 +172,26 @@ def _ac_plus_tail(k: int, m: int) -> Callable[[int, int], int]:
     return tail
 
 
+@lru_cache(maxsize=1)
 def _ac_total_tail(k: int, m: int) -> Callable[[int, int], int]:
     """(i, after) -> sum over md + 2s + j = after of
     binom(i+k+d-1, d) binom(i+k+s-1, s) binom(i+j, j)."""
 
     @cache
+    def sj_sum(i: int, after_d: int) -> int:
+        total = 0
+        for s in range(after_d // 2 + 1):
+            j = after_d - 2 * s
+            total += binom(i + k + s - 1, s) * binom(i + j, j)
+        return total
+
+    @cache
     def tail(i: int, after: int) -> int:
         total = 0
         for d in range(after // m + 1):
-            after_d = after - m * d
             hd = binom(i + k + d - 1, d)
-            if not hd:
-                continue
-            for s in range(after_d // 2 + 1):
-                j = after_d - 2 * s
-                total += hd * binom(i + k + s - 1, s) * binom(i + j, j)
+            if hd:
+                total += hd * sj_sum(i, after - m * d)
         return total
 
     return tail
@@ -182,6 +210,26 @@ def _with_c(k: int, m: int, tail: Callable[[int, int], int]) -> Callable[[int, i
         return total
 
     return c_tail
+
+
+@lru_cache(maxsize=1)
+def _ac_plus_inner(k: int, m: int) -> Callable[[int, int], int]:
+    """(j, after) -> the (r, s, c, d) sum of ac_plus_k_mod V1 at that j and after."""
+    tail = _with_c(k, m, _ac_plus_tail(k, m))
+    return cache(lambda j, after: _alternating_sum(j, after, m, partial(tail, j)))
+
+
+@lru_cache(maxsize=1)
+def _rac_plus_inner(k: int, m: int) -> Callable[[int, int], int]:
+    """(j, after) -> the (r, s, d) sum of rac_plus_k_mod V1 at that j and after."""
+    tail = _ac_plus_tail(k, m)
+    return cache(lambda j, after: _alternating_sum(j, after, m, partial(tail, j)))
+
+
+@lru_cache(maxsize=1)
+def _ac_total_c_tail(k: int, m: int) -> Callable[[int, int], int]:
+    """(i, after) -> sum over mc + rest = after of binom(k, c) _ac_total_tail(k, m)(i, rest)."""
+    return _with_c(k, m, _ac_total_tail(k, m))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +497,7 @@ def rpc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
-        tail = _pc_tail(k, m)
+        tail = _rpc_c_tail(k, m)
         for i in range(target // 2 + 1):
             ik = binom(i, k)
             if not ik:
@@ -458,9 +506,7 @@ def rpc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
                 ij = ik * binom(i + j - 1, j)
                 if not ij:
                     continue
-                after_j = target - 2 * i - m * j
-                for c in range(after_j // 2 + 1):
-                    total += ij * binom(i + c, c) * tail(after_j - 2 * c)
+                total += ij * tail(i, target - 2 * i - m * j)
     else:
         for weight, coeff in _geometric_power_coeffs(m, k):
             budget = target - weight
@@ -538,14 +584,13 @@ def ac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
-        tail = _with_c(k, m, _ac_plus_tail(k, m))
+        inner = _ac_plus_inner(k, m)
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
             for j in range(target - 2 * i + 1):
                 ij = binom(i, j)
                 if ij:
-                    inner = _alternating_sum(j, target - 2 * i - j, m, partial(tail, j))
-                    total += ((head * ij) << j) * inner
+                    total += ((head * ij) << j) * inner(j, target - 2 * i - j)
     else:
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
@@ -581,7 +626,7 @@ def ac_total_k_mod(n: int, k: int, m: int) -> int:
     if target < 0:
         return 0
     total = 0
-    tail = _with_c(k, m, _ac_total_tail(k, m))
+    tail = _ac_total_c_tail(k, m)
     for i in range(target // 3 + 1):
         head = binom(i + k, k) << i
         total += head * _alternating_sum(i, target - 3 * i, m, partial(tail, i))
@@ -628,14 +673,13 @@ def rac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
-        tail = _ac_plus_tail(k, m)
+        inner = _rac_plus_inner(k, m)
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
             for j in range(target - 2 * i + 1):
                 ij = binom(i, j)
                 if ij:
-                    inner = _alternating_sum(j, target - 2 * i - j, m, partial(tail, j))
-                    total += head * ij * inner
+                    total += head * ij * inner(j, target - 2 * i - j)
     else:
         for i in range(target // 2 + 1):
             head = binom(i + k, k)

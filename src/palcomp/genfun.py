@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
-from .stats import Family, Modulus, Sign, _InfinityType, check_cell, check_index, check_modulus
+from .stats import Family, Modulus, Sign, _InfinityType, check_cell, check_index
 
 
 class BivariatePoly:
@@ -311,10 +311,18 @@ _CATALOG: dict[tuple[Family, bool, Sign, bool], object] = {
 }
 
 
-@lru_cache(maxsize=64)
 def gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> RationalGF:
-    """Look up (and for finite moduli, instantiate) a catalog generating function."""
-    check_modulus(modulus)
+    """Look up (and for finite moduli, instantiate) a catalog generating function.
+
+    The cell is validated before the cached lookup, so a value that only
+    hashes like a valid one (1 for True) cannot read another cell's entry.
+    """
+    check_cell(family, reduced, sign, modulus)
+    return _gf_catalog(family, reduced, sign, modulus)
+
+
+@lru_cache(maxsize=64)
+def _gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> RationalGF:
     if sign is Sign.MINUS:
         raise KeyError(
             "no catalog entry for the minus part; expand the plus entry at n-1"

@@ -65,8 +65,7 @@ class EnumerationCapError(ValueError):
 
 
 def _check_cap(n: int, cap: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_index(n, "n")
     if n > cap:
         raise EnumerationCapError(
             f"refusing to enumerate 2^{n - 1} compositions of n={n}: "

@@ -17,6 +17,7 @@ from palcomp.formulas import (
     ac_plus_k_mod1,
     ac_total_k_alt,
     ac_total_k_mod,
+    formula_column,
     formula_count,
     pc_plus_1_closed,
     pc_plus_1_mod2_odd,
@@ -514,6 +515,46 @@ FACTORED_V1 = {
 }
 
 
+def _clear_memos():
+    for obj in vars(formulas).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Start every test with empty sub-sum memos, so call counts do not
+    depend on which tests ran before."""
+    _clear_memos()
+
+
+_V1_CALL = st.tuples(
+    st.sampled_from(list(FACTORED_V1)), st.integers(0, 40), st.integers(0, 6), st.integers(1, 7)
+)
+
+
+@st.composite
+def _call_sequences(draw):
+    """2 to 6 V1 calls; each after the first may keep the k or the m of the one before."""
+    calls = [draw(_V1_CALL)]
+    for _ in range(draw(st.integers(1, 5))):
+        fn, n, k, m = draw(_V1_CALL)
+        _, _, last_k, last_m = calls[-1]
+        calls.append((fn, n, draw(st.sampled_from((last_k, k))), draw(st.sampled_from((last_m, m)))))
+    return calls
+
+
+def _counting_binom(monkeypatch):
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return core.binom(a, b)
+
+    monkeypatch.setattr(formulas, "binom", counted)
+    return calls
+
+
 class TestFactoredSums:
     @pytest.mark.parametrize("m", range(1, 8))
     @pytest.mark.parametrize("fn", list(FACTORED_V1), ids=lambda fn: fn.__name__)
@@ -534,10 +575,10 @@ class TestFactoredSums:
         family, reduced, sign = FACTORED_V1[fn][1]
         assert fn(n, k, m) == gf_count(family, reduced, sign, m, n, k)
 
-    # binom calls at n = 60, k = 3 with the inner sub-sums evaluated once per
-    # call; the literal loops take (m = 1 / m = 3): ac 232782 / 48167,
-    # rac 58577 / 16264, rpc 59699 / 27370, pc 6347 / 3444, and for the
-    # totals at m = 1, ac 219336 and rac 59729.
+    # binom calls at n = 60, k = 3 from empty memos; the literal loops take
+    # (m = 1 / m = 3): ac 232782 / 48167, rac 58577 / 16264, rpc 59699 / 27370,
+    # pc 6347 / 3444, and for the totals ac 219336 at m = 1 and rac 59729 /
+    # 13834.
     @pytest.mark.parametrize(
         "fn, m, bound",
         [
@@ -551,21 +592,43 @@ class TestFactoredSums:
             (pc_plus_k_mod, 3, 1_500),
             (ac_total_k_mod, 1, 52_000),
             (rac_total_k_mod, 1, 14_000),
+            (rac_total_k_mod, 3, 10_500),
         ],
     )
     def test_binom_calls_are_bounded(self, monkeypatch, fn, m, bound):
-        calls = 0
-
-        def counted(a, b):
-            nonlocal calls
-            calls += 1
-            return core.binom(a, b)
-
-        monkeypatch.setattr(formulas, "binom", counted)
+        calls = _counting_binom(monkeypatch)
         value = fn(60, 3, m)
         monkeypatch.undo()
         assert value == FACTORED_V1[fn][0](60, 3, m)
-        assert 0 < calls <= bound, calls
+        assert 0 < calls[0] <= bound, calls[0]
+
+    # Memos outlive a call and are keyed by (k, m), so calls in any order, at
+    # repeated or changing k and m and at falling n, must match the literal loops.
+    @settings(max_examples=60, deadline=None)
+    @given(calls=_call_sequences())
+    def test_calls_in_sequence_equal_the_literal_loops(self, calls):
+        _clear_memos()
+        for fn, n, k, m in calls:
+            assert fn(n, k, m) == FACTORED_V1[fn][0](n, k, m), (fn.__name__, n, k, m)
+
+    # binom calls for a total column at n <= 40, k = 3, where every n reuses
+    # the memos of the n before; with fresh memos for every call the four
+    # columns took 78762, 22578, 22420 and 3821.
+    @pytest.mark.parametrize(
+        "family, reduced, m, bound",
+        [
+            (Family.AC, False, 1, 16_000),
+            (Family.AC, True, 3, 9_000),
+            (Family.PC, True, 1, 6_500),
+            (Family.PC, False, 5, 1_600),
+        ],
+    )
+    def test_column_binom_calls_are_bounded(self, monkeypatch, family, reduced, m, bound):
+        calls = _counting_binom(monkeypatch)
+        column = formula_column(family, reduced, Sign.TOTAL, m, 40, 3)
+        monkeypatch.undo()
+        assert column == [gf_count(family, reduced, Sign.TOTAL, m, n, 3) for n in range(41)]
+        assert 0 < calls[0] <= bound, calls[0]
 
 
 class TestIndexValidation:

@@ -120,6 +120,13 @@ class TestCatalog:
         with pytest.raises(KeyError):
             gf_catalog(Family.PC, False, Sign.MINUS, INFINITY)
 
+    def test_refuses_a_bad_cell_before_the_cached_lookup(self):
+        gf_catalog(Family.PC, True, Sign.PLUS, INFINITY)  # 1 hashes like this cached key
+        with pytest.raises(TypeError, match="^reduced must be a bool, got 1$"):
+            gf_catalog(Family.PC, 1, Sign.PLUS, INFINITY)
+        with pytest.raises(TypeError, match="^family must be a Family, got 'pc'$"):
+            gf_catalog("pc", False, Sign.PLUS, INFINITY)
+
     def test_fixture_coefficients(self):
         assert coefficient(gf_catalog(Family.PC, False, Sign.PLUS, INFINITY), 4, 1) == 2
         assert coefficient(gf_catalog(Family.AC, False, Sign.TOTAL, 2), 8, 2) == 32

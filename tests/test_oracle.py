@@ -81,6 +81,26 @@ class TestBruteCount:
         with pytest.raises(EnumerationCapError):
             brute_count(Family.PC, False, Sign.TOTAL, INFINITY, 99, 0)
 
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda n: brute_count(Family.PC, False, Sign.TOTAL, INFINITY, n, 0),
+            lambda n: count_parts_equal_one(n, 0),
+            lambda n: count_parts_at_most(n, 3),
+            count_two_colored_no_ones,
+            count_at_most_one_even_part,
+        ],
+        ids=["brute_count", "count_parts_equal_one", "count_parts_at_most",
+             "count_two_colored_no_ones", "count_at_most_one_even_part"],
+    )
+    def test_n_goes_through_check_index(self, count):
+        # a float n would fail deep in the walk, and True would count as n = 1
+        for bad in (2.5, True):
+            with pytest.raises(TypeError, match="^n must be an int"):
+                count(bad)
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            count(-1)
+
     @pytest.mark.parametrize("n", range(11))
     @pytest.mark.parametrize("modulus", [1, 2, 3, INFINITY])
     def test_statistics_partition_everything(self, n, modulus):
