@@ -328,9 +328,7 @@ def _gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> 
             "no catalog entry for the minus part; expand the plus entry at n-1"
         )
     finite = not isinstance(modulus, _InfinityType)
-    builder = _CATALOG.get((family, reduced, sign, finite))
-    if builder is None:
-        raise KeyError(f"no catalog entry for {family}, reduced={reduced}, {sign}")
+    builder = _CATALOG[family, reduced, sign, finite]
     gf = builder(modulus) if finite else builder()
     if gf.denominator.coeff(0, 0) != 1:
         raise AssertionError("catalog invariant violated: denominator constant term != 1")

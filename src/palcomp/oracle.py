@@ -34,9 +34,9 @@ modulus and both families; the per-(n, modulus) census behind
 family counts the canonical compositions, because every swap class has
 exactly one representative with the larger part first in each pair; class
 sizes vary (2^(number of strictly unequal pairs)), so dividing by an orbit
-size would be wrong.  The part record tallies compositions by their parts
-equal to 1, their largest part, their even parts and their length, for
-the auxiliary counts.
+size would be wrong.  The part record keys each composition by its parts in
+ascending order, the partition of n it rearranges, so it holds p(n) keys;
+each auxiliary count reads its own definition off those parts.
 """
 
 from __future__ import annotations
@@ -135,30 +135,28 @@ def brute_count(
 
 @lru_cache(maxsize=32)
 def _part_record(n: int) -> Counter:
-    """Tally the compositions of n by (parts equal to 1, largest part, even parts, length).
+    """Tally the compositions of n by their parts in ascending order.
 
-    The empty composition has largest part 0.
+    Each key is a partition of n, counted once per distinct ordering of its parts.
     """
-    return Counter(
-        (c.count(1), max(c, default=0), sum(1 for p in c if p % 2 == 0), len(c))
-        for c in enumerate_compositions(n, cap=n)
-    )
+    return Counter(map(tuple, map(sorted, enumerate_compositions(n, cap=n))))
 
 
 def count_parts_equal_one(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Number of compositions of n with exactly k parts equal to 1."""
     _check_cap(n, cap)
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return sum(count for (ones, _, _, _), count in _part_record(n).items() if ones == k)
+    check_index(k, "k")
+    return sum(count for parts, count in _part_record(n).items() if parts.count(1) == k)
 
 
 def count_parts_at_most(n: int, limit: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Number of compositions of n with every part <= limit."""
     _check_cap(n, cap)
+    if isinstance(limit, bool) or not isinstance(limit, int):
+        raise TypeError(f"part limit must be an int, got {limit!r}")
     if limit < 1:
         raise ValueError(f"part limit must be >= 1, got {limit}")
-    return sum(count for (_, largest, _, _), count in _part_record(n).items() if largest <= limit)
+    return sum(count for parts, count in _part_record(n).items() if max(parts, default=0) <= limit)
 
 
 def count_two_colored_no_ones(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -167,10 +165,13 @@ def count_two_colored_no_ones(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int
     Weighted count: sum of 2^length over compositions without a part 1.
     """
     _check_cap(n, cap)
-    return sum(count << length for (ones, _, _, length), count in _part_record(n).items() if ones == 0)
+    return sum(count << len(parts) for parts, count in _part_record(n).items() if 1 not in parts)
 
 
 def count_at_most_one_even_part(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Number of compositions of n with at most one even part."""
     _check_cap(n, cap)
-    return sum(count for (_, _, evens, _), count in _part_record(n).items() if evens <= 1)
+    return sum(
+        count for parts, count in _part_record(n).items()
+        if sum(1 for p in parts if p % 2 == 0) <= 1
+    )

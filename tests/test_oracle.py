@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from palcomp import oracle
+from palcomp.core import multinom
 from palcomp.oracle import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -100,6 +101,19 @@ class TestBruteCount:
                 count(bad)
         with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             count(-1)
+
+    @pytest.mark.parametrize(
+        "count, name, low, least",
+        [(count_parts_equal_one, "k", -1, 0), (count_parts_at_most, "part limit", 0, 1)],
+        ids=["count_parts_equal_one", "count_parts_at_most"],
+    )
+    def test_second_argument_is_checked_by_name(self, count, name, low, least):
+        # a float would count nothing or everything below it, and True would count as 1
+        for bad in (2.5, True, "3"):
+            with pytest.raises(TypeError, match=f"^{name} must be an int"):
+                count(5, bad)
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {low}$"):
+            count(5, low)
 
     @pytest.mark.parametrize("n", range(11))
     @pytest.mark.parametrize("modulus", [1, 2, 3, INFINITY])
@@ -222,6 +236,16 @@ def _decoded_compositions(n):
 @pytest.mark.parametrize("n", range(17))
 def test_walk_equals_the_decoded_masks(n):
     assert list(enumerate_compositions(n)) == _decoded_compositions(n)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_part_record_counts_the_orderings_of_each_partition(n):
+    record = oracle._part_record(n)
+    for parts, count in record.items():
+        assert isinstance(parts, tuple) and list(parts) == sorted(parts), parts
+        assert all(p >= 1 for p in parts) and sum(parts) == n, parts
+        assert count == multinom(len(parts), list(Counter(parts).values())), parts
+    assert sum(record.values()) == (1 << (n - 1) if n else 1)
 
 
 @pytest.mark.parametrize("n", range(15))
