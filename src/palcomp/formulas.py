@@ -833,10 +833,6 @@ def formula_column(
     return [now + before for now, before in zip(plus, [0] + plus)]
 
 
-def _fib_fold(n: int) -> int:
-    return fibonacci(2 * (n // 2) + 1)
-
-
 def _nonnegative_n(n: int) -> bool:
     return n >= 0
 
@@ -954,7 +950,7 @@ SPECIAL_VALUES: dict[str, SpecialValue] = {
         "rpc_plus(2t, 2) = F(2t+1), rpc_plus(2t+1, 2) = 0",
     ),
     "RPC_MOD2_FIB": SpecialValue(
-        (Family.PC, True, Sign.TOTAL, 2, 0), _fib_fold,
+        (Family.PC, True, Sign.TOTAL, 2, 0), lambda n: fibonacci(2 * (n // 2) + 1),
         "rpc(2t, 2) = rpc(2t+1, 2) = F(2t+1)",
     ),
     "RPC_PLUS1_MOD2": SpecialValue(

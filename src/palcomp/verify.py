@@ -9,6 +9,10 @@ unless the check passes another test, and stops at the first cell that
 disagrees: status is ``pass`` only if every cell agreed, and a failure
 reports that cell's params, expected and actual values.
 
+The named closed forms live once, in ``formulas.SPECIAL_VALUES``: every check
+that compares a count with one reads it there, and :func:`special_values`
+checks each row on the formula path (n <= 24) and the GF path (n <= 200).
+
 The formula path is resolved through the :mod:`palcomp.formulas` module
 attributes at call time, so tests can inject a perturbed formula and assert
 the harness pinpoints it.
@@ -23,7 +27,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import formulas
 from .bijection import decode_pair, encode_pair, pair_statistics
-from .core import binom, fibonacci, tribonacci, tribonacci_identity_sum, tribonacci_prime
+from .core import binom, tribonacci, tribonacci_identity_sum
 from .genfun import gf_catalog, gf_grid, series_table
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
@@ -109,6 +113,12 @@ def _grid(signs: Iterable[Sign], moduli: Iterable[Modulus], points: Iterable[tup
                  "modulus": format_modulus(modulus)}
         cells = [(n, k, {**block, "n": n, "k": k}) for n, k in points]
         yield (family, reduced, sign, modulus), cells
+
+
+def _named(name: str, n: int) -> int | None:
+    """The closed form of ``formulas.SPECIAL_VALUES[name]`` at n, or None off its domain."""
+    row = formulas.SPECIAL_VALUES[name]
+    return row.closed_form(n) if row.domain(n) else None
 
 
 def _box(n_max: int, k_max: int, n_min: int = 0) -> Iterator[tuple[int, int]]:
@@ -257,17 +267,14 @@ def sequence_identification(n_max: int = 30) -> _Cells:
     """Named sequences: plus anti-palindromic counts are shifted tribonacci,
     reduced anti-palindromic counts are Fibonacci, and the three tribonacci
     expressions for the total anti-palindromic count agree."""
+    forms = {"prime": "AC_TOTAL_TRIB_PRIME", "diff": "AC_TOTAL_TRIB_DIFF", "plain": "AC_TOTAL_TRIB"}
     for n in range(n_max + 1):
-        yield {"quantity": "ac_plus", "n": n}, tribonacci_prime(n + 1), formulas.ac_plus_k(n, 0)
-        via_prime = tribonacci_prime(n + 1) + tribonacci_prime(n)
-        forms = {"prime": via_prime, "diff": tribonacci(n + 1) - tribonacci(n - 1)}
-        if n >= 1:
-            forms["plain"] = tribonacci(n) + tribonacci(n - 2)
-        yield {"quantity": "ac_total_forms", "n": n}, via_prime, forms
-        rac_total = 1 if n == 0 else fibonacci(n)
-        yield {"quantity": "rac_total", "n": n}, rac_total, formulas.rac_total_k(n, 0)
-        rac_plus = 1 if n == 0 else fibonacci(n - 1)
-        yield {"quantity": "rac_plus", "n": n}, rac_plus, formulas.rac_plus_k(n, 0)
+        ac_plus = _named("AC_PLUS_TRIB_PRIME", n)
+        yield {"quantity": "ac_plus", "n": n}, ac_plus, formulas.ac_plus_k(n, 0)
+        values = {form: v for form, name in forms.items() if (v := _named(name, n)) is not None}
+        yield {"quantity": "ac_total_forms", "n": n}, values["prime"], values
+        yield {"quantity": "rac_total", "n": n}, _named("RAC_FIB", n), formulas.rac_total_k(n, 0)
+        yield {"quantity": "rac_plus", "n": n}, _named("RAC_PLUS_FIB", n), formulas.rac_plus_k(n, 0)
 
 
 @_check
@@ -280,15 +287,17 @@ def parity_vanishing(n_max: int = 20, k_max: int = 6) -> _Cells:
         yield {"quantity": "pc_plus_k0", "modulus": m, "n": n}, 0, formulas.pc_plus_mod_k0(n, m)
 
 
-@_check
+@_check(agree=_all_equal)
 def special_values(n_max: int = 24) -> _Cells:
-    """The named closed forms match the formula path on their domains."""
-    for name, value in sorted(formulas.SPECIAL_VALUES.items()):
-        family, reduced, sign, modulus, k = value.cell
-        for n in filter(value.domain, range(n_max + 1)):
-            closed = formulas.special_value(name, n)
-            direct = formulas.formula_count(family, reduced, sign, modulus, n, k)
-            yield {"name": name, "n": n}, direct, closed
+    """Each row of formulas.SPECIAL_VALUES matches, on its domain, the formula
+    path up to n_max and the GF path up to n = 200, one expansion per row."""
+    gf_n_max = max(n_max, 200)
+    for name, row in sorted(formulas.SPECIAL_VALUES.items()):
+        *block, k = row.cell
+        rows = gf_grid(*block, gf_n_max, k)
+        for n in filter(row.domain, range(gf_n_max + 1)):
+            legs = {"formula": formulas.formula_count(*block, n, k)} if n <= n_max else {}
+            yield {"name": name, "n": n}, {**legs, "genfun": rows[n][k]}, row.closed_form(n)
 
 
 @_check
@@ -310,7 +319,7 @@ def rpc_mod2_fibonacci_fold(n_max: int = 24) -> _Cells:
     even ones interleave the odd-indexed Fibonacci numbers."""
     series = series_table(gf_catalog(Family.PC, True, Sign.PLUS, 2), n_max, 0)
     for n in range(n_max + 1):
-        yield {"n": n}, fibonacci(n + 1) if n % 2 == 0 else 0, series[n][0]
+        yield {"n": n}, _named("RPC_PLUS_MOD2_FIB", n), series[n][0]
 
 
 @_check
@@ -375,19 +384,14 @@ def m1_specializations(n_max: int = 20, k_max: int = 6) -> _Cells:
             for quantity, general, specialized in pairs:
                 yield {"quantity": quantity, "n": n, "k": k}, specialized, general
         singles = [
-            ("rpc_plus_1_mod2", formulas.rpc_plus_k_mod(n, 1, 2), formulas.rpc_plus_1_mod2_odd(n)),
-            (
-                "pc_total_mod1",
-                formulas.formula_count(Family.PC, False, Sign.TOTAL, 1, n, 0),
-                1 if n == 0 else 1 << (n - 1),
-            ),
+            ("rpc_plus_1_mod2", formulas.rpc_plus_k_mod(n, 1, 2), _named("RPC_PLUS1_MOD2", n)),
+            ("pc_total_mod1", formulas.formula_count(Family.PC, False, Sign.TOTAL, 1, n, 0),
+             1 if n == 0 else 1 << (n - 1)),
+            ("pc_plus_1_mod2", formulas.pc_plus_k_mod(n, 1, 2), _named("PC_PLUS1_MOD2", n)),
         ]
-        if n != 1:  # the m=2, k=1 closed form starts at n=3
-            singles.append(
-                ("pc_plus_1_mod2", formulas.pc_plus_k_mod(n, 1, 2), formulas.pc_plus_1_mod2_odd(n))
-            )
         for quantity, general, specialized in singles:
-            yield {"quantity": quantity, "n": n}, specialized, general
+            if specialized is not None:  # off the row's domain
+                yield {"quantity": quantity, "n": n}, specialized, general
 
 
 @_check

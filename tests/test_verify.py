@@ -220,7 +220,7 @@ def test_direct_totals_and_k0_specializations_are_pinpointed(monkeypatch, name, 
             id="sequence_identification-ac_plus",
         ),
         pytest.param(
-            verify, "tribonacci", lambda h: _bumped(h, lambda n: n == 6),
+            formulas, "tribonacci", lambda h: _bumped(h, lambda n: n == 6),
             lambda: verify.sequence_identification(18),
             ({"quantity": "ac_total_forms", "n": 5}, 9, {"prime": 9, "diff": 10, "plain": 9}),
             id="sequence_identification-forms",
@@ -273,6 +273,46 @@ def test_failure_report_is_pinned(monkeypatch, module, name, corrupt, call, repo
     result = call()
     assert result.status == "fail"
     assert (result.params, result.expected, result.actual) == report
+
+
+@pytest.mark.parametrize(
+    "name, check, n, report",
+    [
+        pytest.param(
+            "RAC_FIB", verify.special_values, 150,
+            lambda v: ({"name": "RAC_FIB", "n": 150}, {"genfun": v}, v + 1),
+            id="special_values-gf",
+        ),
+        pytest.param(
+            "RAC_FIB", verify.special_values, 12,
+            lambda v: ({"name": "RAC_FIB", "n": 12}, {"formula": v, "genfun": v}, v + 1),
+            id="special_values-formula",
+        ),
+        pytest.param(
+            "RPC_PLUS_MOD2_FIB", verify.rpc_mod2_fibonacci_fold, 10,
+            lambda v: ({"n": 10}, v + 1, v),
+            id="rpc_mod2_fibonacci_fold",
+        ),
+        pytest.param(
+            "PC_PLUS1_MOD2", verify.m1_specializations, 7,
+            lambda v: ({"quantity": "pc_plus_1_mod2", "n": 7}, v + 1, v),
+            id="m1_specializations",
+        ),
+        pytest.param(
+            "AC_PLUS_TRIB_PRIME", verify.sequence_identification, 9,
+            lambda v: ({"quantity": "ac_plus", "n": 9}, v + 1, v),
+            id="sequence_identification",
+        ),
+    ],
+)
+def test_checks_read_the_named_identities_from_the_table(monkeypatch, name, check, n, report):
+    # a closed form bumped in formulas.SPECIAL_VALUES alone fails the check at that cell
+    row = formulas.SPECIAL_VALUES[name]
+    bumped = row._replace(closed_form=_bumped(row.closed_form, lambda at: at == n))
+    monkeypatch.setitem(formulas.SPECIAL_VALUES, name, bumped)
+    result = check()
+    assert result.status == "fail"
+    assert (result.params, result.expected, result.actual) == report(row.closed_form(n))
 
 
 def test_run_all_calls_each_check_through_the_module(monkeypatch):
