@@ -78,6 +78,11 @@ def decompose(c: Composition) -> Decomposition:
     """Unequal pair positions, their differences, and the palindromic core."""
     c = composition(c)
     _require_plus(c)
+    return _decompose(c)
+
+
+def _decompose(c: Composition) -> Decomposition:
+    """:func:`decompose` of a composition already validated as plus-class."""
     l = len(c)
     unequal = []
     differences = []
@@ -98,7 +103,7 @@ def encode_pair(c: Composition) -> PairSequences:
     c = composition(c)
     _require_plus(c)
     l = len(c)
-    parts = decompose(c)
+    parts = _decompose(c)
     half_total = sum(parts.core) // 2
     base = [0] * half_total
     running = 0
@@ -167,15 +172,17 @@ def decode_pair(p: PairSequences) -> Composition:
 def pair_statistics(p: PairSequences) -> PairStatistics:
     """Statistics of the underlying composition, computed from the pair alone."""
     validate_pair(p)
-    pairs = sum(1 for entry in p.head if entry > 0)
-    mismatches = sum(1 for a, b in zip(p.head, p.tail) if a != b)
+    pairs = mismatches = surplus = anti_i = 0
+    for a, b in zip(p.head, p.tail):  # equal lengths and nonnegative entries, as validated
+        pairs += a > 0
+        mismatches += a != b
+        surplus += abs(a - b)
+        anti_i += a > b
     matches = pairs - mismatches
-    surplus = sum(abs(a - b) for a, b in zip(p.head, p.tail))
     half_total = len(p.head)
     pal_i = surplus - mismatches
     pal_j = half_total - mismatches
     anti_r = half_total - matches
-    anti_i = sum(1 for a, b in zip(p.head, p.tail) if a > b)
     anti_j = surplus - anti_i
     n = surplus + 2 * half_total
     return PairStatistics(

@@ -30,7 +30,7 @@ from .bijection import (
 )
 from .formulas import FormulaVariant, formula_column, formula_count
 from .genfun import gf_count, gf_grid
-from .oracle import DEFAULT_ENUMERATION_CAP, EnumerationCapError, brute_count
+from .oracle import DEFAULT_ENUMERATION_CAP, brute_count
 from .stats import (
     Family,
     Modulus,
@@ -224,7 +224,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliError("--n-max and --k-max must be >= 0")
     try:
         results = run_all(n_max=args.n_max, k_max=args.k_max, moduli=moduli, cap=args.cap)
-    except EnumerationCapError as error:
+    except ValueError as error:  # a refused cap, or a grid that would enumerate past it
         raise CliError(str(error)) from None
     if args.report == "json":
         import json

@@ -114,7 +114,7 @@ def _geometric_power_coeffs(m: int, e: int) -> tuple[tuple[int, int], ...]:
 # one memo set.  Its memos are keyed by free indices that do not involve n:
 # consecutive calls at one k and m share them (every n of a formula column,
 # and plus(n) and plus(n-1) of a total), and a call at another k or m
-# replaces them.
+# replaces them.  A caller that evaluates many cells should sweep n inside k.
 
 
 def _alternating_sum(a: int, after: int, m: int, tail: Callable[[int], int]) -> int:

@@ -65,6 +65,7 @@ class EnumerationCapError(ValueError):
 
 
 def _check_cap(n: int, cap: int) -> None:
+    check_index(cap, "cap")
     check_index(n, "n")
     if n > cap:
         raise EnumerationCapError(

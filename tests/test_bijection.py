@@ -3,16 +3,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from palcomp import bijection
 from palcomp.bijection import (
     InvalidPairError,
     MinusClassError,
     PairSequences,
+    PairStatistics,
     decode_pair,
     decompose,
     encode_pair,
     format_pair,
     pair_statistics,
     parse_pair,
+    validate_pair,
 )
 from palcomp.formulas import pc_plus_k
 from palcomp.oracle import enumerate_compositions
@@ -170,6 +173,59 @@ class TestPairStatistics:
         assert i + 2 * j + 3 * stats.mismatches == sum(c)
         r, ai, aj = stats.anti_params
         assert 2 * r + 2 * stats.matches + ai + aj == sum(c)
+
+
+def literal_pair_statistics(p: PairSequences) -> PairStatistics:
+    """The statistics as four separate sums over the pair: the spec of pair_statistics."""
+    validate_pair(p)
+    pairs = sum(1 for entry in p.head if entry > 0)
+    mismatches = sum(1 for a, b in zip(p.head, p.tail) if a != b)
+    matches = pairs - mismatches
+    surplus = sum(abs(a - b) for a, b in zip(p.head, p.tail))
+    half_total = len(p.head)
+    anti_i = sum(1 for a, b in zip(p.head, p.tail) if a > b)
+    return PairStatistics(
+        n=surplus + 2 * half_total,
+        mismatches=mismatches,
+        matches=matches,
+        palindromic_params=(surplus - mismatches, half_total - mismatches),
+        anti_params=(half_total - matches, anti_i, surplus - anti_i),
+    )
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_pair_statistics_equal_the_literal_sums(n):
+    for c in enumerate_compositions(n):
+        if sign_class(c) is Sign.PLUS:
+            pair = encode_pair(c)
+            stats = pair_statistics(pair)
+            assert stats == literal_pair_statistics(pair)
+            flat = [stats.n, stats.mismatches, stats.matches,
+                    *stats.palindromic_params, *stats.anti_params]
+            assert all(type(value) is int for value in flat)
+
+
+def test_encode_validates_its_composition_once(monkeypatch):
+    # decompose validates too; encode_pair's own validation is the only one it runs
+    calls = []
+
+    def recorded(name):
+        honest = getattr(bijection, name)
+
+        def recording(c):
+            calls.append(name)
+            return honest(c)
+
+        return recording
+
+    for name in ("composition", "sign_class"):
+        monkeypatch.setattr(bijection, name, recorded(name))
+    assert encode_pair(NARROW) == PairSequences((0, 1, 1, 3, 0, 0), (0, 4, 1, 1, 0, 0))
+    assert calls == ["composition", "sign_class"]
+    with pytest.raises(MinusClassError, match="middle part 3 is odd"):
+        encode_pair([1, 3, 2])
+    with pytest.raises(ValueError, match="composition parts must be integers >= 1, got 0"):
+        encode_pair((2, 0, 2))
 
 
 class TestTextFormat:

@@ -98,6 +98,13 @@ class TestCount:
         )
         assert code == 2 and "cap is 21" in err
 
+    def test_a_negative_cap_is_refused_by_name(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--family", "pc", "--sign", "total", "--n", "5",
+            "--k", "0", "--mod", "inf", "--method", "brute", "--cap", "-3",
+        )
+        assert (code, out, err) == (2, "", "error: cap must be >= 0, got -3\n")
+
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--family", "pc", "--sign", "total", "--n", "4",
@@ -208,6 +215,15 @@ class TestSequence:
         )
         assert code == 0
         assert out == "4 4\n5 4\n6 8\n"
+
+    @pytest.mark.parametrize("method", ["formula", "gf", "brute"])
+    def test_a_negative_offset_is_refused(self, capsys, method):
+        # the library would read n = -2 as a Python index from the end of a column
+        code, out, err = run(
+            capsys, "sequence", "--family", "pc", "--sign", "plus", "--mod", "2",
+            "--k", "1", "--n-max", "2", "--offset", "-2", "--method", method,
+        )
+        assert (code, out, err) == (2, "", "error: n must be >= 0, got -2\n")
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "seq.txt"
@@ -350,6 +366,10 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "compositions of n=25: enumeration cap is 24" in err
         assert elapsed < 1.0
+
+    def test_a_negative_cap_is_refused_by_name(self, capsys):
+        code, out, err = run(capsys, "verify", "--cap", "-1")
+        assert (code, out, err) == (2, "", "error: cap must be >= 0, got -1\n")
 
     def test_bad_modulus_list(self, capsys):
         code, _, err = run(capsys, "verify", "--mods", "1,zero")

@@ -11,6 +11,7 @@ from palcomp.oracle import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
     brute_count,
+    check_enumeration_cap,
     count_at_most_one_even_part,
     count_parts_at_most,
     count_parts_equal_one,
@@ -101,6 +102,34 @@ class TestBruteCount:
                 count(bad)
         with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             count(-1)
+
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda cap: check_enumeration_cap(18, cap),
+            lambda cap: brute_count(Family.PC, False, Sign.TOTAL, INFINITY, 5, 0, cap=cap),
+            lambda cap: count_parts_equal_one(5, 0, cap=cap),
+            lambda cap: count_parts_at_most(5, 3, cap=cap),
+            lambda cap: count_two_colored_no_ones(5, cap=cap),
+            lambda cap: count_at_most_one_even_part(5, cap=cap),
+            lambda cap: next(enumerate_compositions(5, cap=cap)),
+        ],
+        ids=["check_enumeration_cap", "brute_count", "count_parts_equal_one",
+             "count_parts_at_most", "count_two_colored_no_ones",
+             "count_at_most_one_even_part", "enumerate_compositions"],
+    )
+    @pytest.mark.parametrize(
+        "cap, error, message",
+        [
+            (-1, ValueError, "^cap must be >= 0, got -1$"),
+            (True, TypeError, "^cap must be an int, got True$"),
+            (2.5, TypeError, "^cap must be an int, got 2.5$"),
+        ],
+    )
+    def test_a_bad_cap_is_refused_by_name(self, count, cap, error, message):
+        # -1 once read as a cap below n = 0, and True as a cap of 1
+        with pytest.raises(error, match=message):
+            count(cap)
 
     @pytest.mark.parametrize(
         "count, name, low, least",

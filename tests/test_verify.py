@@ -367,3 +367,73 @@ def test_round_trips_walk_every_requested_n(monkeypatch, check):
     monkeypatch.setattr(verify, "enumerate_compositions", recording)
     assert check(15).ok
     assert walked == list(range(16))
+
+
+def _variant_skewed(honest, cells):
+    """honest, plus 1 for V2 at the (n, k) in cells."""
+
+    def skewed(n, k, m, variant=formulas.V1):
+        return honest(n, k, m, variant) + (variant is formulas.V2 and (n, k) in cells)
+
+    return skewed
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, call, report",
+    [
+        pytest.param(
+            "pc_plus_k_mod", lambda h: _bumped(h, lambda n, k, m, *_: (n, k) in {(5, 2), (6, 1)}),
+            lambda: verify.three_path_grid(8, 2, (3,)),
+            ({"family": "pc", "reduced": False, "sign": "plus", "modulus": "3", "n": 5, "k": 2},
+             {"formula": 1, "genfun": 0}, {"brute": 0}),
+            id="three_path_grid",
+        ),
+        pytest.param(
+            "rac_plus_k_mod", lambda h: _variant_skewed(h, {(5, 2), (6, 1)}),
+            lambda: verify.variant_agreement(8, 2, (3,)),
+            ({"quantity": "rac_plus_mod", "modulus": 3, "n": 5, "k": 2}, 0, [0, 1]),
+            id="variant_agreement",
+        ),
+        pytest.param(
+            "ac_total_k_mod", lambda h: _bumped(h, lambda n, k, m: (n, k) in {(5, 2), (6, 1)}),
+            lambda: verify.totals_from_plus(8, 2, (3,)),
+            (_total_cell("ac", False, "3", 5, 2), 1, 2),
+            id="totals_from_plus",
+        ),
+        pytest.param(
+            "ac_total_k_mod",
+            lambda h: _raising(_bumped(h, lambda n, k, m: (n, k) == (5, 2)),
+                               lambda n, k, m: (n, k) == (6, 1)),
+            lambda: verify.totals_from_plus(8, 2, (3,)),
+            (_total_cell("ac", False, "3", 5, 2), 1, 2),
+            id="totals_from_plus-error-at-a-later-cell",
+        ),
+        pytest.param(
+            "ac_plus_k_mod", lambda h: _bumped(h, lambda n, k, m, *_: (n, k) in {(5, 2), (6, 1)}),
+            lambda: verify.m1_specializations(8, 2),
+            ({"quantity": "ac_plus_mod1", "n": 5, "k": 2}, 4, 5),
+            id="m1_specializations",
+        ),
+    ],
+)
+def test_cells_are_compared_n_major(monkeypatch, name, corrupt, call, report):
+    # formula values are computed k-major, but the first failing cell in n-major
+    # order is reported: (5, 2) before (6, 1), though k = 1 is computed first
+    monkeypatch.setattr(formulas, name, corrupt(getattr(formulas, name)))
+    result = call()
+    assert result.status == "fail"
+    assert (result.params, result.expected, result.actual) == report
+
+
+def test_three_path_grid_builds_each_formula_memo_once_per_block_and_k():
+    factories = [obj for obj in vars(formulas).values()
+                 if hasattr(obj, "cache_info") and obj.cache_info().maxsize == 1]
+    assert len(factories) == 7
+    for factory in factories:
+        factory.cache_clear()
+    assert verify.three_path_grid(14, 4, verify.DEFAULT_MODULI).ok
+    # 60 blocks have a finite modulus; a plus formula keeps at most two cached
+    # factories (its inner memo and the tail under it), each built once per k
+    finite_blocks = 2 * 2 * 3 * 5
+    misses = sum(factory.cache_info().misses for factory in factories)
+    assert misses <= 2 * finite_blocks * 5
