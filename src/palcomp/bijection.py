@@ -26,6 +26,12 @@ Decoding reads the h-th part as the h-th positive entry plus the zeros
 immediately before it, in the head sequence for the first half and in the
 tail sequence for the mirrored half; a trailing zero run (if any) encodes
 half of the even middle part.
+
+Each map reads its input once.  :func:`encode_pair` writes both sequences
+straight from the mirror pairs, without building the decomposition
+(:func:`decompose` returns it).  :func:`decode_pair` and
+:func:`pair_statistics` test each position as they read it, and on a fault
+raise the first error :func:`validate_pair` would.
 """
 
 from __future__ import annotations
@@ -78,11 +84,6 @@ def decompose(c: Composition) -> Decomposition:
     """Unequal pair positions, their differences, and the palindromic core."""
     c = composition(c)
     _require_plus(c)
-    return _decompose(c)
-
-
-def _decompose(c: Composition) -> Decomposition:
-    """:func:`decompose` of a composition already validated as plus-class."""
     l = len(c)
     unequal = []
     differences = []
@@ -103,81 +104,93 @@ def encode_pair(c: Composition) -> PairSequences:
     c = composition(c)
     _require_plus(c)
     l = len(c)
-    parts = _decompose(c)
-    half_total = sum(parts.core) // 2
-    base = [0] * half_total
-    running = 0
-    boundary = []  # partial sum of the core at pair position h (1-based h)
-    for h in range(l // 2):
-        running += parts.core[h]
-        base[running - 1] = 1
-        boundary.append(running)
-    head = list(base)
-    tail = list(base)
-    for pos, diff in zip(parts.unequal, parts.differences):
-        at = boundary[pos - 1] - 1
-        if c[pos - 1] > c[l - pos]:
-            head[at] += diff
-        else:
-            tail[at] += diff
+    head = []
+    tail = []
+    # pair (a, b) writes the core's low - 1 zeros and its base marker 1 on both
+    # sides; the larger part's side carries the difference on that marker
+    for a, b in zip(c[: l // 2], reversed(c)):
+        low = a if a < b else b
+        gap = [0] * (low - 1)
+        head += gap
+        tail += gap
+        head.append(a - low + 1)
+        tail.append(b - low + 1)
+    if l % 2:  # the even middle part is half a zero run on each side
+        gap = [0] * (c[l // 2] // 2)
+        head += gap
+        tail += gap
     return PairSequences(tuple(head), tuple(tail))
 
 
 def validate_pair(p: PairSequences) -> None:
     """Check that p is structurally the image of some plus-class composition."""
+    error = _pair_error(p)
+    if error is not None:
+        raise error
+
+
+def _pair_error(p: PairSequences) -> InvalidPairError | None:
+    """The first structural fault of p, checked position by position, or None.
+
+    A position passes exactly when both entries are 0 or the smaller is 1: the
+    test that :func:`decode_pair` and :func:`pair_statistics` make as they read.
+    """
     head, tail = p.head, p.tail
     if len(head) != len(tail):
-        raise InvalidPairError(
-            f"sequences differ in length: {len(head)} vs {len(tail)}"
-        )
+        return InvalidPairError(f"sequences differ in length: {len(head)} vs {len(tail)}")
     for i, (a, b) in enumerate(zip(head, tail)):
         if a < 0 or b < 0:
-            raise InvalidPairError(f"negative entry at position {i + 1}")
+            return InvalidPairError(f"negative entry at position {i + 1}")
         if (a == 0) != (b == 0):
-            raise InvalidPairError(
-                f"zero in only one sequence at position {i + 1}: {a} vs {b}"
-            )
+            return InvalidPairError(f"zero in only one sequence at position {i + 1}: {a} vs {b}")
         if a > 0 and min(a, b) != 1:
-            raise InvalidPairError(
+            return InvalidPairError(
                 f"both entries exceed 1 at position {i + 1}: {a} vs {b}; "
                 "only one side of a pair may carry a surplus"
             )
-
-
-def _read_half(seq: tuple[int, ...]) -> tuple[list[int], int]:
-    """Parts encoded by one sequence, plus the length of its trailing zero run."""
-    parts = []
-    zeros = 0
-    for entry in seq:
-        if entry == 0:
-            zeros += 1
-        else:
-            parts.append(entry + zeros)
-            zeros = 0
-    return parts, zeros
+    return None
 
 
 def decode_pair(p: PairSequences) -> Composition:
     """Reconstruct the composition; inverse of :func:`encode_pair`."""
-    validate_pair(p)
-    first_half, trailing = _read_half(p.head)
-    mirror_half, _ = _read_half(p.tail)  # same zero pattern, so same trailing run
-    parts = list(first_half)
-    if trailing:
-        parts.append(2 * trailing)  # odd length; the middle part is even
-    parts.extend(reversed(mirror_half))
-    return tuple(parts)
+    if len(p.head) != len(p.tail):
+        raise _pair_error(p)
+    first_half = []
+    mirror_half = []
+    zeros = 0
+    for a, b in zip(p.head, p.tail):
+        if a == b == 0:
+            zeros += 1
+        elif (a if a < b else b) == 1:
+            first_half.append(a + zeros)
+            mirror_half.append(b + zeros)
+            zeros = 0
+        else:
+            raise _pair_error(p)  # fails first at this position
+    if zeros:
+        first_half.append(2 * zeros)  # odd length; the middle part is even
+    first_half.extend(reversed(mirror_half))
+    return tuple(first_half)
 
 
 def pair_statistics(p: PairSequences) -> PairStatistics:
     """Statistics of the underlying composition, computed from the pair alone."""
-    validate_pair(p)
+    if len(p.head) != len(p.tail):
+        raise _pair_error(p)
     pairs = mismatches = surplus = anti_i = 0
-    for a, b in zip(p.head, p.tail):  # equal lengths and nonnegative entries, as validated
-        pairs += a > 0
-        mismatches += a != b
-        surplus += abs(a - b)
-        anti_i += a > b
+    for a, b in zip(p.head, p.tail):
+        if a == b:  # a zero, or the markers of a matched pair
+            if a == 1:
+                pairs += 1
+            elif a:
+                raise _pair_error(p)  # fails first at this position
+        elif (a if a < b else b) == 1:  # a marker and, on the other side, a surplus
+            pairs += 1
+            mismatches += 1
+            surplus += a + b - 2
+            anti_i += a > b
+        else:
+            raise _pair_error(p)  # fails first at this position
     matches = pairs - mismatches
     half_total = len(p.head)
     pal_i = surplus - mismatches

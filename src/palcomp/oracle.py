@@ -14,8 +14,18 @@ zeros before the first one in the encoding, so a larger first part sorts
 earlier: the first part runs from n down to 1, and below each first part the
 remaining parts follow the same order for their own sum.  Closing the prefix
 with rest (all zeros to the last bit) is the smallest encoding below a node,
-which is why it is yielded before the node's children.  Each node costs
-O(1) Python steps and the stack holds O(n^2) nodes.
+which is why it is yielded before the node's children.
+
+Below a node whose rest is at most a small depth (8), that node's whole
+subtree is every composition t of rest, in the same order, each closed onto
+the node's prefix.  So the walk stops there and emits ``prefix + t`` for each
+t of a table of the small compositions (255 tuples at depth 8, each rest
+built once by the same stack walk with no table below it).  It is still a
+literal walk: every composition is built as one tuple and yielded once, in
+encoding order, and no count is inferred from the table's size.  A node above
+the table costs O(1) Python steps, a node at the table costs one C-level
+``map`` over its row, and each composition then costs one tuple
+concatenation; the stack holds O(n^2) nodes.
 
 :func:`brute_count` takes a cell like the other two paths,
 ``(family, reduced, sign, modulus, n, k)``, and refuses a bad cell (through
@@ -43,7 +53,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .stats import (
     Composition,
@@ -58,6 +69,7 @@ from .stats import (
 )
 
 DEFAULT_ENUMERATION_CAP = 24
+_SUFFIX_DEPTH = 8  # rests up to this are read from the table of small compositions
 
 
 class EnumerationCapError(ValueError):
@@ -79,8 +91,9 @@ def check_enumeration_cap(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Non
 
     The error is the one that run would raise at its first n past the cap.
     """
+    check_index(cap, "cap")
     if n_max > cap:
-        _check_cap(max(cap + 1, 0), cap)
+        _check_cap(cap + 1, cap)
 
 
 def enumerate_compositions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Composition]:
@@ -89,12 +102,27 @@ def enumerate_compositions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterat
     if n == 0:
         yield ()
         return
+    yield from chain.from_iterable(_walk(n, _SUFFIX_DEPTH))
+
+
+def _walk(n: int, depth: int) -> Iterator[Iterable[Composition]]:
+    """The compositions of n >= 1 in encoding order, in runs: one per node above
+    the table, and one per node whose rest is at most depth, read off the table."""
     stack = [((), n)]
     while stack:
         prefix, rest = stack.pop()
-        yield prefix + (rest,)
+        if rest <= depth:
+            yield map(prefix.__add__, _suffixes(rest))
+            continue
+        yield (prefix + (rest,),)
         for p in range(1, rest):
             stack.append((prefix + (p,), rest - p))
+
+
+@lru_cache(maxsize=_SUFFIX_DEPTH)
+def _suffixes(rest: int) -> tuple[Composition, ...]:
+    """Every composition of 1 <= rest <= _SUFFIX_DEPTH in encoding order, walked."""
+    return tuple(chain.from_iterable(_walk(rest, 0)))
 
 
 @lru_cache(maxsize=32)

@@ -406,8 +406,8 @@ def m1_specializations(n_max: int = 20, k_max: int = 6) -> _Cells:
     pc1, rpc1 = table(f.pc_plus_k_mod, 1, ks[1:]), table(f.rpc_plus_k_mod, 1, ks[1:])
     ac1, rac1 = table(f.ac_plus_k_mod, 1), table(f.rac_plus_k_mod, 1)
     rac_total1, ac_total1 = table(f.rac_total_k_mod, 1), table(f.ac_total_k_mod, 1)
-    pc2, rpc2 = table(f.pc_plus_k_mod, 2), table(f.rpc_plus_k_mod, 2)
-    rpc2_k1, pc2_k1 = table(f.rpc_plus_k_mod, 2, [1]), table(f.pc_plus_k_mod, 2, [1])
+    ks2 = range(max(k_max, 1) + 1)  # the single-n closed forms read k = 1 too
+    pc2, rpc2 = table(f.pc_plus_k_mod, 2, ks2), table(f.rpc_plus_k_mod, 2, ks2)
     pc_total1 = table(lambda n, k, m: f.formula_count(Family.PC, False, Sign.TOTAL, m, n, k),
                       1, [0])
     for n in ns:
@@ -426,9 +426,9 @@ def m1_specializations(n_max: int = 20, k_max: int = 6) -> _Cells:
             for quantity, general, specialized in pairs:
                 yield {"quantity": quantity, "n": n, "k": k}, specialized, general
         singles = [
-            ("rpc_plus_1_mod2", rpc2_k1(n, 1), _named("RPC_PLUS1_MOD2", n)),
+            ("rpc_plus_1_mod2", rpc2(n, 1), _named("RPC_PLUS1_MOD2", n)),
             ("pc_total_mod1", pc_total1(n, 0), 1 if n == 0 else 1 << (n - 1)),
-            ("pc_plus_1_mod2", pc2_k1(n, 1), _named("PC_PLUS1_MOD2", n)),
+            ("pc_plus_1_mod2", pc2(n, 1), _named("PC_PLUS1_MOD2", n)),
         ]
         for quantity, general, specialized in singles:
             if specialized is not None:  # off the row's domain

@@ -205,6 +205,82 @@ def test_pair_statistics_equal_the_literal_sums(n):
             assert all(type(value) is int for value in flat)
 
 
+def decomposition_encode_pair(c) -> PairSequences:
+    """The pair built from the decomposition: the spec of encode_pair.
+
+    The core's first half, as a partial-sum string, is written on both sides,
+    and each pair difference is added at its pair's partial sum, on the side of
+    the larger part.
+    """
+    parts = decompose(c)
+    l = len(c)
+    base = [0] * (sum(parts.core) // 2)
+    running = 0
+    boundary = []  # partial sum of the core at pair position h (1-based h)
+    for h in range(l // 2):
+        running += parts.core[h]
+        base[running - 1] = 1
+        boundary.append(running)
+    head = list(base)
+    tail = list(base)
+    for pos, diff in zip(parts.unequal, parts.differences):
+        at = boundary[pos - 1] - 1
+        if c[pos - 1] > c[l - pos]:
+            head[at] += diff
+        else:
+            tail[at] += diff
+    return PairSequences(tuple(head), tuple(tail))
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_encode_equals_the_decomposition_spec(n):
+    for c in enumerate_compositions(n):
+        if sign_class(c) is Sign.PLUS:
+            assert encode_pair(c) == decomposition_encode_pair(c), c
+
+
+@given(plus_compositions)
+def test_encode_equals_the_decomposition_spec_at_random(c):
+    assert encode_pair(c) == decomposition_encode_pair(c)
+
+
+def literal_pair_error(p: PairSequences) -> str | None:
+    """The message of the first structural fault, each check spelled out: the spec of
+    validate_pair and of the checks decode_pair and pair_statistics make as they read."""
+    if len(p.head) != len(p.tail):
+        return f"sequences differ in length: {len(p.head)} vs {len(p.tail)}"
+    for i, (a, b) in enumerate(zip(p.head, p.tail)):
+        if a < 0 or b < 0:
+            return f"negative entry at position {i + 1}"
+        if (a == 0) != (b == 0):
+            return f"zero in only one sequence at position {i + 1}: {a} vs {b}"
+        if a > 0 and min(a, b) != 1:
+            return (f"both entries exceed 1 at position {i + 1}: {a} vs {b}; "
+                    "only one side of a pair may carry a surplus")
+    return None
+
+
+small_sequences = st.lists(st.integers(-1, 3), max_size=6).map(tuple)
+
+
+@given(small_sequences, small_sequences, st.booleans())
+def test_each_reader_refuses_exactly_what_the_literal_checks_refuse(head, tail, same_length):
+    if same_length:  # random lengths rarely agree; most faults worth finding need equal ones
+        head, tail = head[: len(tail)], tail[: len(head)]
+    pair = PairSequences(head, tail)
+    message = literal_pair_error(pair)
+    for reader in (validate_pair, decode_pair, pair_statistics):
+        if message is None:
+            reader(pair)
+        else:
+            with pytest.raises(InvalidPairError) as refused:
+                reader(pair)
+            assert str(refused.value) == message, reader.__name__
+    if message is None:
+        assert encode_pair(decode_pair(pair)) == pair
+        assert pair_statistics(pair) == literal_pair_statistics(pair)
+
+
 def test_encode_validates_its_composition_once(monkeypatch):
     # decompose validates too; encode_pair's own validation is the only one it runs
     calls = []

@@ -262,9 +262,25 @@ def _decoded_compositions(n):
     return [decode_binary(f"{mask:0{n - 1}b}"[: n - 1] + "1") for mask in range(1 << (n - 1))]
 
 
-@pytest.mark.parametrize("n", range(17))
+@pytest.mark.parametrize("n", range(18))  # n = 17: two table depths (8) of stack walk above the table
 def test_walk_equals_the_decoded_masks(n):
     assert list(enumerate_compositions(n)) == _decoded_compositions(n)
+
+
+def test_the_suffix_table_is_bounded_and_walked_without_the_public_function(monkeypatch):
+    # tracing counts calls of enumerate_compositions, one per walked n: the table makes none
+    monkeypatch.setattr(oracle, "enumerate_compositions", lambda *args, **kwargs: pytest.fail("public walk"))
+    oracle._suffixes.cache_clear()
+    rows = [oracle._suffixes(rest) for rest in range(1, 9)]
+    assert rows == [tuple(_decoded_compositions(rest)) for rest in range(1, 9)]
+    assert sum(map(len, rows)) == 255
+    caches = (oracle._suffixes, oracle._pair_record, oracle._census, oracle._part_record)
+    assert all(cached.cache_info().maxsize is not None for cached in caches)
+
+
+def test_the_walk_stays_lazy():
+    # 2^29 compositions of 30: only a lazy walk yields its first one at once
+    assert next(enumerate_compositions(30, cap=30)) == (30,)
 
 
 @pytest.mark.parametrize("n", range(15))

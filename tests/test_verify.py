@@ -338,6 +338,30 @@ def test_run_all_calls_each_check_through_the_module(monkeypatch):
     assert all(r.params == {"stub": True} for r in results)
 
 
+def test_a_non_int_cap_is_refused_before_any_check_runs(monkeypatch):
+    # the grid reaches n = 8, far below the cap, so only checking the cap itself refuses it
+    for name in ("brute_count", "enumerate_compositions", "count_parts_at_most"):
+        monkeypatch.setattr(verify, name, lambda *args, **kwargs: pytest.fail("a check ran"))
+    with pytest.raises(TypeError, match="cap must be an int, got 30.5"):
+        verify.run_all(n_max=4, k_max=1, moduli=(2,), cap=30.5)
+
+
+def test_m1_specializations_evaluates_each_mod2_plus_value_once(monkeypatch):
+    calls = {}
+    for name in ("pc_plus_k_mod", "rpc_plus_k_mod"):
+        def counting(n, k, m, *args, honest=getattr(formulas, name), name=name):
+            calls[name, n, k, m] = calls.get((name, n, k, m), 0) + 1
+            return honest(n, k, m, *args)
+
+        monkeypatch.setattr(formulas, name, counting)
+    assert verify.m1_specializations().ok
+    # k = 1 feeds both the mod-2 pairs and the single-n closed forms, from one value
+    at_k1_mod2 = {key: count for key, count in calls.items() if key[2:] == (1, 2)}
+    assert at_k1_mod2 == {(name, n, 1, 2): 1
+                          for name in ("pc_plus_k_mod", "rpc_plus_k_mod") for n in range(21)}
+    assert verify.m1_specializations(8, 0).ok
+
+
 def test_run_all_leaves_fixed_ranges_to_the_check_defaults(monkeypatch):
     fixed = [
         "divisibility", "sequence_identification", "parity_vanishing", "special_values",
