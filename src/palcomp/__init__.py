@@ -63,13 +63,11 @@ from .genfun import (
     series_inverse,
 )
 from .bijection import (
-    Decomposition,
     InvalidPairError,
     MinusClassError,
     PairSequences,
     PairStatistics,
     decode_pair,
-    decompose,
     encode_pair,
     pair_statistics,
 )

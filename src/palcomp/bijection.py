@@ -28,10 +28,9 @@ tail sequence for the mirrored half; a trailing zero run (if any) encodes
 half of the even middle part.
 
 Each map reads its input once.  :func:`encode_pair` writes both sequences
-straight from the mirror pairs, without building the decomposition
-(:func:`decompose` returns it).  :func:`decode_pair` and
-:func:`pair_statistics` test each position as they read it, and on a fault
-raise the first error :func:`validate_pair` would.
+straight from the mirror pairs, without building the decomposition.
+:func:`decode_pair` and :func:`pair_statistics` test each position as they
+read it, and on a fault raise the first error :func:`validate_pair` would.
 """
 
 from __future__ import annotations
@@ -47,14 +46,6 @@ class MinusClassError(ValueError):
 
 class InvalidPairError(ValueError):
     """Raised when a sequence pair is not the image of any composition."""
-
-
-class Decomposition(NamedTuple):
-    """Split of a plus-class composition into swaps and a palindromic core."""
-
-    unequal: tuple[int, ...]  # 1-based pair positions with differing parts
-    differences: tuple[int, ...]  # positive gaps, one per unequal position
-    core: Composition  # palindromic, same length as the input
 
 
 class PairSequences(NamedTuple):
@@ -78,25 +69,6 @@ def _require_plus(c: Composition) -> None:
     if sign_class(c) is Sign.MINUS:
         middle = c[len(c) // 2]
         raise MinusClassError(f"middle part {middle} is odd")
-
-
-def decompose(c: Composition) -> Decomposition:
-    """Unequal pair positions, their differences, and the palindromic core."""
-    c = composition(c)
-    _require_plus(c)
-    l = len(c)
-    unequal = []
-    differences = []
-    core = list(c)
-    for h in range(l // 2):
-        a, b = c[h], c[l - 1 - h]
-        if a != b:
-            unequal.append(h + 1)
-            differences.append(abs(a - b))
-        low = min(a, b)
-        core[h] = low
-        core[l - 1 - h] = low
-    return Decomposition(tuple(unequal), tuple(differences), tuple(core))
 
 
 def encode_pair(c: Composition) -> PairSequences:

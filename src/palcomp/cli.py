@@ -17,8 +17,9 @@ errors and refusals.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bijection import (
     InvalidPairError,
@@ -81,6 +82,25 @@ def _parse_cell(args: argparse.Namespace) -> tuple[Family, bool, Sign, Modulus]:
     return Family(args.family), args.reduced, Sign(args.sign), modulus
 
 
+@contextlib.contextmanager
+def _long_ints() -> Iterator[None]:
+    """Let str() write an int of any length while the block runs.
+
+    Python caps int <-> str conversion at 4300 digits, and exact counts pass it
+    (n = 28700 has 2^14350 palindromic compositions, 4320 digits).  The cap is
+    lifted only for writing output, never for parsing arguments.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python without the cap
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _check_cell(args: argparse.Namespace, n: int, k: int) -> FormulaVariant | None:
     """Refuse a cell the CLI cannot ask for; return the requested formula variant."""
     if n < 0:
@@ -137,7 +157,9 @@ def _grid(
 
 def _cmd_count(args: argparse.Namespace) -> int:
     family, reduced, sign, modulus = _parse_cell(args)
-    print(_evaluate(args, family, reduced, sign, modulus, args.n, args.k))
+    value = _evaluate(args, family, reduced, sign, modulus, args.n, args.k)
+    with _long_ints():
+        print(value)
     return 0
 
 
@@ -148,8 +170,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = _grid(args, family, reduced, sign, modulus,
                  range(args.n_max + 1), range(args.k_max + 1))
     lines = ["\t".join(["n"] + [f"k={k}" for k in range(args.k_max + 1)])]
-    lines += ["\t".join(map(str, [n, *row])) for n, row in enumerate(rows)]
-    print("\n".join(lines))
+    with _long_ints():
+        lines += ["\t".join(map(str, [n, *row])) for n, row in enumerate(rows)]
+        print("\n".join(lines))
     return 0
 
 
@@ -192,17 +215,18 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
     rows = _grid(args, family, reduced, sign, modulus, ns, range(k, k + 1))
     values = {n: row[0] for n, row in zip(ns, rows)}
     lines = []
-    for idx, n in zip(indices, arguments):
-        value = values.get(n, 0)
-        if record is not None:
-            quotient, remainder = divmod(value, record.divisor)
-            if remainder:
-                raise CliError(
-                    f"{record.id}: count {value} at n={n} is not divisible by {record.divisor}"
-                )
-            value = quotient
-        separator = " " if args.format == "bfile" else ","
-        lines.append(f"{idx}{separator}{value}")
+    with _long_ints():
+        for idx, n in zip(indices, arguments):
+            value = values.get(n, 0)
+            if record is not None:
+                quotient, remainder = divmod(value, record.divisor)
+                if remainder:
+                    raise CliError(
+                        f"{record.id}: count {value} at n={n} is not divisible by {record.divisor}"
+                    )
+                value = quotient
+            separator = " " if args.format == "bfile" else ","
+            lines.append(f"{idx}{separator}{value}")
     text = "".join(line + "\n" for line in lines)
     if args.out:
         try:

@@ -5,11 +5,11 @@ the terms are those of the nonnegative index tuples satisfying the stated
 linear constraint, and every binomial goes through :func:`palcomp.core.binom`
 (the three-case convention).  In the V1 finite-modulus sums, an inner
 sub-sum that depends on k, m and one or two free indices, but not on n, is
-memoised and reused for every outer index.  Each memo set is kept for the
-last (k, m) only, so the calls of a formula column, which share k and m,
-share it too, and a call at another k or m replaces it.  The index sets, the
-terms and the exact arithmetic are those of the literal nested loops, and so
-are the values.
+memoised and reused for every outer index.  The memo sets of the last
+eight (k, m) are kept, so the calls of a formula column, which share k and
+m, share them, and so do the cells of a grid over a few k, in any order.
+The index sets, the terms and the exact arithmetic are those of the literal
+nested loops, and so are the values.
 Nothing here is simplified, telescoped, or shared with the
 generating-function engine; agreement between the two paths and the
 exhaustive oracle is what the verification suite checks.
@@ -110,11 +110,12 @@ def _geometric_power_coeffs(m: int, e: int) -> tuple[tuple[int, int], ...]:
 
 
 # Inner sub-sums of the V1 finite-modulus sums.  Each factory is cached per
-# (k, m) and keeps only the last (k, m) it was asked for, so each holds at most
-# one memo set.  Its memos are keyed by free indices that do not involve n:
-# consecutive calls at one k and m share them (every n of a formula column,
-# and plus(n) and plus(n-1) of a total), and a call at another k or m
-# replaces them.  A caller that evaluates many cells should sweep n inside k.
+# (k, m) and keeps the memo sets of the last eight (k, m) it was asked for,
+# dropping the least recently used.  Its memos are keyed by free indices that
+# do not involve n: calls at one k and m share them (every n of a formula
+# column, and plus(n) and plus(n-1) of a total).  A caller may visit cells in
+# any order, n-major included, as long as it cycles through at most eight
+# (k, m): a block of k = 0..4 at one modulus builds each memo set once.
 
 
 def _alternating_sum(a: int, after: int, m: int, tail: Callable[[int], int]) -> int:
@@ -136,13 +137,13 @@ def _alternating_sum(a: int, after: int, m: int, tail: Callable[[int], int]) -> 
     return total
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
 def _pc_tail(k: int, m: int) -> Callable[[int], int]:
     """rest -> sum over (m-1)r + s = rest of (-1)^r binom(k, r) binom(k+s-1, s)."""
     return cache(lambda rest: _alternating_sum(k, rest, m, lambda s: binom(k + s - 1, s)))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
 def _rpc_c_tail(k: int, m: int) -> Callable[[int, int], int]:
     """(i, after) -> sum over 2c + rest = after of binom(i+c, c) _pc_tail(k, m)(rest)."""
     tail = _pc_tail(k, m)
@@ -157,7 +158,7 @@ def _rpc_c_tail(k: int, m: int) -> Callable[[int, int], int]:
     return c_tail
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
 def _ac_plus_tail(k: int, m: int) -> Callable[[int, int], int]:
     """(j, after) -> sum over md + s = after of binom(k+j+d-1, d) binom(j+s-1, s)."""
 
@@ -172,7 +173,7 @@ def _ac_plus_tail(k: int, m: int) -> Callable[[int, int], int]:
     return tail
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
 def _ac_total_tail(k: int, m: int) -> Callable[[int, int], int]:
     """(i, after) -> sum over md + 2s + j = after of
     binom(i+k+d-1, d) binom(i+k+s-1, s) binom(i+j, j)."""
@@ -212,21 +213,21 @@ def _with_c(k: int, m: int, tail: Callable[[int, int], int]) -> Callable[[int, i
     return c_tail
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
 def _ac_plus_inner(k: int, m: int) -> Callable[[int, int], int]:
     """(j, after) -> the (r, s, c, d) sum of ac_plus_k_mod V1 at that j and after."""
     tail = _with_c(k, m, _ac_plus_tail(k, m))
     return cache(lambda j, after: _alternating_sum(j, after, m, partial(tail, j)))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
 def _rac_plus_inner(k: int, m: int) -> Callable[[int, int], int]:
     """(j, after) -> the (r, s, d) sum of rac_plus_k_mod V1 at that j and after."""
     tail = _ac_plus_tail(k, m)
     return cache(lambda j, after: _alternating_sum(j, after, m, partial(tail, j)))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=8)
 def _ac_total_c_tail(k: int, m: int) -> Callable[[int, int], int]:
     """(i, after) -> sum over mc + rest = after of binom(k, c) _ac_total_tail(k, m)(i, rest)."""
     return _with_c(k, m, _ac_total_tail(k, m))

@@ -16,11 +16,6 @@ checks each row on the formula path (n <= 24) and the GF path (n <= 200).
 The formula path is resolved through the :mod:`palcomp.formulas` module
 attributes at call time, so tests can inject a perturbed formula and assert
 the harness pinpoints it.
-
-``formulas`` keeps one memo set per (k, m), so the checks that evaluate
-formulas over a grid compute a block's (or a quantity's) formula values a k at
-a time, n inside, and then compare the cells n-major: the first failing cell
-is the same as when each value was computed at its cell.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import formulas
 from .bijection import decode_pair, encode_pair, pair_statistics
@@ -130,25 +125,6 @@ def _box(n_max: int, k_max: int, n_min: int = 0) -> Iterator[tuple[int, int]]:
     return itertools.product(range(n_min, n_max + 1), range(k_max + 1))
 
 
-def _by_k(points: Iterable[tuple], value) -> Callable[[int, int], object]:
-    """Evaluate value(n, k) at each point (n, k, ...) now, k outermost and n inside, so
-    each (k, m) builds its formula memos once; return a reader by (n, k).  An
-    ArithmeticError is kept in place of its value and raised when read, at its cell."""
-    values = {}
-    for n, k, *_ in sorted(points, key=lambda point: point[1::-1]):
-        try:
-            values[n, k] = value(n, k)
-        except ArithmeticError as error:
-            values[n, k] = error
-
-    def read(n: int, k: int):
-        if isinstance(found := values[n, k], ArithmeticError):
-            raise found
-        return found
-
-    return read
-
-
 @_check(agree=_all_equal)
 def three_path_grid(
     n_max: int = 14,
@@ -159,10 +135,9 @@ def three_path_grid(
     """formula == generating function == brute force on the whole grid."""
     for block, cells in _grid(Sign, moduli, _box(n_max, k_max)):
         rows = gf_grid(*block, n_max, k_max)
-        count = _by_k(cells, lambda n, k: formulas.formula_count(*block, n, k))
         for n, k, params in cells:
             try:
-                f = count(n, k)
+                f = formulas.formula_count(*block, n, k)
             except ArithmeticError as error:
                 yield params, "a count", str(error)
             else:
@@ -185,14 +160,11 @@ def variant_agreement(
     ]
     variants = [formulas.V1, formulas.V2, formulas.V3]
     for name, fn, ms, n_variants in quantities:
-        chosen = variants[:n_variants]
-        for m in ms:
-            args = () if m is None else (m,)
-            evaluate = _by_k(_box(n_max, k_max), lambda n, k: [fn(n, k, *args, v) for v in chosen])
-            for n, k in _box(n_max, k_max):
-                values = evaluate(n, k)
-                params = {"quantity": name, "modulus": "inf" if m is None else m, "n": n, "k": k}
-                yield params, values[0], values
+        for m, (n, k) in itertools.product(ms, _box(n_max, k_max)):
+            args = (n, k) if m is None else (n, k, m)
+            values = [fn(*args, v) for v in variants[:n_variants]]
+            params = {"quantity": name, "modulus": "inf" if m is None else m, "n": n, "k": k}
+            yield params, values[0], values
     # the k = 0 specializations against the general formula at k = 0
     for name, special, general in (
         ("pc_plus_mod_k0", formulas.pc_plus_mod_k0, formulas.pc_plus_k_mod),
@@ -221,10 +193,8 @@ def totals_from_plus(
         if (family, reduced, finite) in direct_totals:
             direct, plus = direct_totals[family, reduced, finite]
             args = (modulus,) if finite else ()
-            sides = _by_k(cells, lambda n, k: (formulas.total_from_plus(plus, n, k, *args),
-                                               direct(n, k, *args)))
             for n, k, params in cells:
-                yield params, *sides(n, k)
+                yield params, formulas.total_from_plus(plus, n, k, *args), direct(n, k, *args)
 
 
 @_check
@@ -398,37 +368,30 @@ def binary_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) -> _C
 @_check
 def m1_specializations(n_max: int = 20, k_max: int = 6) -> _Cells:
     """Everything the m=1 and m=2 closed forms promise."""
-    f, ns, ks = formulas, range(n_max + 1), range(k_max + 1)
-
-    def table(fn, m, ks=ks):  # fn(n, k, m) at every n, for each k in ks
-        return _by_k(itertools.product(ns, ks), lambda n, k: fn(n, k, m))
-
-    pc1, rpc1 = table(f.pc_plus_k_mod, 1, ks[1:]), table(f.rpc_plus_k_mod, 1, ks[1:])
-    ac1, rac1 = table(f.ac_plus_k_mod, 1), table(f.rac_plus_k_mod, 1)
-    rac_total1, ac_total1 = table(f.rac_total_k_mod, 1), table(f.ac_total_k_mod, 1)
-    ks2 = range(max(k_max, 1) + 1)  # the single-n closed forms read k = 1 too
-    pc2, rpc2 = table(f.pc_plus_k_mod, 2, ks2), table(f.rpc_plus_k_mod, 2, ks2)
-    pc_total1 = table(lambda n, k, m: f.formula_count(Family.PC, False, Sign.TOTAL, m, n, k),
-                      1, [0])
-    for n in ns:
-        for k in ks[1:]:
-            yield {"quantity": "pc_plus_mod1", "n": n, "k": k}, 0, pc1(n, k)
-            yield {"quantity": "rpc_plus_mod1", "n": n, "k": k}, 0, rpc1(n, k)
-        for k in ks:
+    f = formulas
+    for n in range(n_max + 1):
+        for k in range(1, k_max + 1):
+            yield {"quantity": "pc_plus_mod1", "n": n, "k": k}, 0, f.pc_plus_k_mod(n, k, 1)
+            yield {"quantity": "rpc_plus_mod1", "n": n, "k": k}, 0, f.rpc_plus_k_mod(n, k, 1)
+        mod2 = {}  # k -> (pc, rpc) plus values at m = 2; the single-n forms read k = 1
+        for k in range(k_max + 1):
+            mod2[k] = pc2, rpc2 = f.pc_plus_k_mod(n, k, 2), f.rpc_plus_k_mod(n, k, 2)
             pairs = (
-                ("ac_plus_mod1", ac1(n, k), f.ac_plus_k_mod1(n, k)),
-                ("rac_plus_mod1", rac1(n, k), f.rac_plus_k_mod1(n, k)),
-                ("rac_total_mod1", rac_total1(n, k), f.rac_total_k_mod1(n, k)),
-                ("ac_total_mod1_binom", ac_total1(n, k), binom(n, 2 * k)),
-                ("pc_plus_mod2", pc2(n, k), f.pc_plus_k_mod2(n, k)),
-                ("rpc_plus_mod2", rpc2(n, k), f.rpc_plus_k_mod2(n, k)),
+                ("ac_plus_mod1", f.ac_plus_k_mod(n, k, 1), f.ac_plus_k_mod1(n, k)),
+                ("rac_plus_mod1", f.rac_plus_k_mod(n, k, 1), f.rac_plus_k_mod1(n, k)),
+                ("rac_total_mod1", f.rac_total_k_mod(n, k, 1), f.rac_total_k_mod1(n, k)),
+                ("ac_total_mod1_binom", f.ac_total_k_mod(n, k, 1), binom(n, 2 * k)),
+                ("pc_plus_mod2", pc2, f.pc_plus_k_mod2(n, k)),
+                ("rpc_plus_mod2", rpc2, f.rpc_plus_k_mod2(n, k)),
             )
             for quantity, general, specialized in pairs:
                 yield {"quantity": quantity, "n": n, "k": k}, specialized, general
+        pc2, rpc2 = mod2.get(1) or (f.pc_plus_k_mod(n, 1, 2), f.rpc_plus_k_mod(n, 1, 2))
         singles = [
-            ("rpc_plus_1_mod2", rpc2(n, 1), _named("RPC_PLUS1_MOD2", n)),
-            ("pc_total_mod1", pc_total1(n, 0), 1 if n == 0 else 1 << (n - 1)),
-            ("pc_plus_1_mod2", pc2(n, 1), _named("PC_PLUS1_MOD2", n)),
+            ("rpc_plus_1_mod2", rpc2, _named("RPC_PLUS1_MOD2", n)),
+            ("pc_total_mod1", f.formula_count(Family.PC, False, Sign.TOTAL, 1, n, 0),
+             1 if n == 0 else 1 << (n - 1)),
+            ("pc_plus_1_mod2", pc2, _named("PC_PLUS1_MOD2", n)),
         ]
         for quantity, general, specialized in singles:
             if specialized is not None:  # off the row's domain

@@ -1,5 +1,7 @@
 """The composition <-> sequence-pair correspondence."""
 
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,6 @@ from palcomp.bijection import (
     PairSequences,
     PairStatistics,
     decode_pair,
-    decompose,
     encode_pair,
     format_pair,
     pair_statistics,
@@ -19,7 +20,7 @@ from palcomp.bijection import (
 )
 from palcomp.formulas import pc_plus_k
 from palcomp.oracle import enumerate_compositions
-from palcomp.stats import INFINITY, Sign, mismatch_count, sign_class
+from palcomp.stats import INFINITY, Sign, composition, mismatch_count, sign_class
 
 WIDE = (2, 1, 4, 1, 1, 2, 4, 1, 1, 1, 2, 3, 2)  # n = 25, three unequal pairs
 NARROW = (2, 1, 3, 4, 1, 1, 5)  # n = 17, two unequal pairs
@@ -29,6 +30,35 @@ plus_compositions = (
     .map(tuple)
     .filter(lambda c: sign_class(c) is Sign.PLUS)
 )
+
+
+class Decomposition(NamedTuple):
+    """Split of a plus-class composition into swaps and a palindromic core."""
+
+    unequal: tuple[int, ...]  # 1-based pair positions with differing parts
+    differences: tuple[int, ...]  # positive gaps, one per unequal position
+    core: tuple[int, ...]  # palindromic, same length as the input
+
+
+def decompose(c) -> Decomposition:
+    """Unequal pair positions, their differences, and the palindromic core: the
+    reference that decomposition_encode_pair builds the spec of encode_pair from."""
+    c = composition(c)
+    if sign_class(c) is Sign.MINUS:
+        raise MinusClassError(f"middle part {c[len(c) // 2]} is odd")
+    l = len(c)
+    unequal = []
+    differences = []
+    core = list(c)
+    for h in range(l // 2):
+        a, b = c[h], c[l - 1 - h]
+        if a != b:
+            unequal.append(h + 1)
+            differences.append(abs(a - b))
+        low = min(a, b)
+        core[h] = low
+        core[l - 1 - h] = low
+    return Decomposition(tuple(unequal), tuple(differences), tuple(core))
 
 
 class TestDecompose:
@@ -282,7 +312,7 @@ def test_each_reader_refuses_exactly_what_the_literal_checks_refuse(head, tail, 
 
 
 def test_encode_validates_its_composition_once(monkeypatch):
-    # decompose validates too; encode_pair's own validation is the only one it runs
+    # encode_pair validates its input once, and builds no decomposition to validate again
     calls = []
 
     def recorded(name):

@@ -25,6 +25,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def digit_cap():
+    """Set Python's cap on int <-> str digits for one test, and restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int <-> str digit cap")
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
 class TestCount:
     def test_brute_fixture(self, capsys):
         code, out, _ = run(
@@ -402,6 +412,41 @@ class TestBijectionCommand:
         assert code == 0 and out == ";\n"
         code, out, _ = run(capsys, "bijection", "decode", ";")
         assert code == 0 and out == "\n"
+
+
+class TestCountsPastTheDigitCap:
+    # 2^(n//2) palindromic compositions; the cap is lifted only to write them
+    CELL = ["--family", "pc", "--sign", "total", "--mod", "inf"]
+
+    def test_count_prints_all_4320_digits(self, capsys, digit_cap):
+        digit_cap(4300)  # Python's default
+        code, out, err = run(capsys, "count", *self.CELL, "--n", "28700", "--k", "0",
+                             "--method", "formula")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 4300
+        digit_cap(0)
+        assert out == f"{1 << 14350}\n" and len(out) == 4321
+
+    def test_table_and_sequence_print_past_the_cap(self, capsys, digit_cap, tmp_path):
+        digit_cap(640)  # the smallest cap; 2^2150 has 648 digits
+        target = tmp_path / "b.txt"
+        _, table, _ = run(capsys, "table", *self.CELL, "--n-max", "4300", "--k-max", "0",
+                          "--method", "gf")
+        outputs = [run(capsys, "sequence", *self.CELL, "--k", "0", "--offset", "4300",
+                       "--n-max", "4300", "--method", "gf", *out)
+                   for out in ([], ["--out", str(target)])]
+        assert [code for code, _, _ in outputs] == [0, 0]
+        assert sys.get_int_max_str_digits() == 640
+        digit_cap(0)
+        assert table.splitlines()[-1] == f"4300\t{1 << 2150}"
+        assert outputs[0][1] == target.read_text() == f"4300 {1 << 2150}\n"
+
+    def test_arguments_are_parsed_under_the_cap(self, capsys, digit_cap):
+        digit_cap(640)
+        with pytest.raises(SystemExit) as exc:
+            main(["count", *self.CELL, "--n", "1" * 641, "--k", "0"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
 
 
 class TestStartup:

@@ -2,14 +2,13 @@
 
 import pytest
 
-from palcomp.bijection import decompose, encode_pair, pair_statistics
+from palcomp.bijection import encode_pair, pair_statistics
 from palcomp.concordance import ConcordanceRecord
 from palcomp.genfun import ONE, Q, RationalGF, series_table
 from palcomp.stats import Family, Sign
 from palcomp.verify import CheckResult
 
 RECORDS = {
-    "Decomposition": lambda: decompose((2, 1, 3, 4, 1, 1, 5)),
     "PairSequences": lambda: encode_pair((2, 1, 3, 4, 1, 1, 5)),
     "PairStatistics": lambda: pair_statistics(encode_pair((2, 1, 3, 4, 1, 1, 5))),
     "RationalGF": lambda: RationalGF(ONE - Q, ONE - Q - Q**2),

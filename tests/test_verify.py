@@ -441,23 +441,26 @@ def _variant_skewed(honest, cells):
     ],
 )
 def test_cells_are_compared_n_major(monkeypatch, name, corrupt, call, report):
-    # formula values are computed k-major, but the first failing cell in n-major
-    # order is reported: (5, 2) before (6, 1), though k = 1 is computed first
+    # the cells are evaluated and compared n-major, so the first failing cell in that
+    # order is reported: (5, 2) before (6, 1), though (6, 1) comes first k-major
     monkeypatch.setattr(formulas, name, corrupt(getattr(formulas, name)))
     result = call()
     assert result.status == "fail"
     assert (result.params, result.expected, result.actual) == report
 
 
-def test_three_path_grid_builds_each_formula_memo_once_per_block_and_k():
-    factories = [obj for obj in vars(formulas).values()
-                 if hasattr(obj, "cache_info") and obj.cache_info().maxsize == 1]
-    assert len(factories) == 7
+MEMO_FACTORIES = ("_pc_tail", "_rpc_c_tail", "_ac_plus_tail", "_ac_total_tail",
+                  "_ac_plus_inner", "_rac_plus_inner", "_ac_total_c_tail")
+
+
+def test_run_all_rebuilds_few_formula_memos():
+    factories = [getattr(formulas, name) for name in MEMO_FACTORIES]
     for factory in factories:
         factory.cache_clear()
-    assert verify.three_path_grid(14, 4, verify.DEFAULT_MODULI).ok
-    # 60 blocks have a finite modulus; a plus formula keeps at most two cached
-    # factories (its inner memo and the tail under it), each built once per k
-    finite_blocks = 2 * 2 * 3 * 5
+    assert all(result.ok for result in verify.run_all())
+    # a block cycles through k = 0..4 at one modulus, cell by cell: keeping eight
+    # memo sets per factory builds each once per block (about 1,400 misses in
+    # all), while keeping fewer than five rebuilds one on almost every cell
+    # (about 8,100 at four, 10,900 at one)
     misses = sum(factory.cache_info().misses for factory in factories)
-    assert misses <= 2 * finite_blocks * 5
+    assert misses <= 2_000
