@@ -177,6 +177,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
+    for flag, value in (("--offset", args.offset), ("--n-max", args.n_max)):
+        if value < 0:
+            raise CliError(f"{flag} must be >= 0, got {value}")
     indices = range(args.offset, args.n_max + 1)
     if args.concordance:
         # imported here, like json below, so that other commands start faster

@@ -5,9 +5,9 @@ the terms are those of the nonnegative index tuples satisfying the stated
 linear constraint, and every binomial goes through :func:`palcomp.core.binom`
 (the three-case convention).  In the V1 finite-modulus sums, an inner
 sub-sum that depends on k, m and one or two free indices, but not on n, is
-memoised and reused for every outer index.  The memo sets of the last
-eight (k, m) are kept, so the calls of a formula column, which share k and
-m, share them, and so do the cells of a grid over a few k, in any order.
+a function of all its arguments with one bounded memo, reused for every
+outer index: the calls of a formula column share its entries, and so do
+the cells of a grid, in any order.
 The index sets, the terms and the exact arithmetic are those of the literal
 nested loops, and so are the values.
 Nothing here is simplified, telescoped, or shared with the
@@ -38,7 +38,7 @@ reading that makes those sums finite.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache, lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .core import binom, fibonacci, multinom, tribonacci, tribonacci_prime
@@ -109,17 +109,18 @@ def _geometric_power_coeffs(m: int, e: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(acc.items()))
 
 
-# Inner sub-sums of the V1 finite-modulus sums.  Each factory is cached per
-# (k, m) and keeps the memo sets of the last eight (k, m) it was asked for,
-# dropping the least recently used.  Its memos are keyed by free indices that
-# do not involve n: calls at one k and m share them (every n of a formula
-# column, and plus(n) and plus(n-1) of a total).  A caller may visit cells in
-# any order, n-major included, as long as it cycles through at most eight
-# (k, m): a block of k = 0..4 at one modulus builds each memo set once.
+# Inner sub-sums of the V1 finite-modulus sums.  Each is a plain function of
+# k, m and free indices that do not involve n, with its own bounded memo:
+# calls at one k and m share its entries (every n of a formula column, and
+# plus(n) and plus(n-1) of a total) in any cell order, and _sj_sum, which has
+# no m, is shared across moduli.  One grid command or a whole verify run fills
+# about 1,800 entries per memo, far below _MEMO_SIZE, which caps the memory a
+# single large call can hold.
+_MEMO_SIZE = 1 << 15
 
 
-def _alternating_sum(a: int, after: int, m: int, tail: Callable[[int], int]) -> int:
-    """Sum over (m-1)r + rest = after of (-1)^r binom(a, r) tail(rest).
+def _alternating_sum(a: int, after: int, m: int, tail: Callable[..., int], *args) -> int:
+    """Sum over (m-1)r + rest = after of (-1)^r binom(a, r) tail(*args, rest).
 
     For m = 1 the r loop is bounded by the binomial factor (module doc).
     """
@@ -132,105 +133,79 @@ def _alternating_sum(a: int, after: int, m: int, tail: Callable[[int], int]) -> 
         rest = after - (m - 1) * r
         if rest < 0:
             break
-        term = ar * tail(rest)
+        term = ar * tail(*args, rest)
         total += -term if r % 2 else term
     return total
 
 
-@lru_cache(maxsize=8)
-def _pc_tail(k: int, m: int) -> Callable[[int], int]:
-    """rest -> sum over (m-1)r + s = rest of (-1)^r binom(k, r) binom(k+s-1, s)."""
-    return cache(lambda rest: _alternating_sum(k, rest, m, lambda s: binom(k + s - 1, s)))
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pc_tail(k: int, m: int, rest: int) -> int:
+    """Sum over (m-1)r + s = rest of (-1)^r binom(k, r) binom(k+s-1, s)."""
+    return _alternating_sum(k, rest, m, lambda s: binom(k + s - 1, s))
 
 
-@lru_cache(maxsize=8)
-def _rpc_c_tail(k: int, m: int) -> Callable[[int, int], int]:
-    """(i, after) -> sum over 2c + rest = after of binom(i+c, c) _pc_tail(k, m)(rest)."""
-    tail = _pc_tail(k, m)
-
-    @cache
-    def c_tail(i: int, after: int) -> int:
-        total = 0
-        for c in range(after // 2 + 1):
-            total += binom(i + c, c) * tail(after - 2 * c)
-        return total
-
-    return c_tail
+@lru_cache(maxsize=_MEMO_SIZE)
+def _rpc_c_tail(k: int, m: int, i: int, after: int) -> int:
+    """Sum over 2c + rest = after of binom(i+c, c) _pc_tail(k, m, rest)."""
+    total = 0
+    for c in range(after // 2 + 1):
+        total += binom(i + c, c) * _pc_tail(k, m, after - 2 * c)
+    return total
 
 
-@lru_cache(maxsize=8)
-def _ac_plus_tail(k: int, m: int) -> Callable[[int, int], int]:
-    """(j, after) -> sum over md + s = after of binom(k+j+d-1, d) binom(j+s-1, s)."""
-
-    @cache
-    def tail(j: int, after: int) -> int:
-        total = 0
-        for d in range(after // m + 1):
-            s = after - m * d
-            total += binom(k + j + d - 1, d) * binom(j + s - 1, s)
-        return total
-
-    return tail
+@lru_cache(maxsize=_MEMO_SIZE)
+def _ac_plus_tail(k: int, m: int, j: int, after: int) -> int:
+    """Sum over md + s = after of binom(k+j+d-1, d) binom(j+s-1, s)."""
+    total = 0
+    for d in range(after // m + 1):
+        s = after - m * d
+        total += binom(k + j + d - 1, d) * binom(j + s - 1, s)
+    return total
 
 
-@lru_cache(maxsize=8)
-def _ac_total_tail(k: int, m: int) -> Callable[[int, int], int]:
-    """(i, after) -> sum over md + 2s + j = after of
+@lru_cache(maxsize=_MEMO_SIZE)
+def _sj_sum(k: int, i: int, after: int) -> int:
+    """Sum over 2s + j = after of binom(i+k+s-1, s) binom(i+j, j)."""
+    total = 0
+    for s in range(after // 2 + 1):
+        j = after - 2 * s
+        total += binom(i + k + s - 1, s) * binom(i + j, j)
+    return total
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _ac_total_tail(k: int, m: int, i: int, after: int) -> int:
+    """Sum over md + 2s + j = after of
     binom(i+k+d-1, d) binom(i+k+s-1, s) binom(i+j, j)."""
-
-    @cache
-    def sj_sum(i: int, after_d: int) -> int:
-        total = 0
-        for s in range(after_d // 2 + 1):
-            j = after_d - 2 * s
-            total += binom(i + k + s - 1, s) * binom(i + j, j)
-        return total
-
-    @cache
-    def tail(i: int, after: int) -> int:
-        total = 0
-        for d in range(after // m + 1):
-            hd = binom(i + k + d - 1, d)
-            if hd:
-                total += hd * sj_sum(i, after - m * d)
-        return total
-
-    return tail
+    total = 0
+    for d in range(after // m + 1):
+        hd = binom(i + k + d - 1, d)
+        if hd:
+            total += hd * _sj_sum(k, i, after - m * d)
+    return total
 
 
-def _with_c(k: int, m: int, tail: Callable[[int, int], int]) -> Callable[[int, int], int]:
-    """(a, after) -> sum over mc + rest = after of binom(k, c) tail(a, rest)."""
-
-    @cache
-    def c_tail(a: int, after: int) -> int:
-        total = 0
-        for c in range(after // m + 1):
-            kc = binom(k, c)
-            if kc:
-                total += kc * tail(a, after - m * c)
-        return total
-
-    return c_tail
+@lru_cache(maxsize=_MEMO_SIZE)
+def _c_sum(tail: Callable[[int, int, int, int], int], k: int, m: int, a: int, after: int) -> int:
+    """Sum over mc + rest = after of binom(k, c) tail(k, m, a, rest)."""
+    total = 0
+    for c in range(after // m + 1):
+        kc = binom(k, c)
+        if kc:
+            total += kc * tail(k, m, a, after - m * c)
+    return total
 
 
-@lru_cache(maxsize=8)
-def _ac_plus_inner(k: int, m: int) -> Callable[[int, int], int]:
-    """(j, after) -> the (r, s, c, d) sum of ac_plus_k_mod V1 at that j and after."""
-    tail = _with_c(k, m, _ac_plus_tail(k, m))
-    return cache(lambda j, after: _alternating_sum(j, after, m, partial(tail, j)))
+@lru_cache(maxsize=_MEMO_SIZE)
+def _ac_plus_inner(k: int, m: int, j: int, after: int) -> int:
+    """The (r, s, c, d) sum of ac_plus_k_mod V1 at that j and after."""
+    return _alternating_sum(j, after, m, _c_sum, _ac_plus_tail, k, m, j)
 
 
-@lru_cache(maxsize=8)
-def _rac_plus_inner(k: int, m: int) -> Callable[[int, int], int]:
-    """(j, after) -> the (r, s, d) sum of rac_plus_k_mod V1 at that j and after."""
-    tail = _ac_plus_tail(k, m)
-    return cache(lambda j, after: _alternating_sum(j, after, m, partial(tail, j)))
-
-
-@lru_cache(maxsize=8)
-def _ac_total_c_tail(k: int, m: int) -> Callable[[int, int], int]:
-    """(i, after) -> sum over mc + rest = after of binom(k, c) _ac_total_tail(k, m)(i, rest)."""
-    return _with_c(k, m, _ac_total_tail(k, m))
+@lru_cache(maxsize=_MEMO_SIZE)
+def _rac_plus_inner(k: int, m: int, j: int, after: int) -> int:
+    """The (r, s, d) sum of rac_plus_k_mod V1 at that j and after."""
+    return _alternating_sum(j, after, m, _ac_plus_tail, k, m, j)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +381,6 @@ def pc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
-        tail = _pc_tail(k, m)
         for i in range(target // 2 + 1):
             ik = binom(i, k)
             if not ik:
@@ -415,7 +389,7 @@ def pc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
             for j in range((target - 2 * i) // m + 1):
                 ij = head * binom(i + j - 1, j)
                 if ij:
-                    total += ij * tail(target - 2 * i - m * j)
+                    total += ij * _pc_tail(k, m, target - 2 * i - m * j)
     else:
         for weight, coeff in _geometric_power_coeffs(m, k):
             rest = target - weight
@@ -498,7 +472,6 @@ def rpc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
-        tail = _rpc_c_tail(k, m)
         for i in range(target // 2 + 1):
             ik = binom(i, k)
             if not ik:
@@ -507,7 +480,7 @@ def rpc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
                 ij = ik * binom(i + j - 1, j)
                 if not ij:
                     continue
-                total += ij * tail(i, target - 2 * i - m * j)
+                total += ij * _rpc_c_tail(k, m, i, target - 2 * i - m * j)
     else:
         for weight, coeff in _geometric_power_coeffs(m, k):
             budget = target - weight
@@ -585,13 +558,12 @@ def ac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
-        inner = _ac_plus_inner(k, m)
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
             for j in range(target - 2 * i + 1):
                 ij = binom(i, j)
                 if ij:
-                    total += ((head * ij) << j) * inner(j, target - 2 * i - j)
+                    total += ((head * ij) << j) * _ac_plus_inner(k, m, j, target - 2 * i - j)
     else:
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
@@ -627,10 +599,9 @@ def ac_total_k_mod(n: int, k: int, m: int) -> int:
     if target < 0:
         return 0
     total = 0
-    tail = _ac_total_c_tail(k, m)
     for i in range(target // 3 + 1):
         head = binom(i + k, k) << i
-        total += head * _alternating_sum(i, target - 3 * i, m, partial(tail, i))
+        total += head * _alternating_sum(i, target - 3 * i, m, _c_sum, _ac_total_tail, k, m, i)
     return _nonnegative(total, "ac_total_k_mod")
 
 
@@ -674,13 +645,12 @@ def rac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
-        inner = _rac_plus_inner(k, m)
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
             for j in range(target - 2 * i + 1):
                 ij = binom(i, j)
                 if ij:
-                    total += head * ij * inner(j, target - 2 * i - j)
+                    total += head * ij * _rac_plus_inner(k, m, j, target - 2 * i - j)
     else:
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
@@ -708,9 +678,8 @@ def rac_total_k_mod(n: int, k: int, m: int) -> int:
     if target < 0:
         return 0
     total = 0
-    tail = _ac_total_tail(k, m)
     for i in range(target // 3 + 1):
-        total += binom(i + k, k) * _alternating_sum(i, target - 3 * i, m, partial(tail, i))
+        total += binom(i + k, k) * _alternating_sum(i, target - 3 * i, m, _ac_total_tail, k, m, i)
     return _nonnegative(total, "rac_total_k_mod")
 
 

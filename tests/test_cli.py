@@ -228,12 +228,22 @@ class TestSequence:
 
     @pytest.mark.parametrize("method", ["formula", "gf", "brute"])
     def test_a_negative_offset_is_refused(self, capsys, method):
-        # the library would read n = -2 as a Python index from the end of a column
-        code, out, err = run(
-            capsys, "sequence", "--family", "pc", "--sign", "plus", "--mod", "2",
-            "--k", "1", "--n-max", "2", "--offset", "-2", "--method", method,
-        )
-        assert (code, out, err) == (2, "", "error: n must be >= 0, got -2\n")
+        # the library would read n = -2 as a Python index from the end of a column,
+        # and a concordance record would map it to an argument below 0 and print 0
+        for cell in (("--family", "pc", "--sign", "plus", "--mod", "2", "--k", "1"),
+                     ("--concordance", "A025192")):
+            code, out, err = run(
+                capsys, "sequence", *cell, "--n-max", "2", "--offset", "-2", "--method", method,
+            )
+            assert (code, out, err) == (2, "", "error: --offset must be >= 0, got -2\n")
+
+    @pytest.mark.parametrize("cell", [
+        ("--family", "pc", "--sign", "plus", "--mod", "2", "--k", "1"),
+        ("--concordance", "A025192"),
+    ], ids=["cell", "concordance"])
+    def test_a_negative_n_max_is_refused(self, capsys, cell):
+        code, out, err = run(capsys, "sequence", *cell, "--n-max", "-1")
+        assert (code, out, err) == (2, "", "error: --n-max must be >= 0, got -1\n")
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "seq.txt"

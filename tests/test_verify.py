@@ -449,18 +449,19 @@ def test_cells_are_compared_n_major(monkeypatch, name, corrupt, call, report):
     assert (result.params, result.expected, result.actual) == report
 
 
-MEMO_FACTORIES = ("_pc_tail", "_rpc_c_tail", "_ac_plus_tail", "_ac_total_tail",
-                  "_ac_plus_inner", "_rac_plus_inner", "_ac_total_c_tail")
+V1_MEMOS = ("_pc_tail", "_rpc_c_tail", "_ac_plus_tail", "_sj_sum", "_ac_total_tail", "_c_sum",
+            "_ac_plus_inner", "_rac_plus_inner")
 
 
-def test_run_all_rebuilds_few_formula_memos():
-    factories = [getattr(formulas, name) for name in MEMO_FACTORIES]
-    for factory in factories:
-        factory.cache_clear()
-    assert all(result.ok for result in verify.run_all())
-    # a block cycles through k = 0..4 at one modulus, cell by cell: keeping eight
-    # memo sets per factory builds each once per block (about 1,400 misses in
-    # all), while keeping fewer than five rebuilds one on almost every cell
-    # (about 8,100 at four, 10,900 at one)
-    misses = sum(factory.cache_info().misses for factory in factories)
-    assert misses <= 2_000
+def test_formula_memos_are_bounded_and_build_each_entry_once():
+    memos = [obj for obj in vars(formulas).values() if hasattr(obj, "cache_info")]
+    assert all(memo.cache_info().maxsize is not None for memo in memos)
+    # m1_specializations alone cycles through 13 (k, m) per n: a memo that kept the
+    # entries of only a few (k, m), or too few entries, would rebuild them on most cells
+    for check in (verify.run_all, lambda: [verify.m1_specializations()]):
+        for memo in memos:
+            memo.cache_clear()
+        assert all(result.ok for result in check())
+        for name in V1_MEMOS:
+            info = getattr(formulas, name).cache_info()
+            assert info.misses == info.currsize, name
