@@ -1,15 +1,14 @@
 """Closed-form counts for every palindromicity family.
 
-Each function evaluates one published summation over its exact index set:
-the terms are those of the nonnegative index tuples satisfying the stated
-linear constraint, and every binomial goes through :func:`palcomp.core.binom`
-(the three-case convention).  In the V1 finite-modulus sums, an inner
-sub-sum that depends on k, m and one or two free indices, but not on n, is
-a function of all its arguments with one bounded memo, reused for every
-outer index: the calls of a formula column share its entries, and so do
-the cells of a grid, in any order.
-The index sets, the terms and the exact arithmetic are those of the literal
-nested loops, and so are the values.
+Each function evaluates one published summation: its terms are those of the
+nonnegative index tuples satisfying the stated linear constraint, and every
+binomial goes through :func:`palcomp.core.binom` (the three-case convention).
+In the V1 finite-modulus sums, an inner sub-sum that depends on k, m and one
+or two free indices, but not on n, is a function of all its arguments with
+one bounded memo, reused for every outer index: the calls of a formula
+column share its entries, and so do the cells of a grid, in any order.
+The terms and the exact arithmetic are those of the literal nested loops,
+and so are the values.
 Nothing here is simplified, telescoped, or shared with the
 generating-function engine; agreement between the two paths and the
 exhaustive oracle is what the verification suite checks.
@@ -27,12 +26,15 @@ insert-or-bump-the-middle bijection, so no separate minus formulas exist.
 Where several published formulas compute the same quantity they are kept as
 separate variants (V1, V2, V3) selected by :class:`FormulaVariant`.
 
-Index sets are finite through the constraint's positive coefficients except
-in one systematic spot: for m = 1 an alternating index r keeps coefficient
-(m - 1) = 0.  There the loop is bounded by the binomial factor in r, which
-is exactly zero beyond the bound under the three-case convention (for
-binom(a, r) with r > a >= 0 the 'otherwise' case applies); this is the only
-reading that makes those sums finite.
+Loops stop where a binomial factor of their term turns zero.  Under the
+three-case convention binom(a, x) = 0 for x > a >= 0 (the 'otherwise'
+case), so a loop over x whose term carries binom(a, x) runs to min(a, ...),
+and a loop over i whose term carries binom(i, k) starts at i = k; every term
+left out is exactly zero.  A factor whose zero depends on a sum of indices
+rather than on the loop index alone keeps its test inside the loop.  For
+m = 1 an alternating index r has coefficient (m - 1) = 0 in the constraint,
+so there the rule is also what makes the sum finite: r runs to the a of
+its binom(a, r).
 """
 
 from __future__ import annotations
@@ -120,20 +122,11 @@ _MEMO_SIZE = 1 << 15
 
 
 def _alternating_sum(a: int, after: int, m: int, tail: Callable[..., int], *args) -> int:
-    """Sum over (m-1)r + rest = after of (-1)^r binom(a, r) tail(*args, rest).
-
-    For m = 1 the r loop is bounded by the binomial factor (module doc).
-    """
-    r_max = a if m == 1 else after // (m - 1)
+    """Sum over (m-1)r + rest = after of (-1)^r binom(a, r) tail(*args, rest)."""
+    r_max = a if m == 1 else min(a, after // (m - 1))
     total = 0
     for r in range(r_max + 1):
-        ar = binom(a, r)
-        if not ar:
-            continue
-        rest = after - (m - 1) * r
-        if rest < 0:
-            break
-        term = ar * tail(*args, rest)
+        term = binom(a, r) * tail(*args, after - (m - 1) * r)
         total += -term if r % 2 else term
     return total
 
@@ -189,10 +182,8 @@ def _ac_total_tail(k: int, m: int, i: int, after: int) -> int:
 def _c_sum(tail: Callable[[int, int, int, int], int], k: int, m: int, a: int, after: int) -> int:
     """Sum over mc + rest = after of binom(k, c) tail(k, m, a, rest)."""
     total = 0
-    for c in range(after // m + 1):
-        kc = binom(k, c)
-        if kc:
-            total += kc * tail(k, m, a, after - m * c)
+    for c in range(min(k, after // m) + 1):
+        total += binom(k, c) * tail(k, m, a, after - m * c)
     return total
 
 
@@ -250,30 +241,18 @@ def ac_plus_k(n: int, k: int, variant: FormulaVariant = V1) -> int:
     if variant is V1:
         for r in range(target // 2 + 1):
             head = binom(r + k, r)
-            if not head:
-                continue
-            for i in range(target - 2 * r + 1):
-                ri = binom(r, i)
-                if not ri:
-                    continue
+            for i in range(min(r, target - 2 * r) + 1):
                 j = target - 2 * r - i
-                total += head * ri * binom(r + j - 1, j)
+                total += head * binom(r, i) * binom(r + j - 1, j)
     elif variant is V2:
         for r in range(target // 2 + 1):
             head = binom(r + k, k)
-            if not head:
-                continue
-            for i in range(target - 2 * r + 1):
-                ri = binom(r, i)
-                if not ri:
-                    continue
+            for i in range(min(r, target - 2 * r) + 1):
                 j = target - 2 * r - i
-                total += (head * ri << i) * binom(i + j - 1, j)
+                total += (head * binom(r, i) << i) * binom(i + j - 1, j)
     else:
-        for i in range(target + 1):
+        for i in range(min(k + 1, target) + 1):
             ki = binom(k + 1, i)
-            if not ki:
-                continue
             signed = -ki if i % 2 else ki
             for j in range(target - i + 1):
                 jk = binom(j + k, j)
@@ -290,19 +269,14 @@ def _eq_total_matching_sum(target: int, k: int) -> int:
     if target < 0:
         return 0
     total = 0
-    for i in range(target + 1):
+    for i in range(min(k, target) + 1):
         ki = binom(k, i)
-        if not ki:
-            continue
         signed = -ki if i % 2 else ki
         for j in range(target - i + 1):
             jk = binom(j + k, j)
-            for r in range(target - i - j + 1):
-                jr = binom(j, r)
-                if not jr:
-                    continue
+            for r in range(min(j, target - i - j) + 1):
                 s = target - i - j - r
-                total += signed * jk * jr * binom(r, s)
+                total += signed * jk * binom(j, r) * binom(r, s)
     return total
 
 
@@ -381,11 +355,8 @@ def pc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
-        for i in range(target // 2 + 1):
-            ik = binom(i, k)
-            if not ik:
-                continue
-            head = ik << i
+        for i in range(k, target // 2 + 1):
+            head = binom(i, k) << i
             for j in range((target - 2 * i) // m + 1):
                 ij = head * binom(i + j - 1, j)
                 if ij:
@@ -395,14 +366,11 @@ def pc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
             rest = target - weight
             if rest < 0:
                 continue
-            for i in range(rest // 2 + 1):
-                ik = binom(i, k)
-                if not ik:
-                    continue
+            for i in range(k, rest // 2 + 1):
                 if (rest - 2 * i) % m:
                     continue
                 j = (rest - 2 * i) // m
-                total += (ik << i) * binom(i + j - 1, j) * coeff
+                total += (binom(i, k) << i) * binom(i + j - 1, j) * coeff
     return _nonnegative(total, "pc_plus_k_mod")
 
 
@@ -472,10 +440,8 @@ def rpc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         return 0
     total = 0
     if variant is V1:
-        for i in range(target // 2 + 1):
+        for i in range(k, target // 2 + 1):
             ik = binom(i, k)
-            if not ik:
-                continue
             for j in range((target - 2 * i) // m + 1):
                 ij = ik * binom(i + j - 1, j)
                 if not ij:
@@ -486,10 +452,8 @@ def rpc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
             budget = target - weight
             if budget < 0:
                 continue
-            for i in range(budget // 2 + 1):
+            for i in range(k, budget // 2 + 1):
                 ik = binom(i, k)
-                if not ik:
-                    continue
                 for j in range((budget - 2 * i) // m + 1):
                     rest = budget - 2 * i - m * j
                     if rest % 2:
@@ -560,32 +524,24 @@ def ac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
     if variant is V1:
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
-            for j in range(target - 2 * i + 1):
-                ij = binom(i, j)
-                if ij:
-                    total += ((head * ij) << j) * _ac_plus_inner(k, m, j, target - 2 * i - j)
+            for j in range(min(i, target - 2 * i) + 1):
+                total += ((head * binom(i, j)) << j) * _ac_plus_inner(k, m, j, target - 2 * i - j)
     else:
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
-            for j in range(target - 2 * i + 1):
-                ij = binom(i, j)
-                if not ij:
-                    continue
-                hj = (head * ij) << j
+            for j in range(min(i, target - 2 * i) + 1):
+                hj = (head * binom(i, j)) << j
                 for weight, coeff in _geometric_power_coeffs(m, j):
                     after_w = target - 2 * i - j - weight
                     if after_w < 0:
                         continue
                     hw = hj * coeff
-                    for c in range(after_w // m + 1):
-                        kc = binom(k, c)
-                        if not kc:
-                            continue
+                    for c in range(min(k, after_w // m) + 1):
                         rest = after_w - m * c
                         if rest % m:
                             continue
                         d = rest // m
-                        total += hw * kc * binom(k + j + d - 1, d)
+                        total += hw * binom(k, c) * binom(k + j + d - 1, d)
     return _nonnegative(total, "ac_plus_k_mod")
 
 
@@ -615,12 +571,9 @@ def ac_plus_k_mod1(n: int, k: int) -> int:
     total = 0
     for i in range(target // 2 + 1):
         head = binom(i + k, k)
-        for c in range(target - 2 * i + 1):
-            kc = binom(k, c)
-            if not kc:
-                continue
+        for c in range(min(k, target - 2 * i) + 1):
             d = target - 2 * i - c
-            total += head * kc * binom(k + d - 1, d)
+            total += head * binom(k, c) * binom(k + d - 1, d)
     return total
 
 
@@ -647,18 +600,13 @@ def rac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
     if variant is V1:
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
-            for j in range(target - 2 * i + 1):
-                ij = binom(i, j)
-                if ij:
-                    total += head * ij * _rac_plus_inner(k, m, j, target - 2 * i - j)
+            for j in range(min(i, target - 2 * i) + 1):
+                total += head * binom(i, j) * _rac_plus_inner(k, m, j, target - 2 * i - j)
     else:
         for i in range(target // 2 + 1):
             head = binom(i + k, k)
-            for j in range(target - 2 * i + 1):
-                ij = binom(i, j)
-                if not ij:
-                    continue
-                hj = head * ij
+            for j in range(min(i, target - 2 * i) + 1):
+                hj = head * binom(i, j)
                 for weight, coeff in _geometric_power_coeffs(m, j):
                     rest = target - 2 * i - j - weight
                     if rest < 0 or rest % m:

@@ -602,6 +602,35 @@ class TestFactoredSums:
         assert value == FACTORED_V1[fn][0](60, 3, m)
         assert 0 < calls[0] <= bound, calls[0]
 
+    # The same calls with every loop run over its whole constraint range, zero
+    # terms skipped inside it, took (m = 1 / m = 3) ac 28500 / 12255, rac 13217 /
+    # 7232, rpc 7699 / 3444, pc 1147 / 1140, ac total 13308 and rac total 11291 /
+    # 9732.  With each loop stopped where a binomial factor turns zero they take
+    # ac 23739 / 9267, rac 12704 / 5176, rpc 7696 / 2957, pc 1144 / 653, ac total
+    # 12849 and rac total 11291 / 9575.  Each bound sits between the two, so a
+    # return to the whole ranges fails, except rac total at m = 1, where
+    # stopping early saves no call.
+    @pytest.mark.parametrize(
+        "fn, m, bound",
+        [
+            (ac_plus_k_mod, 1, 23_800),
+            (ac_plus_k_mod, 3, 9_300),
+            (rac_plus_k_mod, 1, 12_800),
+            (rac_plus_k_mod, 3, 5_200),
+            (rpc_plus_k_mod, 1, 7_698),
+            (rpc_plus_k_mod, 3, 3_000),
+            (pc_plus_k_mod, 1, 1_146),
+            (pc_plus_k_mod, 3, 700),
+            (ac_total_k_mod, 1, 12_900),
+            (rac_total_k_mod, 1, 11_300),
+            (rac_total_k_mod, 3, 9_600),
+        ],
+    )
+    def test_binom_calls_stop_where_the_binomials_vanish(self, monkeypatch, fn, m, bound):
+        calls = _counting_binom(monkeypatch)
+        fn(60, 3, m)
+        assert 0 < calls[0] <= bound, calls[0]
+
     # Memos outlive a call and are keyed by (k, m), so calls in any order, at
     # repeated or changing k and m and at falling n, must match the literal loops.
     @settings(max_examples=60, deadline=None)
@@ -629,6 +658,51 @@ class TestFactoredSums:
         monkeypatch.undo()
         assert column == [gf_count(family, reduced, Sign.TOTAL, m, n, 3) for n in range(41)]
         assert 0 < calls[0] <= bound, calls[0]
+
+
+AC_PLUS, RAC_PLUS = (Family.AC, False, Sign.PLUS), (Family.AC, True, Sign.PLUS)
+PC_PLUS, RPC_PLUS = (Family.PC, False, Sign.PLUS), (Family.PC, True, Sign.PLUS)
+
+# The variants and specializations outside FACTORED_V1, whose loops are bounded
+# by their binomial factors: name -> (formula at (n, k, m), the gf_count cell
+# (family, reduced, sign, modulus, k) it counts at (k, m)).
+BOUNDED_LOOPS = {
+    "ac_plus_k V1": (lambda n, k, m: ac_plus_k(n, k, V1), lambda k, m: (*AC_PLUS, INFINITY, k)),
+    "ac_plus_k V2": (lambda n, k, m: ac_plus_k(n, k, V2), lambda k, m: (*AC_PLUS, INFINITY, k)),
+    "ac_plus_k V3": (lambda n, k, m: ac_plus_k(n, k, V3), lambda k, m: (*AC_PLUS, INFINITY, k)),
+    "pc_plus_k_mod V2": (lambda n, k, m: pc_plus_k_mod(n, k, m, V2), lambda k, m: (*PC_PLUS, m, k)),
+    "rpc_plus_k_mod V2": (lambda n, k, m: rpc_plus_k_mod(n, k, m, V2), lambda k, m: (*RPC_PLUS, m, k)),
+    "ac_plus_k_mod V2": (lambda n, k, m: ac_plus_k_mod(n, k, m, V2), lambda k, m: (*AC_PLUS, m, k)),
+    "rac_plus_k_mod V2": (lambda n, k, m: rac_plus_k_mod(n, k, m, V2), lambda k, m: (*RAC_PLUS, m, k)),
+    "pc_plus_mod_k0": (lambda n, k, m: pc_plus_mod_k0(n, m), lambda k, m: (*PC_PLUS, m, 0)),
+    "rpc_plus_mod_k0": (lambda n, k, m: rpc_plus_mod_k0(n, m), lambda k, m: (*RPC_PLUS, m, 0)),
+    "pc_plus_k_mod2": (lambda n, k, m: pc_plus_k_mod2(n, k), lambda k, m: (*PC_PLUS, 2, k)),
+    "rpc_plus_k_mod2": (lambda n, k, m: rpc_plus_k_mod2(n, k), lambda k, m: (*RPC_PLUS, 2, k)),
+    "ac_plus_k_mod1": (lambda n, k, m: ac_plus_k_mod1(n, k), lambda k, m: (*AC_PLUS, 1, k)),
+    "rac_plus_k_mod1": (lambda n, k, m: rac_plus_k_mod1(n, k), lambda k, m: (*RAC_PLUS, 1, k)),
+    "rac_total_k_mod1": (
+        lambda n, k, m: rac_total_k_mod1(n, k), lambda k, m: (Family.AC, True, Sign.TOTAL, 1, k)
+    ),
+    "ac_total_k_alt": (
+        lambda n, k, m: ac_total_k_alt(n, k), lambda k, m: (Family.AC, False, Sign.TOTAL, INFINITY, k)
+    ),
+    "ac_total_k_mod": (
+        lambda n, k, m: ac_total_k_mod(n, k, m), lambda k, m: (Family.AC, False, Sign.TOTAL, m, k)
+    ),
+    "rac_total_k_mod": (
+        lambda n, k, m: rac_total_k_mod(n, k, m), lambda k, m: (Family.AC, True, Sign.TOTAL, m, k)
+    ),
+}
+
+
+class TestBoundedLoops:
+    @pytest.mark.parametrize("name", list(BOUNDED_LOOPS))
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(0, 60), k=st.integers(0, 6), m=st.integers(1, 7))
+    def test_equals_the_generating_function(self, name, n, k, m):
+        formula, cell = BOUNDED_LOOPS[name]
+        family, reduced, sign, modulus, cell_k = cell(k, m)
+        assert formula(n, k, m) == gf_count(family, reduced, sign, modulus, n, cell_k)
 
 
 class TestIndexValidation:
