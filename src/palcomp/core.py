@@ -71,8 +71,6 @@ def tribonacci(n: int) -> int:
     """T(n) with T(i) = 0 for i < 1 and T(1) = T(2) = 1; defined for all integers."""
     if n < 1:
         return 0
-    if n <= 2:
-        return 1
     a, b, c = 0, 1, 1  # T(0), T(1), T(2)
     for _ in range(n - 2):
         a, b, c = b, c, a + b + c

@@ -26,15 +26,15 @@ insert-or-bump-the-middle bijection, so no separate minus formulas exist.
 Where several published formulas compute the same quantity they are kept as
 separate variants (V1, V2, V3) selected by :class:`FormulaVariant`.
 
-Loops stop where a binomial factor of their term turns zero.  Under the
-three-case convention binom(a, x) = 0 for x > a >= 0 (the 'otherwise'
-case), so a loop over x whose term carries binom(a, x) runs to min(a, ...),
-and a loop over i whose term carries binom(i, k) starts at i = k; every term
-left out is exactly zero.  A factor whose zero depends on a sum of indices
-rather than on the loop index alone keeps its test inside the loop.  For
-m = 1 an alternating index r has coefficient (m - 1) = 0 in the constraint,
-so there the rule is also what makes the sum finite: r runs to the a of
-its binom(a, r).
+Loops stop where a binomial factor of their term turns zero: under the
+three-case convention binom(a, x) = 0 for x > a >= 0, so a loop over x whose
+term carries binom(a, x) runs to min(a, ...), one over i whose term carries
+binom(i, k) starts at i = k, and ac_plus_k V3's loop over s, whose term
+carries binom(j, rest - s), starts at s = rest - j.  Every term left out is
+exactly zero, and a negative target leaves every range empty.  A factor
+that is zero only where an index sum in its top is -1, as binom(i+j-1, j) at
+i = 0, keeps its test inside the loop.  For m = 1 an alternating index r has
+coefficient (m - 1) = 0, so there the rule also makes the sum finite.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def pc_plus_k(n: int, k: int) -> int:
     _check_nk(n, k)
     target = n - 3 * k
     total = 0
-    for j in range(target // 2 + 1) if target >= 0 else ():
+    for j in range(target // 2 + 1):
         i = target - 2 * j
         total += binom(i + k - 1, i) * binom(j + k, j) << (j + k)
     return total
@@ -235,8 +235,6 @@ def ac_plus_k(n: int, k: int, variant: FormulaVariant = V1) -> int:
     _check_nk(n, k)
     _require_variant(variant, (V1, V2, V3), "ac_plus_k")
     target = n - 2 * k
-    if target < 0:
-        return 0
     total = 0
     if variant is V1:
         for r in range(target // 2 + 1):
@@ -257,7 +255,7 @@ def ac_plus_k(n: int, k: int, variant: FormulaVariant = V1) -> int:
             for j in range(target - i + 1):
                 jk = binom(j + k, j)
                 rest = target - i - j
-                for s in range(rest // 2 + 1):
+                for s in range(max(0, rest - j), rest // 2 + 1):
                     r = rest - 2 * s
                     total += signed * jk * binom(j, r + s) * binom(r + s, r)
     return _nonnegative(total, "ac_plus_k")
@@ -266,8 +264,6 @@ def ac_plus_k(n: int, k: int, variant: FormulaVariant = V1) -> int:
 def _eq_total_matching_sum(target: int, k: int) -> int:
     """Sum over i + j + r + s = target of
     (-1)^i binom(k, i) binom(j+k, j) binom(j, r) binom(r, s)."""
-    if target < 0:
-        return 0
     total = 0
     for i in range(min(k, target) + 1):
         ki = binom(k, i)
@@ -322,7 +318,7 @@ def rac_plus_k(n: int, k: int) -> int:
     _check_nk(n, k)
     target = n - 2 * k
     total = 0
-    for r in range(target // 2 + 1) if target >= 0 else ():
+    for r in range(target // 2 + 1):
         j = target - 2 * r
         total += binom(r + k, r) * binom(r + j - 1, j)
     return total
@@ -351,7 +347,7 @@ def pc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
     _check_m(m)
     _require_variant(variant, (V1, V2), "pc_plus_k_mod")
     target = n - k
-    if target < 0:
+    if target < 0:  # else V2 walks all vectors of _geometric_power_coeffs(m, k) for nothing
         return 0
     total = 0
     if variant is V1:
@@ -365,7 +361,7 @@ def pc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         for weight, coeff in _geometric_power_coeffs(m, k):
             rest = target - weight
             if rest < 0:
-                continue
+                break
             for i in range(k, rest // 2 + 1):
                 if (rest - 2 * i) % m:
                     continue
@@ -393,7 +389,7 @@ def pc_plus_k_mod2(n: int, k: int) -> int:
     2^i binom(i, k) binom(i+j-1, j); zero when n - k is odd."""
     _check_nk(n, k)
     target = n - k
-    if target < 0 or target % 2:
+    if target % 2:
         return 0
     total = 0
     for i in range(target // 2 + 1):
@@ -436,7 +432,7 @@ def rpc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
     _check_m(m)
     _require_variant(variant, (V1, V2), "rpc_plus_k_mod")
     target = n - k
-    if target < 0:
+    if target < 0:  # else V2 walks all vectors of _geometric_power_coeffs(m, k) for nothing
         return 0
     total = 0
     if variant is V1:
@@ -451,7 +447,7 @@ def rpc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
         for weight, coeff in _geometric_power_coeffs(m, k):
             budget = target - weight
             if budget < 0:
-                continue
+                break
             for i in range(k, budget // 2 + 1):
                 ik = binom(i, k)
                 for j in range((budget - 2 * i) // m + 1):
@@ -483,7 +479,7 @@ def rpc_plus_k_mod2(n: int, k: int) -> int:
     """m = 2 specialization: sum over 2i + 2j = n - k of binom(i, k) binom(2i+j, j)."""
     _check_nk(n, k)
     target = n - k
-    if target < 0 or target % 2:
+    if target % 2:
         return 0
     total = 0
     for i in range(target // 2 + 1):
@@ -518,8 +514,6 @@ def ac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
     _check_m(m)
     _require_variant(variant, (V1, V2), "ac_plus_k_mod")
     target = n - 2 * k
-    if target < 0:
-        return 0
     total = 0
     if variant is V1:
         for i in range(target // 2 + 1):
@@ -534,7 +528,7 @@ def ac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
                 for weight, coeff in _geometric_power_coeffs(m, j):
                     after_w = target - 2 * i - j - weight
                     if after_w < 0:
-                        continue
+                        break
                     hw = hj * coeff
                     for c in range(min(k, after_w // m) + 1):
                         rest = after_w - m * c
@@ -552,8 +546,6 @@ def ac_total_k_mod(n: int, k: int, m: int) -> int:
     _check_nk(n, k)
     _check_m(m)
     target = n - 2 * k
-    if target < 0:
-        return 0
     total = 0
     for i in range(target // 3 + 1):
         head = binom(i + k, k) << i
@@ -566,8 +558,6 @@ def ac_plus_k_mod1(n: int, k: int) -> int:
     binom(i+k, k) binom(k, c) binom(k+d-1, d)."""
     _check_nk(n, k)
     target = n - 2 * k
-    if target < 0:
-        return 0
     total = 0
     for i in range(target // 2 + 1):
         head = binom(i + k, k)
@@ -594,8 +584,6 @@ def rac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
     _check_m(m)
     _require_variant(variant, (V1, V2), "rac_plus_k_mod")
     target = n - 2 * k
-    if target < 0:
-        return 0
     total = 0
     if variant is V1:
         for i in range(target // 2 + 1):
@@ -609,7 +597,9 @@ def rac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
                 hj = head * binom(i, j)
                 for weight, coeff in _geometric_power_coeffs(m, j):
                     rest = target - 2 * i - j - weight
-                    if rest < 0 or rest % m:
+                    if rest < 0:
+                        break
+                    if rest % m:
                         continue
                     d = rest // m
                     total += hj * coeff * binom(k + j + d - 1, d)
@@ -623,8 +613,6 @@ def rac_total_k_mod(n: int, k: int, m: int) -> int:
     _check_nk(n, k)
     _check_m(m)
     target = n - 2 * k
-    if target < 0:
-        return 0
     total = 0
     for i in range(target // 3 + 1):
         total += binom(i + k, k) * _alternating_sum(i, target - 3 * i, m, _ac_total_tail, k, m, i)
@@ -636,7 +624,7 @@ def rac_plus_k_mod1(n: int, k: int) -> int:
     _check_nk(n, k)
     target = n - 2 * k
     total = 0
-    for i in range(target // 2 + 1) if target >= 0 else ():
+    for i in range(target // 2 + 1):
         j = target - 2 * i
         total += binom(i + k, k) * binom(j + k - 1, j)
     return total
@@ -647,7 +635,7 @@ def rac_total_k_mod1(n: int, k: int) -> int:
     _check_nk(n, k)
     target = n - 2 * k
     total = 0
-    for i in range(target // 2 + 1) if target >= 0 else ():
+    for i in range(target // 2 + 1):
         j = target - 2 * i
         total += binom(i + k - 1, i) * binom(j + k, j)
     return total
@@ -683,8 +671,8 @@ def formula_count(
     apply only to quantities that have several published formulas (the
     anti-palindromic infinity family and all finite-modulus plus families).
     """
-    _check_nk(n, k)
     check_cell(family, reduced, sign, modulus)
+    _check_nk(n, k)
     infinite = isinstance(modulus, _InfinityType)
 
     if infinite and family is Family.AC and not reduced:

@@ -340,6 +340,7 @@ def gf_count(
 ) -> int:
     """Evaluate one counting function through its generating function: the
     (n, k) cell of :func:`gf_grid`."""
+    check_cell(family, reduced, sign, modulus)
     check_index(n, "n")
     check_index(k, "k")
     return gf_grid(family, reduced, sign, modulus, n, k)[n][k]

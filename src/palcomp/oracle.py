@@ -25,11 +25,15 @@ literal walk: every composition is built as one tuple and yielded once, in
 encoding order, and no count is inferred from the table's size.  A node above
 the table costs O(1) Python steps, a node at the table costs one C-level
 ``map`` over its row, and each composition then costs one tuple
-concatenation; the stack holds O(n^2) nodes.
+concatenation; the stack holds O(n^2) nodes.  :func:`enumerate_compositions`
+returns ``itertools.chain`` over the walk's runs, so no composition passes
+through a Python generator frame; the chain is as lazy as the walk, and a bad
+n or cap is refused at its first ``next()``.
 
 :func:`brute_count` takes a cell like the other two paths,
-``(family, reduced, sign, modulus, n, k)``, and refuses a bad cell (through
-:func:`palcomp.stats.check_cell`), then a bad k, then an n above ``cap``
+``(family, reduced, sign, modulus, n, k)``, and refuses what they refuse, in
+their order: a bad cell (through :func:`palcomp.stats.check_cell`), then a
+bad n, then a bad k.  Only then does it refuse a bad ``cap`` or an n above it
 (default 24): 2^(n-1) items grow fast and a typo should not start an
 hour-long loop.  The cap is an argument, not a constant.
 
@@ -97,12 +101,17 @@ def check_enumeration_cap(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Non
 
 
 def enumerate_compositions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Composition]:
-    """Yield every composition of n once, ordered by its binary encoding."""
+    """Every composition of n once, ordered by its binary encoding, lazily."""
+    return chain.from_iterable(_runs(n, cap))
+
+
+def _runs(n: int, cap: int) -> Iterator[Iterable[Composition]]:
+    """The runs of the walk of n, after refusing a bad n or cap at the first one."""
     _check_cap(n, cap)
     if n == 0:
-        yield ()
+        yield ((),)
         return
-    yield from chain.from_iterable(_walk(n, _SUFFIX_DEPTH))
+    yield from _walk(n, _SUFFIX_DEPTH)
 
 
 def _walk(n: int, depth: int) -> Iterator[Iterable[Composition]]:
@@ -155,6 +164,7 @@ def brute_count(
 ) -> int:
     """Count compositions (or swap classes) of n in one cell, from scratch."""
     check_cell(family, reduced, sign, modulus)
+    check_index(n, "n")
     check_index(k, "k")
     _check_cap(n, cap)
     census = _census(n, modulus)

@@ -59,11 +59,15 @@ class Family(Enum):
     PC = "pc"  # count by mismatching pairs (palindromic at k = 0)
     AC = "ac"  # count by matching pairs (anti-palindromic at k = 0)
 
+    __hash__ = object.__hash__  # members compare by identity; Enum's own hash runs in Python
+
 
 class Sign(Enum):
     PLUS = "plus"
     MINUS = "minus"
     TOTAL = "total"
+
+    __hash__ = object.__hash__
 
 
 def check_modulus(modulus: Modulus) -> Modulus:

@@ -468,7 +468,8 @@ class TestStartup:
         code = (f"import sys; sys.path.insert(0, {src!r}); import palcomp.cli; "
                 "print('\\n'.join(sys.modules))")
         # -S keeps site's own imports out, so every module seen came from palcomp.cli
-        done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+        # -B writes no bytecode into src/ (-I ignores PYTHONDONTWRITEBYTECODE)
+        done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
                               capture_output=True, text=True, timeout=60, check=True)
         loaded = set(done.stdout.split())
         for layer in ("cli", "formulas", "genfun", "oracle", "bijection", "verify", "core"):

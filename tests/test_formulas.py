@@ -609,7 +609,9 @@ class TestFactoredSums:
     # ac 23739 / 9267, rac 12704 / 5176, rpc 7696 / 2957, pc 1144 / 653, ac total
     # 12849 and rac total 11291 / 9575.  Each bound sits between the two, so a
     # return to the whole ranges fails, except rac total at m = 1, where
-    # stopping early saves no call.
+    # stopping early saves no call.  The last row passes V3 in m's place:
+    # ac_plus_k V3 with its s loop over the whole range takes 7564, and from
+    # s = rest - j, where binom(j, r+s) stops being zero, 2792.
     @pytest.mark.parametrize(
         "fn, m, bound",
         [
@@ -624,6 +626,7 @@ class TestFactoredSums:
             (ac_total_k_mod, 1, 12_900),
             (rac_total_k_mod, 1, 11_300),
             (rac_total_k_mod, 3, 9_600),
+            (ac_plus_k, V3, 2_800),
         ],
     )
     def test_binom_calls_stop_where_the_binomials_vanish(self, monkeypatch, fn, m, bound):

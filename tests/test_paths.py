@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import palcomp
 from palcomp.formulas import formula_column, formula_count
@@ -92,3 +93,33 @@ def test_every_path_refuses_a_bad_cell_by_name(entry, field, bad, good):
     count(*{**cell, field: good}.values())  # the corrected cell answers, and warms any cache
     with pytest.raises(TypeError, match=f"^{field} must be a "):
         count(*{**cell, field: bad}.values())
+
+
+def _fields(good, bad):
+    return st.one_of(good, st.sampled_from(bad))
+
+
+# each field of a cell drawn good or bad, independently, so any subset is bad
+cells = st.tuples(
+    _fields(st.sampled_from(Family), ["pc"]),
+    _fields(st.booleans(), [1]),
+    _fields(st.sampled_from(Sign), ["plus"]),
+    _fields(st.sampled_from([1, 2, 3, INFINITY]), [0, -1, 2.0, True]),
+    _fields(st.integers(0, 12), [-1, True]),
+    _fields(st.integers(0, 6), [-1, True]),
+)
+
+
+def _outcome(count, cell):
+    try:
+        return count(*cell)
+    except (TypeError, ValueError) as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=cells)
+def test_the_three_paths_refuse_alike_and_count_alike(cell):
+    """The cell fields first, then n, then k: every path names the same first fault."""
+    outcomes = [_outcome(count, cell) for count in (formula_count, gf_count, brute_count)]
+    assert outcomes[0] == outcomes[1] == outcomes[2], (cell, outcomes)
