@@ -11,7 +11,9 @@ Subcommands:
 
 All output is plain ASCII with stable ordering.  Exit status: 0 on success
 (and on a fully passing verify), 1 when verify finds a failure, 2 for usage
-errors and refusals.
+errors and refusals.  Every refusal, the CLI's own and each layer's below it,
+is a ``ValueError``; :func:`main` alone turns it into exit status 2 and one
+``error: ...`` line on stderr, and stdout stays empty.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ import contextlib
 import sys
 from typing import Iterator, Sequence
 
-from .bijection import (
-    InvalidPairError,
-    MinusClassError,
-    decode_pair,
-    encode_pair,
-    format_pair,
-    parse_pair,
-)
+from .bijection import decode_pair, encode_pair, format_pair, parse_pair
 from .formulas import FormulaVariant, formula_column, formula_count
 from .genfun import gf_count, gf_grid
 from .oracle import DEFAULT_ENUMERATION_CAP, brute_count
@@ -44,10 +39,6 @@ from .stats import (
 from .verify import DEFAULT_MODULI, run_all
 
 BRUTE_OPTIN_LIMIT = 20
-
-
-class CliError(Exception):
-    """Raised for refusals and invalid requests; rendered on stderr, exit 2."""
 
 
 def _add_family_options(
@@ -75,11 +66,7 @@ def _add_method_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_cell(args: argparse.Namespace) -> tuple[Family, bool, Sign, Modulus]:
-    try:
-        modulus = parse_modulus(args.mod)
-    except ValueError as error:
-        raise CliError(str(error)) from None
-    return Family(args.family), args.reduced, Sign(args.sign), modulus
+    return Family(args.family), args.reduced, Sign(args.sign), parse_modulus(args.mod)
 
 
 @contextlib.contextmanager
@@ -104,31 +91,28 @@ def _long_ints() -> Iterator[None]:
 def _check_cell(args: argparse.Namespace, n: int, k: int) -> FormulaVariant | None:
     """Refuse a cell the CLI cannot ask for; return the requested formula variant."""
     if n < 0:
-        raise CliError(f"n must be >= 0, got {n}")
+        raise ValueError(f"n must be >= 0, got {n}")
     if k < 0:
-        raise CliError(f"k must be >= 0, got {k}")
+        raise ValueError(f"k must be >= 0, got {k}")
     if args.variant is None:
         return None
     if args.method != "formula":
-        raise CliError("--variant selects among closed formulas; it requires --method formula")
+        raise ValueError("--variant selects among closed formulas; it requires --method formula")
     return FormulaVariant(args.variant)
 
 
 def _evaluate(args: argparse.Namespace, family, reduced, sign, modulus, n: int, k: int) -> int:
     variant = _check_cell(args, n, k)
-    try:
-        if args.method == "formula":
-            return formula_count(family, reduced, sign, modulus, n, k, variant)
-        if args.method == "gf":
-            return gf_count(family, reduced, sign, modulus, n, k)
-        if n > BRUTE_OPTIN_LIMIT and not args.force:
-            raise CliError(
-                f"brute force above n={BRUTE_OPTIN_LIMIT} needs --force "
-                f"(2^{n - 1} compositions)"
-            )
-        return brute_count(family, reduced, sign, modulus, n, k, cap=args.cap)
-    except ValueError as error:
-        raise CliError(str(error)) from None
+    if args.method == "formula":
+        return formula_count(family, reduced, sign, modulus, n, k, variant)
+    if args.method == "gf":
+        return gf_count(family, reduced, sign, modulus, n, k)
+    if n > BRUTE_OPTIN_LIMIT and not args.force:
+        raise ValueError(
+            f"brute force above n={BRUTE_OPTIN_LIMIT} needs --force "
+            f"(2^{n - 1} compositions)"
+        )
+    return brute_count(family, reduced, sign, modulus, n, k, cap=args.cap)
 
 
 def _grid(
@@ -145,14 +129,11 @@ def _grid(
     variant = _check_cell(args, ns[0], ks[0])
     if args.method == "brute":
         return [[_evaluate(args, family, reduced, sign, modulus, n, k) for k in ks] for n in ns]
-    try:
-        if args.method == "gf":
-            rows = gf_grid(family, reduced, sign, modulus, ns[-1], ks[-1])
-            return [rows[n][ks[0]:] for n in ns]
-        columns = [formula_column(family, reduced, sign, modulus, ns[-1], k, variant) for k in ks]
-        return [[column[n] for column in columns] for n in ns]
-    except ValueError as error:
-        raise CliError(str(error)) from None
+    if args.method == "gf":
+        rows = gf_grid(family, reduced, sign, modulus, ns[-1], ks[-1])
+        return [rows[n][ks[0]:] for n in ns]
+    columns = [formula_column(family, reduced, sign, modulus, ns[-1], k, variant) for k in ks]
+    return [[column[n] for column in columns] for n in ns]
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -166,7 +147,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     family, reduced, sign, modulus = _parse_cell(args)
     if args.n_max < 0 or args.k_max < 0:
-        raise CliError("--n-max and --k-max must be >= 0")
+        raise ValueError("--n-max and --k-max must be >= 0")
     rows = _grid(args, family, reduced, sign, modulus,
                  range(args.n_max + 1), range(args.k_max + 1))
     lines = ["\t".join(["n"] + [f"k={k}" for k in range(args.k_max + 1)])]
@@ -179,7 +160,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_sequence(args: argparse.Namespace) -> int:
     for flag, value in (("--offset", args.offset), ("--n-max", args.n_max)):
         if value < 0:
-            raise CliError(f"{flag} must be >= 0, got {value}")
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     indices = range(args.offset, args.n_max + 1)
     if args.concordance:
         # imported here, like json below, so that other commands start faster
@@ -188,28 +169,27 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         try:
             record = lookup(args.concordance)
         except KeyError as error:
-            raise CliError(error.args[0]) from None
-        for flag, value in (("--family", args.family), ("--sign", args.sign), ("--mod", args.mod)):
+            raise ValueError(error.args[0]) from None
+        pinned = (("--family", args.family), ("--reduced", args.reduced or None),
+                  ("--sign", args.sign), ("--mod", args.mod))
+        for flag, value in pinned:
             if value is not None:
-                raise CliError(f"{flag} conflicts with --concordance (the record pins it)")
+                raise ValueError(f"{flag} conflicts with --concordance (the record pins it)")
         family, reduced, sign, modulus = record.family, record.reduced, record.sign, record.modulus
         if record.k is None and args.k is None:
-            raise CliError(f"{record.id} is a triangle; pass --k")
+            raise ValueError(f"{record.id} is a triangle; pass --k")
         if record.k is not None and args.k is not None:
-            raise CliError(f"--k conflicts with --concordance ({record.id} pins k={record.k})")
+            raise ValueError(f"--k conflicts with --concordance ({record.id} pins k={record.k})")
         k = record.k if record.k is not None else args.k
-        try:
-            arguments = [record.mapped_index(idx, k)[0] for idx in indices]
-        except ValueError as error:
-            raise CliError(str(error)) from None
+        arguments = [record.mapped_index(idx, k)[0] for idx in indices]
         # a negative mapped argument reads as 0 and needs no evaluation
         ns = [n for n in arguments if n >= 0]
     else:
         for flag, value in (("--family", args.family), ("--sign", args.sign), ("--mod", args.mod)):
             if value is None:
-                raise CliError(f"{flag} is required unless --concordance is given")
+                raise ValueError(f"{flag} is required unless --concordance is given")
         if args.k is None:
-            raise CliError("--k is required unless --concordance is given")
+            raise ValueError("--k is required unless --concordance is given")
         family, reduced, sign, modulus = _parse_cell(args)
         record = None
         k = args.k
@@ -224,7 +204,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
             if record is not None:
                 quotient, remainder = divmod(value, record.divisor)
                 if remainder:
-                    raise CliError(
+                    raise ValueError(
                         f"{record.id}: count {value} at n={n} is not divisible by {record.divisor}"
                     )
                 value = quotient
@@ -236,23 +216,17 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
             with open(args.out, "w", encoding="ascii") as handle:
                 handle.write(text)
         except OSError as error:
-            raise CliError(f"cannot write {args.out}: {error}") from None
+            raise ValueError(f"cannot write {args.out}: {error}") from None
     else:
         sys.stdout.write(text)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        moduli = tuple(parse_modulus(tok) for tok in args.mods.split(","))
-    except ValueError as error:
-        raise CliError(str(error)) from None
+    moduli = tuple(parse_modulus(tok) for tok in args.mods.split(","))
     if args.n_max < 0 or args.k_max < 0:
-        raise CliError("--n-max and --k-max must be >= 0")
-    try:
-        results = run_all(n_max=args.n_max, k_max=args.k_max, moduli=moduli, cap=args.cap)
-    except ValueError as error:  # a refused cap, or a grid that would enumerate past it
-        raise CliError(str(error)) from None
+        raise ValueError("--n-max and --k-max must be >= 0")
+    results = run_all(n_max=args.n_max, k_max=args.k_max, moduli=moduli, cap=args.cap)
     if args.report == "json":
         import json
 
@@ -267,15 +241,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
-    try:
-        if args.direction == "encode":
-            c = parse_composition(args.value)
-            print(format_pair(encode_pair(c)))
-        else:
-            pair = parse_pair(args.value)
-            print(format_composition(decode_pair(pair)))
-    except (MinusClassError, InvalidPairError, ValueError) as error:
-        raise CliError(str(error)) from None
+    if args.direction == "encode":
+        print(format_pair(encode_pair(parse_composition(args.value))))
+    else:
+        print(format_composition(decode_pair(parse_pair(args.value))))
     return 0
 
 
@@ -336,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as error:
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

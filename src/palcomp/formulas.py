@@ -802,7 +802,7 @@ SPECIAL_VALUES: dict[str, SpecialValue] = {
     "RAC_PLUS1_INF": SpecialValue(
         (Family.AC, True, Sign.PLUS, INFINITY, 1),
         lambda n: sum(
-            (r + 1) * binom(n - r - 3, n - 2 * r - 2) for r in range(max(n - 1, 0) // 2 + 1)
+            (r + 1) * binom(n - r - 3, n - 2 * r - 2) for r in range((n - 1) // 2 + 1)
         ),
         "rac_plus at k=1: compositions of n-1 with exactly one part 1",
     ),
@@ -810,10 +810,8 @@ SPECIAL_VALUES: dict[str, SpecialValue] = {
         (Family.AC, True, Sign.PLUS, INFINITY, 2),
         lambda n: sum(
             binom(r + 2, 2) * binom(r + (n - 4 - 2 * r) - 1, n - 4 - 2 * r)
-            for r in range(max(n - 4, -1) // 2 + 1)
-        )
-        if n >= 4
-        else 0,
+            for r in range((n - 4) // 2 + 1)
+        ),
         "rac_plus at k=2: compositions of n-2 with exactly two parts 1",
     ),
     "AC_PLUS_MOD1_PARITY": SpecialValue(
@@ -834,16 +832,12 @@ SPECIAL_VALUES: dict[str, SpecialValue] = {
     ),
     "RAC_PLUS2_MOD1": SpecialValue(
         (Family.AC, True, Sign.PLUS, 1, 2),
-        lambda n: sum(binom(i + 2, 2) * (n - 4 - 2 * i + 1) for i in range(max(n - 4, -1) // 2 + 1))
-        if n >= 4
-        else 0,
+        lambda n: sum(binom(i + 2, 2) * (n - 4 - 2 * i + 1) for i in range((n - 4) // 2 + 1)),
         "rac_plus^2(n, 1) = sum over 2i + j = n-4 of binom(i+2, 2) (j+1)",
     ),
     "RAC2_MOD1": SpecialValue(
         (Family.AC, True, Sign.TOTAL, 1, 2),
-        lambda n: sum((i + 1) * binom(n - 4 - 2 * i + 2, 2) for i in range(max(n - 4, -1) // 2 + 1))
-        if n >= 4
-        else 0,
+        lambda n: sum((i + 1) * binom(n - 4 - 2 * i + 2, 2) for i in range((n - 4) // 2 + 1)),
         "rac^2(n, 1) = sum over 2i + j = n-4 of (i+1) binom(j+2, 2)",
     ),
     "RAC_MOD1_ONE": SpecialValue((Family.AC, True, Sign.TOTAL, 1, 0), lambda n: 1, "rac(n, 1) = 1"),

@@ -27,6 +27,12 @@ Every coefficient is read from one expansion, :func:`series_table`: the
 inverse of the denominator, shift-added once per term of the numerator,
 truncated to the requested bounds and cached.  :func:`gf_grid` reads a whole
 grid from it, and :func:`gf_count` reads one cell of that grid.
+
+Every term of every catalog numerator and denominator has q-degree at least
+twice its t-degree, at every modulus; the tests check this over the whole
+catalog.  So does every term of a product or inverse of such series, and
+each coefficient with 2s > p is zero: :func:`gf_count` answers a cell with
+2k > n as 0 without expanding anything, where the expansion would grow with k.
 """
 
 from __future__ import annotations
@@ -343,6 +349,8 @@ def gf_count(
     check_cell(family, reduced, sign, modulus)
     check_index(n, "n")
     check_index(k, "k")
+    if 2 * k > n:  # every catalog term has q-degree >= 2 * t-degree
+        return 0
     return gf_grid(family, reduced, sign, modulus, n, k)[n][k]
 
 

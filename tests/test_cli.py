@@ -1,5 +1,7 @@
 """Command-line surface: outputs, formats, refusals, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,11 +9,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import palcomp
 from palcomp import formulas
 from palcomp.cli import main
-from palcomp.concordance import lookup
+from palcomp.concordance import load_concordance, lookup
 from palcomp.formulas import formula_count
 from palcomp.genfun import gf_count
 from palcomp.stats import Family, Sign, parse_modulus
@@ -329,6 +332,15 @@ class TestSequence:
         )
         assert code == 2 and "pins k=0" in err
 
+    def test_concordance_refuses_reduced(self, capsys):
+        # the record pins the reduced flag as it pins the family, sign and modulus
+        code, out, err = run(
+            capsys, "sequence", "--concordance", "A025192", "--reduced", "--n-max", "3"
+        )
+        assert (code, out, err) == (
+            2, "", "error: --reduced conflicts with --concordance (the record pins it)\n"
+        )
+
     def test_family_required_without_concordance(self, capsys):
         code, _, err = run(capsys, "sequence", "--n-max", "3")
         assert code == 2 and "--family" in err
@@ -422,6 +434,128 @@ class TestBijectionCommand:
         assert code == 0 and out == ";\n"
         code, out, _ = run(capsys, "bijection", "decode", ";")
         assert code == 0 and out == "\n"
+
+
+# One refusal contract for every subcommand: each command drawn below either
+# answers (exit 0) or refuses (exit 2, empty stdout, one "error: " line).
+MODULI = ("-1", "0", "1", "2", "3", "4", "5", "6", "7", "97", str(10**12), "inf", "x")
+# V2 walks C(j + m - 2, m - 2) vectors per j and no work budget refuses it yet
+# (ROADMAP item 1): at m = 97 the pc cell n = 8, k = 4 was still running at 100 s
+SLOW_V2_MODULI = {"7", "97", str(10**12)}
+INDEX = st.integers(-3, 24)
+
+
+@st.composite
+def _cell(draw):
+    """Options naming one cell, its method and variant: (argv, method, cell)."""
+    family = draw(st.sampled_from(["pc", "ac"]))
+    reduced = draw(st.booleans())
+    sign = draw(st.sampled_from(["plus", "minus", "total"]))
+    mod = draw(st.sampled_from(MODULI))
+    method = draw(st.sampled_from(["formula", "gf", "brute"]))
+    variant = draw(st.one_of(st.none(), st.sampled_from([1, 2, 3])))
+    assume(not (method == "formula" and variant == 2 and mod in SLOW_V2_MODULI))
+    argv = [f"--family={family}", *(["--reduced"] if reduced else []), f"--sign={sign}",
+            f"--mod={mod}", f"--method={method}",
+            *([f"--variant={variant}"] if variant is not None else [])]
+    return argv, method, (family, reduced, sign, mod)
+
+
+def _top_n(method):
+    """Brute force stays at n <= 12, where it is cheap; it never gets --force."""
+    return st.integers(-3, 12 if method == "brute" else 24)
+
+
+# each strategy draws (argv, must_refuse, expected): expected, if not None,
+# gives the count a successful command prints
+@st.composite
+def _count(draw):
+    cell, method, (family, reduced, sign, mod) = draw(_cell())
+    n = draw(_top_n(method))
+    k = draw(st.one_of(INDEX, st.integers(25, 10**6)))
+
+    def expected():
+        return gf_count(Family(family), reduced, Sign(sign), parse_modulus(mod), n, k)
+
+    return ["count", *cell, f"--n={n}", f"--k={k}"], False, expected
+
+
+@st.composite
+def _table(draw):
+    cell, method, _ = draw(_cell())
+    bounds = [f"--n-max={draw(_top_n(method))}", f"--k-max={draw(INDEX)}"]
+    return ["table", *cell, *bounds], False, None
+
+
+@st.composite
+def _sequence(draw):
+    cell, method, _ = draw(_cell())
+    bounds = [f"--k={draw(INDEX)}", f"--n-max={draw(_top_n(method))}", f"--offset={draw(INDEX)}"]
+    return ["sequence", *cell, *bounds], False, None
+
+
+RECORDS = load_concordance()
+PINNED = ("--family=pc", "--reduced", "--sign=plus", "--mod=2", "--k=0")
+
+
+@st.composite
+def _concordance(draw):
+    """A known or unknown record, sometimes with one flag that the record pins.
+
+    Brute force is left out: a record maps position 24 as far as n = 72.
+    """
+    record_id = draw(st.sampled_from([*RECORDS, "A999999"]))
+    record = RECORDS.get(record_id)
+    argv = ["sequence", f"--concordance={record_id}", f"--n-max={draw(INDEX)}",
+            f"--method={draw(st.sampled_from(['formula', 'gf']))}"]
+    pinned = PINNED
+    if record is not None and record.k is None:  # a triangle takes k from --k
+        argv.append(f"--k={draw(INDEX)}")
+        pinned = PINNED[:-1]
+    flag = draw(st.sampled_from([None, *pinned]))
+    if flag is not None:
+        argv.append(flag)
+    return argv, record is None or flag is not None, None
+
+
+# a value led by "-" would be read by argparse as an option
+_PARTS = st.lists(st.sampled_from(["0", "1", "2", "3", "4", "-1", "x"]), max_size=6).map(",".join)
+_bijection = st.one_of(
+    st.tuples(st.just("encode"), _PARTS),
+    st.tuples(st.just("decode"), st.one_of(_PARTS, st.tuples(_PARTS, _PARTS).map(";".join))),
+).filter(lambda command: not command[1].startswith("-")).map(
+    lambda command: (["bijection", *command], False, None)
+)
+
+# verify only refuses here: a bad modulus, a negative bound, or a cap below n = 18
+_GOOD_MODS = st.lists(st.sampled_from(["1", "2", "inf"]), max_size=3)
+_verify = st.one_of(
+    st.tuples(_GOOD_MODS, st.sampled_from(["-1", "0", "x", ""]), _GOOD_MODS).map(
+        lambda mods: [f"--mods={','.join([*mods[0], mods[1], *mods[2]])}"]
+    ),
+    st.tuples(st.sampled_from(["--n-max", "--k-max"]), st.integers(-3, -1)).map(
+        lambda bound: [f"{bound[0]}={bound[1]}"]
+    ),
+    st.integers(-3, 17).map(lambda cap: [f"--cap={cap}"]),
+).map(lambda options: (["verify", *options], True, None))
+
+
+@settings(max_examples=300, deadline=2000)
+@given(command=st.one_of(_count(), _table(), _sequence(), _concordance(), _bijection, _verify))
+def test_every_command_answers_or_refuses_in_one_line(command):
+    argv, must_refuse, expected = command
+    out, err = io.StringIO(), io.StringIO()
+    # capsys is function-scoped, and Hypothesis reruns the body within one call
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0 and not must_refuse:
+        assert err.getvalue() == ""
+        if expected is not None:
+            assert out.getvalue() == f"{expected()}\n"
+    else:
+        message = err.getvalue()
+        assert (code, out.getvalue()) == (2, "")
+        assert message.startswith("error: ") and message.endswith("\n") and message.count("\n") == 1
 
 
 class TestCountsPastTheDigitCap:

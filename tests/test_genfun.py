@@ -186,6 +186,25 @@ class TestCatalog:
         finally:
             tracemalloc.stop()
 
+    @pytest.mark.parametrize("modulus", (1, 2, 3, 5, 7, 97, 10**6, INFINITY))
+    def test_every_term_has_q_degree_at_least_twice_its_t_degree(self, modulus):
+        # so every coefficient with 2k > n is zero, and gf_count expands nothing there
+        for family, reduced, sign in itertools.product(
+            Family, (False, True), (Sign.PLUS, Sign.TOTAL)
+        ):
+            gf = gf_catalog(family, reduced, sign, modulus)
+            for poly in (gf.numerator, gf.denominator):
+                assert all(p >= 2 * s for p, s, _ in poly.terms()), (family, reduced, sign, poly)
+
+    def test_gf_count_past_half_of_n_expands_nothing(self):
+        tracemalloc.start()
+        try:
+            assert gf_count(Family.PC, False, Sign.PLUS, INFINITY, 10, 10**9) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestCrossPath:
     @pytest.mark.parametrize("modulus", ALL_MODULI)
