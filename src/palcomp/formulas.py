@@ -24,17 +24,22 @@ Totals follow total(n) = plus(n) + plus(n-1), realized by
 insert-or-bump-the-middle bijection, so no separate minus formulas exist.
 
 Where several published formulas compute the same quantity they are kept as
-separate variants (V1, V2, V3) selected by :class:`FormulaVariant`.
+separate variants (V1, V2, V3) selected by :class:`FormulaVariant`.  The
+table ``_PLUS_FORMULAS`` is the one record of which formula answers which
+block (family, reduced, finite modulus): its plus function, that function's
+variants and the block's direct total formula, if any.
 
 Loops stop where a binomial factor of their term turns zero: under the
 three-case convention binom(a, x) = 0 for x > a >= 0, so a loop over x whose
 term carries binom(a, x) runs to min(a, ...), one over i whose term carries
 binom(i, k) starts at i = k, and ac_plus_k V3's loop over s, whose term
-carries binom(j, rest - s), starts at s = rest - j.  Every term left out is
-exactly zero, and a negative target leaves every range empty.  A factor
-that is zero only where an index sum in its top is -1, as binom(i+j-1, j) at
-i = 0, keeps its test inside the loop.  For m = 1 an alternating index r has
-coefficient (m - 1) = 0, so there the rule also makes the sum finite.
+carries binom(j, rest - s), starts at s = rest - j.  The V2 vector walk stops
+at its target weight: it drops a prefix whose least completion weighs more.
+Every term left out is exactly zero, and a negative target leaves every range
+empty and drops the walk's root.  A factor that is zero only where an index
+sum in its top is -1, as binom(i+j-1, j) at i = 0, keeps its test inside the
+loop.  For m = 1 an alternating index r has coefficient (m - 1) = 0, so there
+the rule also makes the sum finite.
 """
 
 from __future__ import annotations
@@ -58,6 +63,27 @@ class FormulaVariant(Enum):
 V1, V2, V3 = FormulaVariant.V1, FormulaVariant.V2, FormulaVariant.V3
 
 
+class _PlusRow(NamedTuple):
+    plus: str  # the block's plus function
+    variants: tuple[FormulaVariant, ...]  # its published variants; () for a single formula
+    direct_total: str | None = None  # the block's direct total formula, if it has one
+
+
+# Which formula answers which block, keyed by (family, reduced, finite modulus).
+# Rows hold names, looked up in this module at call time, so a rebound formula
+# is the one that runs.  verify reports the rows with variants in this order.
+_PLUS_FORMULAS: dict[tuple[Family, bool, bool], _PlusRow] = {
+    (Family.AC, False, False): _PlusRow("ac_plus_k", (V1, V2, V3), "ac_total_k_alt"),
+    (Family.PC, False, True): _PlusRow("pc_plus_k_mod", (V1, V2)),
+    (Family.PC, True, True): _PlusRow("rpc_plus_k_mod", (V1, V2)),
+    (Family.AC, False, True): _PlusRow("ac_plus_k_mod", (V1, V2), "ac_total_k_mod"),
+    (Family.AC, True, True): _PlusRow("rac_plus_k_mod", (V1, V2), "rac_total_k_mod"),
+    (Family.PC, False, False): _PlusRow("pc_plus_k", ()),
+    (Family.PC, True, False): _PlusRow("rpc_plus_k", (), "rpc_total_k"),
+    (Family.AC, True, False): _PlusRow("rac_plus_k", ()),
+}
+
+
 def _check_nk(n: int, k: int) -> None:
     check_index(n, "n")
     check_index(k, "k")
@@ -72,10 +98,12 @@ def _check_m(m: int) -> None:
     check_modulus(m)
 
 
-def _require_variant(v: FormulaVariant, allowed: tuple[FormulaVariant, ...], what: str) -> None:
-    if v not in allowed:
-        names = ", ".join(a.name for a in allowed)
-        raise ValueError(f"{what} has variants {names}; got {v.name}")
+def _require_variant(v: FormulaVariant, block: tuple[Family, bool, bool], what: str = "") -> None:
+    """Refuse a variant outside the block's row; `what` defaults to its plus function."""
+    row = _PLUS_FORMULAS[block]
+    if v not in row.variants:
+        names = ", ".join(a.name for a in row.variants)
+        raise ValueError(f"{what or row.plus} has variants {names}; got {v.name}")
 
 
 def _nonnegative(value: int, what: str) -> int:
@@ -85,16 +113,20 @@ def _nonnegative(value: int, what: str) -> int:
 
 
 @lru_cache(maxsize=256)
-def _geometric_power_coeffs(m: int, e: int) -> tuple[tuple[int, int], ...]:
-    """Coefficients of (1 + q + ... + q^(m-2))^e as (weight, coefficient) pairs.
+def _geometric_power_coeffs(m: int, e: int, w_max: int) -> tuple[tuple[int, int], ...]:
+    """Coefficients of (1 + q + ... + q^(m-2))^e up to weight w_max, as
+    (weight, coefficient) pairs.
 
-    Built by enumerating every vector (i_0, ..., i_(m-2)) of nonnegative
+    Built by enumerating the vectors (i_0, ..., i_(m-2)) of nonnegative
     integers summing to e, exactly as the multinomial-form summations are
     written; the coefficient of weight w collects multinom(e, vector) over
     vectors with i_1 + 2 i_2 + ... + (m-2) i_(m-2) = w.  For m = 1 there are
     no vector entries at all, so only e = 0 contributes (the empty vector).
     The vectors are walked from an explicit stack of prefixes, so a large m
-    cannot exhaust the interpreter's recursion limit.
+    cannot exhaust the interpreter's recursion limit.  A prefix is dropped
+    once its weight plus remaining * (next position) passes w_max, the least
+    weight any completion reaches, and emitted once remaining is 0, since its
+    other entries are zeros.  Callers pass min(target, e (m-2)), the top weight.
     """
     slots = m - 1
     acc: dict[int, int] = {}
@@ -102,9 +134,12 @@ def _geometric_power_coeffs(m: int, e: int) -> tuple[tuple[int, int], ...]:
     while stack:
         prefix, remaining, weight = stack.pop()
         pos = len(prefix)
+        if weight + remaining * pos > w_max:
+            continue
+        if remaining == 0:
+            acc[weight] = acc.get(weight, 0) + multinom(e, prefix)
+            continue
         if pos == slots:
-            if remaining == 0:
-                acc[weight] = acc.get(weight, 0) + multinom(e, prefix)
             continue
         for val in range(remaining + 1):
             stack.append((prefix + (val,), remaining - val, weight + pos * val))
@@ -233,7 +268,7 @@ def ac_plus_k(n: int, k: int, variant: FormulaVariant = V1) -> int:
         (-1)^i binom(k+1, i) binom(j+k, j) binom(j, r+s) binom(r+s, r)
     """
     _check_nk(n, k)
-    _require_variant(variant, (V1, V2, V3), "ac_plus_k")
+    _require_variant(variant, (Family.AC, False, False))
     target = n - 2 * k
     total = 0
     if variant is V1:
@@ -345,10 +380,8 @@ def pc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
     """
     _check_nk(n, k)
     _check_m(m)
-    _require_variant(variant, (V1, V2), "pc_plus_k_mod")
+    _require_variant(variant, (Family.PC, False, True))
     target = n - k
-    if target < 0:  # else V2 walks all vectors of _geometric_power_coeffs(m, k) for nothing
-        return 0
     total = 0
     if variant is V1:
         for i in range(k, target // 2 + 1):
@@ -358,10 +391,8 @@ def pc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
                 if ij:
                     total += ij * _pc_tail(k, m, target - 2 * i - m * j)
     else:
-        for weight, coeff in _geometric_power_coeffs(m, k):
+        for weight, coeff in _geometric_power_coeffs(m, k, min(target, k * (m - 2))):
             rest = target - weight
-            if rest < 0:
-                break
             for i in range(k, rest // 2 + 1):
                 if (rest - 2 * i) % m:
                     continue
@@ -430,10 +461,8 @@ def rpc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
     """
     _check_nk(n, k)
     _check_m(m)
-    _require_variant(variant, (V1, V2), "rpc_plus_k_mod")
+    _require_variant(variant, (Family.PC, True, True))
     target = n - k
-    if target < 0:  # else V2 walks all vectors of _geometric_power_coeffs(m, k) for nothing
-        return 0
     total = 0
     if variant is V1:
         for i in range(k, target // 2 + 1):
@@ -444,10 +473,8 @@ def rpc_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
                     continue
                 total += ij * _rpc_c_tail(k, m, i, target - 2 * i - m * j)
     else:
-        for weight, coeff in _geometric_power_coeffs(m, k):
+        for weight, coeff in _geometric_power_coeffs(m, k, min(target, k * (m - 2))):
             budget = target - weight
-            if budget < 0:
-                break
             for i in range(k, budget // 2 + 1):
                 ik = binom(i, k)
                 for j in range((budget - 2 * i) // m + 1):
@@ -512,7 +539,7 @@ def ac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
     """
     _check_nk(n, k)
     _check_m(m)
-    _require_variant(variant, (V1, V2), "ac_plus_k_mod")
+    _require_variant(variant, (Family.AC, False, True))
     target = n - 2 * k
     total = 0
     if variant is V1:
@@ -525,10 +552,9 @@ def ac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
             head = binom(i + k, k)
             for j in range(min(i, target - 2 * i) + 1):
                 hj = (head * binom(i, j)) << j
-                for weight, coeff in _geometric_power_coeffs(m, j):
-                    after_w = target - 2 * i - j - weight
-                    if after_w < 0:
-                        break
+                after = target - 2 * i - j
+                for weight, coeff in _geometric_power_coeffs(m, j, min(after, j * (m - 2))):
+                    after_w = after - weight
                     hw = hj * coeff
                     for c in range(min(k, after_w // m) + 1):
                         rest = after_w - m * c
@@ -582,7 +608,7 @@ def rac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
     """
     _check_nk(n, k)
     _check_m(m)
-    _require_variant(variant, (V1, V2), "rac_plus_k_mod")
+    _require_variant(variant, (Family.AC, True, True))
     target = n - 2 * k
     total = 0
     if variant is V1:
@@ -595,10 +621,9 @@ def rac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
             head = binom(i + k, k)
             for j in range(min(i, target - 2 * i) + 1):
                 hj = head * binom(i, j)
-                for weight, coeff in _geometric_power_coeffs(m, j):
-                    rest = target - 2 * i - j - weight
-                    if rest < 0:
-                        break
+                after = target - 2 * i - j
+                for weight, coeff in _geometric_power_coeffs(m, j, min(after, j * (m - 2))):
+                    rest = after - weight
                     if rest % m:
                         continue
                     d = rest // m
@@ -667,50 +692,31 @@ def formula_count(
 ) -> int:
     """Evaluate one counting function through its closed formula.
 
-    The minus part is plus(n-1) and the total is plus(n) + plus(n-1); variants
-    apply only to quantities that have several published formulas (the
-    anti-palindromic infinity family and all finite-modulus plus families).
+    The minus part is plus(n-1) and the total is plus(n) + plus(n-1).  The
+    block's row of _PLUS_FORMULAS names its plus function and the variants it
+    takes; a block with a single published formula takes none.
     """
     check_cell(family, reduced, sign, modulus)
     _check_nk(n, k)
-    infinite = isinstance(modulus, _InfinityType)
-
-    if infinite and family is Family.AC and not reduced:
-        allowed: tuple[FormulaVariant, ...] = (V1, V2, V3)
-    elif infinite:
-        allowed = ()
-    else:
-        allowed = (V1, V2)
-    if variant is None:
-        chosen = V1
-    else:
-        if not allowed:
-            raise ValueError(
-                "this quantity has a single published formula; do not pass a variant"
-            )
-        _require_variant(variant, allowed, "formula_count")
-        chosen = variant
-
-    def plus(arg: int) -> int:
-        if infinite:
-            if family is Family.PC:
-                return rpc_plus_k(arg, k) if reduced else pc_plus_k(arg, k)
-            if reduced:
-                return rac_plus_k(arg, k)
-            return ac_plus_k(arg, k, chosen)
-        if family is Family.PC:
-            if reduced:
-                return rpc_plus_k_mod(arg, k, modulus, chosen)
-            return pc_plus_k_mod(arg, k, modulus, chosen)
-        if reduced:
-            return rac_plus_k_mod(arg, k, modulus, chosen)
-        return ac_plus_k_mod(arg, k, modulus, chosen)
+    finite = not isinstance(modulus, _InfinityType)
+    block = (family, reduced, finite)
+    row = _PLUS_FORMULAS[block]
+    args: tuple = (k, modulus) if finite else (k,)
+    if row.variants:
+        if variant is not None:
+            _require_variant(variant, block, "formula_count")
+        args += (V1 if variant is None else variant,)
+    elif variant is not None:
+        raise ValueError(
+            "this quantity has a single published formula; do not pass a variant"
+        )
+    plus = globals()[row.plus]
 
     if sign is Sign.PLUS:
-        return plus(n)
+        return plus(n, *args)
     if sign is Sign.MINUS:
-        return plus(n - 1) if n >= 1 else 0
-    return total_from_plus(plus, n)
+        return plus(n - 1, *args) if n >= 1 else 0
+    return total_from_plus(plus, n, *args)
 
 
 def formula_column(

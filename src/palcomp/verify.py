@@ -13,9 +13,10 @@ The named closed forms live once, in ``formulas.SPECIAL_VALUES``: every check
 that compares a count with one reads it there, and :func:`special_values`
 checks each row on the formula path (n <= 24) and the GF path (n <= 200).
 
-The formula path is resolved through the :mod:`palcomp.formulas` module
-attributes at call time, so tests can inject a perturbed formula and assert
-the harness pinpoints it.
+The formula path, including the functions that the rows of
+``formulas._PLUS_FORMULAS`` name, is resolved through the
+:mod:`palcomp.formulas` module attributes at call time, so tests can inject
+a perturbed formula and assert the harness pinpoints it.
 """
 
 from __future__ import annotations
@@ -151,18 +152,14 @@ def variant_agreement(
 ) -> _Cells:
     """All published formulas for the same quantity return the same value."""
     finite = [m for m in moduli if m is not INFINITY]
-    quantities = [
-        ("ac_plus", formulas.ac_plus_k, [None], 3),
-        ("pc_plus_mod", formulas.pc_plus_k_mod, finite, 2),
-        ("rpc_plus_mod", formulas.rpc_plus_k_mod, finite, 2),
-        ("ac_plus_mod", formulas.ac_plus_k_mod, finite, 2),
-        ("rac_plus_mod", formulas.rac_plus_k_mod, finite, 2),
-    ]
-    variants = [formulas.V1, formulas.V2, formulas.V3]
-    for name, fn, ms, n_variants in quantities:
-        for m, (n, k) in itertools.product(ms, _box(n_max, k_max)):
+    for (_, _, is_finite), row in formulas._PLUS_FORMULAS.items():
+        if len(row.variants) < 2:
+            continue
+        fn = getattr(formulas, row.plus)
+        name = row.plus.replace("_k", "")  # ac_plus_k_mod reports as ac_plus_mod
+        for m, (n, k) in itertools.product(finite if is_finite else [None], _box(n_max, k_max)):
             args = (n, k) if m is None else (n, k, m)
-            values = [fn(*args, v) for v in variants[:n_variants]]
+            values = [fn(*args, v) for v in row.variants]
             params = {"quantity": name, "modulus": "inf" if m is None else m, "n": n, "k": k}
             yield params, values[0], values
     # the k = 0 specializations against the general formula at k = 0
@@ -179,19 +176,14 @@ def variant_agreement(
 def totals_from_plus(
     n_max: int = 14, k_max: int = 4, moduli: Sequence[Modulus] = DEFAULT_MODULI
 ) -> _Cells:
-    """Each direct total formula equals plus(n) + plus(n-1) of its plus formula:
-    ac_total_k_mod and rac_total_k_mod at every finite modulus, ac_total_k_alt
-    and rpc_total_k at infinity."""
-    direct_totals = {  # (family, reduced, finite modulus) -> (direct total, plus formula)
-        (Family.AC, False, True): (formulas.ac_total_k_mod, formulas.ac_plus_k_mod),
-        (Family.AC, True, True): (formulas.rac_total_k_mod, formulas.rac_plus_k_mod),
-        (Family.AC, False, False): (formulas.ac_total_k_alt, formulas.ac_plus_k),
-        (Family.PC, True, False): (formulas.rpc_total_k, formulas.rpc_plus_k),
-    }
+    """Each direct total formula that a row of formulas._PLUS_FORMULAS names
+    equals plus(n) + plus(n-1) of the row's plus formula, at every modulus of
+    the row's block."""
     for (family, reduced, _, modulus), cells in _grid((Sign.TOTAL,), moduli, _box(n_max, k_max)):
         finite = modulus is not INFINITY
-        if (family, reduced, finite) in direct_totals:
-            direct, plus = direct_totals[family, reduced, finite]
+        row = formulas._PLUS_FORMULAS[family, reduced, finite]
+        if row.direct_total:
+            direct, plus = getattr(formulas, row.direct_total), getattr(formulas, row.plus)
             args = (modulus,) if finite else ()
             for n, k, params in cells:
                 yield params, formulas.total_from_plus(plus, n, k, *args), direct(n, k, *args)

@@ -1,6 +1,9 @@
 """Closed formulas against frozen values, the oracle, and each other."""
 
+import ast
+import functools
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from palcomp import core, formulas
 from palcomp.core import binom, fibonacci, tribonacci, tribonacci_prime
 from palcomp.formulas import (
     SPECIAL_VALUES,
+    FormulaVariant,
     V1,
     V2,
     V3,
@@ -43,6 +47,19 @@ from palcomp.oracle import brute_count, count_parts_equal_one
 from palcomp.stats import INFINITY, Family, Sign
 
 ALL_MODULI = (1, 2, 3, 4, 5, INFINITY)
+TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+# The published variants of each block's plus function, written out apart from
+# formulas._PLUS_FORMULAS, keyed the same way: (family, reduced, finite modulus).
+PUBLISHED_VARIANTS = {
+    (Family.AC, False, False): ("ac_plus_k", (V1, V2, V3)),
+    (Family.PC, False, True): ("pc_plus_k_mod", (V1, V2)),
+    (Family.PC, True, True): ("rpc_plus_k_mod", (V1, V2)),
+    (Family.AC, False, True): ("ac_plus_k_mod", (V1, V2)),
+    (Family.AC, True, True): ("rac_plus_k_mod", (V1, V2)),
+    (Family.PC, False, False): ("pc_plus_k", ()),
+    (Family.PC, True, False): ("rpc_plus_k", ()),
+    (Family.AC, True, False): ("rac_plus_k", ()),
+}
 
 
 class TestInfinityFamilies:
@@ -227,11 +244,13 @@ class TestVariantsAndDispatch:
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_geometric_power_coeffs_equal_repeated_products(self, m):
+        """The walk bounded at w_max equals the product truncated at w_max."""
         base = [1] * (m - 1)  # 1 + q + ... + q^(m-2); empty for m = 1
         poly = [1]
         for e in range(7):
-            want = tuple((w, c) for w, c in enumerate(poly) if c)
-            assert formulas._geometric_power_coeffs(m, e) == want, (m, e)
+            for w_max in range(-1, 20):
+                want = tuple((w, c) for w, c in enumerate(poly) if c and w <= w_max)
+                assert formulas._geometric_power_coeffs(m, e, w_max) == want, (m, e, w_max)
             product = [0] * (len(poly) + len(base) - 1) if base else []
             for i, a in enumerate(poly):
                 for j, b in enumerate(base):
@@ -239,14 +258,40 @@ class TestVariantsAndDispatch:
             poly = product
 
     def test_multinomial_walk_survives_a_large_modulus(self):
-        assert formulas._geometric_power_coeffs(2000, 0) == ((0, 1),)
+        assert formulas._geometric_power_coeffs(2000, 0, 0) == ((0, 1),)
         assert pc_plus_k_mod(10, 0, 2000, V2) == pc_plus_k_mod(10, 0, 2000, V1)
 
-    def test_variant_rejection(self):
-        with pytest.raises(ValueError):
-            ac_plus_k_mod(5, 1, 2, V3)
-        with pytest.raises(ValueError):
-            formula_count(Family.PC, False, Sign.PLUS, INFINITY, 5, 1, V2)
+    @pytest.mark.parametrize("block", list(formulas._PLUS_FORMULAS),
+                             ids=[row.plus for row in formulas._PLUS_FORMULAS.values()])
+    def test_variant_rejection(self, block):
+        """A plus function and formula_count take exactly the published variants."""
+        name, published = PUBLISHED_VARIANTS[block]
+        family, reduced, finite = block
+        modulus = 2 if finite else INFINITY
+        plus = functools.partial(getattr(formulas, name), 5, 1, *([modulus] if finite else []))
+        cell = functools.partial(formula_count, family, reduced, Sign.PLUS, modulus, 5, 1)
+        count = cell()
+        names = ", ".join(v.name for v in published)
+        for v in FormulaVariant:
+            if v in published:
+                assert plus(v) == cell(v) == count
+            elif published:
+                for what, call in ((name, plus), ("formula_count", cell)):
+                    message = f"^{what} has variants {names}; got {v.name}$"
+                    with pytest.raises(ValueError, match=message):
+                        call(v)
+            else:
+                with pytest.raises(ValueError, match="single published formula"):
+                    cell(v)
+
+    def test_the_benchmark_traces_the_plus_functions_of_the_table(self):
+        """perfbench/traced_cli.py counts plus evaluations by the names in its own
+        PLUS_FUNCTIONS; they must be the plus functions formula_count dispatches to."""
+        (names,) = [node.value.args[0] for node in ast.parse(TRACED_CLI.read_text()).body
+                    if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "PLUS_FUNCTIONS"]
+        table = {row.plus for row in formulas._PLUS_FORMULAS.values()}
+        assert table == ast.literal_eval(names)
 
     @pytest.mark.parametrize(
         "n, k, name", [(True, 1, "n"), (4, False, "k"), (4.0, 1, "n"), (4, 1.5, "k"), ("4", 1, "n")]
