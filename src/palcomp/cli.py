@@ -32,7 +32,6 @@ from .stats import (
     Modulus,
     Sign,
     format_composition,
-    format_modulus,
     parse_composition,
     parse_modulus,
 )
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-check formulas, series, and brute force")
     p_verify.add_argument("--n-max", type=int, default=14)
     p_verify.add_argument("--k-max", type=int, default=4)
-    p_verify.add_argument("--mods", default=",".join(format_modulus(m) for m in DEFAULT_MODULI),
+    p_verify.add_argument("--mods", default=",".join(map(str, DEFAULT_MODULI)),
                           help="comma-separated moduli, e.g. '1,2,3,4,5,inf'")
     p_verify.add_argument("--report", choices=["text", "json"], default="text")
     p_verify.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)

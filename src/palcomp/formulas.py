@@ -49,9 +49,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .core import binom, fibonacci, multinom, tribonacci, tribonacci_prime
-from .stats import (
-    INFINITY, Family, Modulus, Sign, _InfinityType, check_cell, check_index, check_modulus,
-)
+from .stats import INFINITY, Family, Modulus, Sign, check_cell, check_index, check_modulus
 
 
 class FormulaVariant(Enum):
@@ -90,7 +88,7 @@ def _check_nk(n: int, k: int) -> None:
 
 
 def _check_m(m: int) -> None:
-    if isinstance(m, _InfinityType):
+    if m is INFINITY:
         raise ValueError(
             "the _mod formulas take a finite modulus; use the modulus-free "
             "functions for the infinity family"
@@ -554,13 +552,12 @@ def ac_plus_k_mod(n: int, k: int, m: int, variant: FormulaVariant = V1) -> int:
                 hj = (head * binom(i, j)) << j
                 after = target - 2 * i - j
                 for weight, coeff in _geometric_power_coeffs(m, j, min(after, j * (m - 2))):
-                    after_w = after - weight
+                    rest = after - weight
+                    if rest % m:  # then rest - m * c is a multiple of m for no c
+                        continue
                     hw = hj * coeff
-                    for c in range(min(k, after_w // m) + 1):
-                        rest = after_w - m * c
-                        if rest % m:
-                            continue
-                        d = rest // m
+                    for c in range(min(k, rest // m) + 1):
+                        d = rest // m - c
                         total += hw * binom(k, c) * binom(k + j + d - 1, d)
     return _nonnegative(total, "ac_plus_k_mod")
 
@@ -698,7 +695,7 @@ def formula_count(
     """
     check_cell(family, reduced, sign, modulus)
     _check_nk(n, k)
-    finite = not isinstance(modulus, _InfinityType)
+    finite = modulus is not INFINITY
     block = (family, reduced, finite)
     row = _PLUS_FORMULAS[block]
     args: tuple = (k, modulus) if finite else (k,)

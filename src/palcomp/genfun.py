@@ -31,8 +31,10 @@ grid from it, and :func:`gf_count` reads one cell of that grid.
 Every term of every catalog numerator and denominator has q-degree at least
 twice its t-degree, at every modulus; the tests check this over the whole
 catalog.  So does every term of a product or inverse of such series, and
-each coefficient with 2s > p is zero: :func:`gf_count` answers a cell with
-2k > n as 0 without expanding anything, where the expansion would grow with k.
+each coefficient with 2s > p is zero: :func:`gf_grid` expands only to
+t-degree n_max // 2 and pads the columns above with zeros, and :func:`gf_count`
+answers a cell with 2k > n as 0 without expanding anything, so no expansion
+grows with k past n / 2.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
-from .stats import Family, Modulus, Sign, _InfinityType, check_cell, check_index
+from .stats import INFINITY, Family, Modulus, Sign, check_cell, check_index
 
 
 class BivariatePoly:
@@ -333,7 +335,7 @@ def _gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> 
         raise KeyError(
             "no catalog entry for the minus part; expand the plus entry at n-1"
         )
-    finite = not isinstance(modulus, _InfinityType)
+    finite = modulus is not INFINITY
     builder = _CATALOG[family, reduced, sign, finite]
     gf = builder(modulus) if finite else builder()
     if gf.denominator.coeff(0, 0) != 1:
@@ -370,5 +372,7 @@ def gf_grid(
     if sign is Sign.MINUS:
         plus_rows = gf_grid(family, reduced, Sign.PLUS, modulus, n_max, k_max)
         return [[0] * (k_max + 1)] + plus_rows[:n_max]
-    series = series_table(gf_catalog(family, reduced, sign, modulus), n_max, k_max)
-    return [list(row) for row in series]
+    top = min(k_max, n_max // 2)  # every column above n_max // 2 is zero
+    series = series_table(gf_catalog(family, reduced, sign, modulus), n_max, top)
+    padding = [0] * (k_max - top)
+    return [[*row, *padding] for row in series]

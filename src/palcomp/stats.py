@@ -10,7 +10,9 @@ pair for 1 <= i <= l//2.  A pair *mismatches* modulo m when the two parts are
 incongruent mod m (literally unequal when the modulus is INFINITY), and
 *matches* otherwise.  Counting compositions by the number of mismatching
 pairs gives the palindromic families; counting by matching pairs gives the
-anti-palindromic families.
+anti-palindromic families.  A modulus is a positive int or the single Enum
+member INFINITY, which every path tests by identity (``modulus is INFINITY``)
+and which reads as ``inf`` under repr, str and format.
 
 Sign classes refine the count by the middle part: a composition is PLUS when
 its length is even, or odd with an even middle part; MINUS when the middle
@@ -27,28 +29,20 @@ from enum import Enum
 from typing import Iterable, Sequence, Union
 
 
-class _InfinityType:
+class _InfinityType(Enum):
     """Modulus meaning 'congruence is literal equality'."""
 
-    __slots__ = ()
-    _instance = None
+    INFINITY = "inf"
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __hash__ = object.__hash__  # it keys the census, catalog and series caches
 
     def __repr__(self) -> str:
         return "inf"
 
-    def __deepcopy__(self, memo):
-        return self
-
-    def __reduce__(self):
-        return (_InfinityType, ())
+    __str__ = __repr__
 
 
-INFINITY = _InfinityType()
+INFINITY = _InfinityType.INFINITY
 
 Modulus = Union[int, _InfinityType]
 
@@ -72,7 +66,7 @@ class Sign(Enum):
 
 def check_modulus(modulus: Modulus) -> Modulus:
     """Validate a modulus: a positive integer or INFINITY."""
-    if isinstance(modulus, _InfinityType):
+    if modulus is INFINITY:
         return modulus
     if isinstance(modulus, bool) or not isinstance(modulus, int):
         raise TypeError(f"modulus must be a positive int or INFINITY, got {modulus!r}")
@@ -137,10 +131,6 @@ def parse_modulus(text: str) -> Modulus:
     return check_modulus(m)
 
 
-def format_modulus(modulus: Modulus) -> str:
-    return "inf" if isinstance(modulus, _InfinityType) else str(modulus)
-
-
 def encode_binary(c: Composition) -> tuple[int, ...]:
     """Binary string of length n marking the partial sums of c with ones.
 
@@ -180,7 +170,7 @@ def decode_binary(bits: Sequence[int] | str) -> Composition:
 
 def congruent(a: int, b: int, modulus: Modulus) -> bool:
     """a == b under INFINITY; a == b (mod m) otherwise."""
-    if isinstance(modulus, _InfinityType):
+    if modulus is INFINITY:
         return a == b
     return (a - b) % modulus == 0
 

@@ -47,7 +47,6 @@ from .stats import (
     Sign,
     decode_binary,
     encode_binary,
-    format_modulus,
     mismatch_count,
     sign_class,
 )
@@ -111,7 +110,7 @@ def _grid(signs: Iterable[Sign], moduli: Iterable[Modulus], points: Iterable[tup
     points = list(points)
     for family, reduced, sign, modulus in itertools.product(Family, (False, True), signs, moduli):
         block = {"family": family.value, "reduced": reduced, "sign": sign.value,
-                 "modulus": format_modulus(modulus)}
+                 "modulus": str(modulus)}
         cells = [(n, k, {**block, "n": n, "k": k}) for n, k in points]
         yield (family, reduced, sign, modulus), cells
 
@@ -157,10 +156,11 @@ def variant_agreement(
             continue
         fn = getattr(formulas, row.plus)
         name = row.plus.replace("_k", "")  # ac_plus_k_mod reports as ac_plus_mod
-        for m, (n, k) in itertools.product(finite if is_finite else [None], _box(n_max, k_max)):
-            args = (n, k) if m is None else (n, k, m)
+        row_moduli = finite if is_finite else [m for m in moduli if m is INFINITY]
+        for m, (n, k) in itertools.product(row_moduli, _box(n_max, k_max)):
+            args = (n, k, m) if is_finite else (n, k)
             values = [fn(*args, v) for v in row.variants]
-            params = {"quantity": name, "modulus": "inf" if m is None else m, "n": n, "k": k}
+            params = {"quantity": name, "modulus": m if is_finite else str(m), "n": n, "k": k}
             yield params, values[0], values
     # the k = 0 specializations against the general formula at k = 0
     for name, special, general in (
@@ -220,7 +220,7 @@ def statistic_partition(
             brute_count(family, False, Sign.TOTAL, modulus, n, k, cap=cap)
             for k in range(n // 2 + 1)
         )
-        params = {"family": family.value, "modulus": format_modulus(modulus), "n": n}
+        params = {"family": family.value, "modulus": str(modulus), "n": n}
         yield params, 1 if n == 0 else 1 << (n - 1), acc
 
 

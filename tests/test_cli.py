@@ -345,6 +345,22 @@ class TestSequence:
         code, _, err = run(capsys, "sequence", "--n-max", "3")
         assert code == 2 and "--family" in err
 
+    def test_k_required_without_concordance(self, capsys):
+        code, out, err = run(
+            capsys, "sequence", "--family", "pc", "--sign", "plus", "--mod", "inf", "--n-max", "3"
+        )
+        assert (code, out, err) == (
+            2, "", "error: --k is required unless --concordance is given\n"
+        )
+
+    def test_concordance_divisor_that_does_not_divide_is_refused(self, capsys, monkeypatch):
+        halved = lookup("A025192")._replace(divisor=2)  # its count at n = 0 is 1
+        monkeypatch.setattr(palcomp.concordance, "lookup", lambda sequence_id: halved)
+        code, out, err = run(capsys, "sequence", "--concordance", "A025192", "--n-max", "3")
+        assert (code, out, err) == (
+            2, "", "error: A025192: count 1 at n=0 is not divisible by 2\n"
+        )
+
 
 class TestVerifyCommand:
     def test_passes_and_exits_zero(self, capsys):
@@ -390,6 +406,18 @@ class TestVerifyCommand:
         assert grid["params"]["family"] == "pc"
         assert grid["params"]["n"] == 6
         assert grid["params"]["k"] == 1
+
+    def test_text_report_prints_the_failing_cell(self, capsys, monkeypatch):
+        honest = formulas.pc_plus_k
+        monkeypatch.setattr(formulas, "pc_plus_k", lambda n, k: honest(n, k) + ((n, k) == (6, 1)))
+        code, out, _ = run(capsys, "verify", "--n-max", "8", "--k-max", "2", "--mods", "inf")
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "FAIL three_path_grid params={'family': 'pc', 'reduced': False, 'sign': 'plus',"
+            " 'modulus': 'inf', 'n': 6, 'k': 1} expected={'formula': 11, 'genfun': 10}"
+            " actual={'brute': 10}"
+        )
+        assert "PASS variant_agreement" in out.splitlines()
 
     def test_cap_refusal_comes_before_any_work(self, capsys):
         start = time.perf_counter()

@@ -106,18 +106,32 @@ def test_triangle_records_match_direct_counts():
         assert n == 5 + 2 * k and stat == k
 
 
-@pytest.mark.parametrize("key, loads", [("divisor", True), ("divsor", False)])
-def test_a_misspelt_field_is_refused(monkeypatch, tmp_path, key, loads):
-    entry = {"id": "A000000", "family": "pc", "reduced": False, "sign": "plus",
-             "modulus": "inf", "k": 0, "shift": 0, key: 2}
-    (tmp_path / "concordance.json").write_text(json.dumps([entry]))
-    monkeypatch.setattr(concordance.resources, "files", lambda package: tmp_path)
-    load_concordance.cache_clear()
-    try:
-        if loads:
-            assert load_concordance()["A000000"].divisor == 2
-        else:
-            with pytest.raises(TypeError, match="divsor"):
-                load_concordance()
-    finally:
+@pytest.fixture
+def load_one(monkeypatch, tmp_path):
+    """Load a concordance file holding one record A000000 with the given extra fields."""
+
+    def load(**fields):
+        entry = {"id": "A000000", "family": "pc", "reduced": False, "sign": "plus",
+                 "modulus": "inf", "k": 0, "shift": 0, **fields}
+        (tmp_path / "concordance.json").write_text(json.dumps([entry]))
         load_concordance.cache_clear()
+        return load_concordance()
+
+    monkeypatch.setattr(concordance.resources, "files", lambda package: tmp_path)
+    yield load
+    load_concordance.cache_clear()
+
+
+@pytest.mark.parametrize("key, value", [("stride", 0), ("divisor", 0), ("stride", -1)])
+def test_a_stride_or_divisor_below_one_is_refused(load_one, key, value):
+    with pytest.raises(ValueError, match="^A000000: stride and divisor must be >= 1$"):
+        load_one(**{key: value})
+
+
+@pytest.mark.parametrize("key, loads", [("divisor", True), ("divsor", False)])
+def test_a_misspelt_field_is_refused(load_one, key, loads):
+    if loads:
+        assert load_one(**{key: 2})["A000000"].divisor == 2
+    else:
+        with pytest.raises(TypeError, match="divsor"):
+            load_one(**{key: 2})

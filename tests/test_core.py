@@ -128,6 +128,10 @@ class TestTribonacciIdentity:
     def test_equals_shifted_tribonacci(self, n):
         assert tribonacci_identity_sum(n) == tribonacci(n + 1)
 
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="defined for n >= 0, got -1$"):
+            tribonacci_identity_sum(-1)
+
 
 def test_every_module_cache_is_bounded():
     # an unbounded cache keeps one entry per distinct argument for the life

@@ -46,7 +46,8 @@ from palcomp.genfun import gf_count
 from palcomp.oracle import brute_count, count_parts_equal_one
 from palcomp.stats import INFINITY, Family, Sign
 
-ALL_MODULI = (1, 2, 3, 4, 5, INFINITY)
+# INFINITY's test id stays the positional one pytest gave it as a non-Enum value
+ALL_MODULI = (1, 2, 3, 4, 5, pytest.param(INFINITY, id="modulus5"))
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
 # The published variants of each block's plus function, written out apart from
 # formulas._PLUS_FORMULAS, keyed the same way: (family, reduced, finite modulus).
@@ -305,6 +306,8 @@ class TestVariantsAndDispatch:
         assert total_from_plus(pc_plus_k, 0, 0) == pc_plus_k(0, 0)
         assert total_from_plus(ac_plus_k, 6, 0) == 11 + 6
         assert tribonacci_prime(6) == 6  # the n-1 term above
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            total_from_plus(pc_plus_k, -1, 0)
 
     @pytest.mark.parametrize(
         "family, reduced", list(itertools.product(Family, (False, True)))

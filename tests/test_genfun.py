@@ -25,7 +25,8 @@ from palcomp.genfun import (
 from palcomp.oracle import brute_count
 from palcomp.stats import INFINITY, Family, Sign
 
-ALL_MODULI = (1, 2, 3, 4, 5, INFINITY)
+# INFINITY's test id stays the positional one pytest gave it as a non-Enum value
+ALL_MODULI = (1, 2, 3, 4, 5, pytest.param(INFINITY, id="modulus5"))
 
 
 def coefficient(gf: RationalGF, n: int, k: int) -> int:
@@ -89,6 +90,11 @@ class TestSeriesInverse:
             series_inverse(2 * ONE - Q, 4, 4)
         with pytest.raises(ValueError):
             series_inverse(Q, 4, 4)
+
+    @pytest.mark.parametrize("bounds", [(-1, 0), (0, -1)])
+    def test_rejects_negative_bounds(self, bounds):
+        with pytest.raises(ValueError, match="^truncation bounds must be >= 0"):
+            series_inverse(ONE - Q, *bounds)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -186,7 +192,9 @@ class TestCatalog:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("modulus", (1, 2, 3, 5, 7, 97, 10**6, INFINITY))
+    @pytest.mark.parametrize(
+        "modulus", (1, 2, 3, 5, 7, 97, 10**6, pytest.param(INFINITY, id="modulus7"))
+    )
     def test_every_term_has_q_degree_at_least_twice_its_t_degree(self, modulus):
         # so every coefficient with 2k > n is zero, and gf_count expands nothing there
         for family, reduced, sign in itertools.product(

@@ -1,5 +1,8 @@
 """Whole-grid readers: gf_grid and formula_column equal their per-cell APIs."""
 
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +25,33 @@ def test_gf_grid_equals_gf_count(cell, n_max, k_max):
     assert rows == [
         [gf_count(*cell, n, k) for k in range(k_max + 1)] for n in range(n_max + 1)
     ]
+
+
+@pytest.mark.parametrize("modulus", (1, 2, 3, 5, 97, INFINITY))
+def test_gf_grid_past_half_of_n_max_equals_gf_count(modulus):
+    # the columns above n_max // 2 are padding, and zero like gf_count's cells there
+    for family, reduced, sign in itertools.product(Family, (False, True), Sign):
+        for n_max in (0, 1, 6, 9):
+            k_max = n_max // 2 + 3
+            rows = gf_grid(family, reduced, sign, modulus, n_max, k_max)
+            assert rows == [
+                [gf_count(family, reduced, sign, modulus, n, k) for k in range(k_max + 1)]
+                for n in range(n_max + 1)
+            ], (family, reduced, sign, n_max)
+
+
+def test_gf_grid_past_half_of_n_max_expands_only_to_it():
+    # 11 padded rows of 10^5 + 1 zeros take 8.4 MiB; expanding to t-degree 10^5 takes 25
+    tracemalloc.start()
+    try:
+        rows = gf_grid(Family.PC, False, Sign.PLUS, INFINITY, 10, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cell = (Family.PC, False, Sign.PLUS, INFINITY)
+    assert rows[10][:6] == [gf_count(*cell, 10, k) for k in range(6)]
+    assert not any(any(row[6:]) for row in rows)
+    assert peak < 12 * 2**20
 
 
 @settings(deadline=None)

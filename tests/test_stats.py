@@ -181,13 +181,18 @@ class TestCountSpec:
             with pytest.raises(TypeError, match=f"^{field} must be a "):
                 check_cell(*cell)
 
-    @pytest.mark.parametrize("member", [*Family, *Sign])
+    @pytest.mark.parametrize("member", [*Family, *Sign, INFINITY])
     def test_members_hash_by_identity_and_copy_to_themselves(self, member):
         # every path keys its records and caches on these members, so their
         # hash is object.__hash__, not Enum's Python-level hash of the name
         assert hash(member) == object.__hash__(member)
         assert pickle.loads(pickle.dumps(member)) is member
         assert copy.deepcopy(member) is member
+
+    def test_infinity_reads_as_inf(self):
+        # reports and the CLI print the modulus with str(), so every spelling is "inf"
+        assert (repr(INFINITY), str(INFINITY), format(INFINITY), f"{INFINITY}") == ("inf",) * 4
+        assert f"[{INFINITY:>5}]" == "[  inf]"
 
     def test_statistic_dispatch(self):
         # pc counts mismatching pairs, ac matching ones; 4 and 1 agree mod 3

@@ -95,6 +95,18 @@ def test_variant_check_catches_divergence(monkeypatch):
     assert result.params["quantity"] == "rac_plus_mod"
 
 
+def test_variant_agreement_runs_each_row_at_its_own_moduli():
+    # the modulus-free ac_plus_k row runs only when INFINITY is asked for, and the
+    # finite rows and their k = 0 specializations only at the finite moduli asked for
+    cells = list(verify.variant_agreement.__wrapped__(4, 1, (2,)))
+    assert len(cells) == 50 and all(params["modulus"] == 2 for params, _, _ in cells)
+    cells = list(verify.variant_agreement.__wrapped__(4, 1, (INFINITY,)))
+    assert [params for params, _, _ in cells] == [
+        {"quantity": "ac_plus", "modulus": "inf", "n": n, "k": k}
+        for n in range(5) for k in range(2)
+    ]
+
+
 @pytest.mark.parametrize(
     "check",
     [
