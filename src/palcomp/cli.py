@@ -123,14 +123,15 @@ def _grid(
     each plus value once, both over n = 0..ns[-1]; brute force goes cell by
     cell, so its refusals name the first cell that needs them.
     """
+    variant = _check_cell(args, min(ns, default=0), ks[0])  # an empty range refuses too
     if not ns:
         return []
-    variant = _check_cell(args, ns[0], ks[0])
     if args.method == "brute":
         return [[_evaluate(args, family, reduced, sign, modulus, n, k) for k in ks] for n in ns]
     if args.method == "gf":
-        rows = gf_grid(family, reduced, sign, modulus, ns[-1], ks[-1])
-        return [rows[n][ks[0]:] for n in ns]
+        top = min(ks[-1], ns[-1])  # no column above n: n has at most n // 2 mirror pairs
+        rows = gf_grid(family, reduced, sign, modulus, ns[-1], top)
+        return [[rows[n][k] if k <= top else 0 for k in ks] for n in ns]
     columns = [formula_column(family, reduced, sign, modulus, ns[-1], k, variant) for k in ks]
     return [[column[n] for column in columns] for n in ns]
 

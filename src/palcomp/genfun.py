@@ -10,10 +10,11 @@ such as 1 - q^m has two terms whatever m is, so building an entry costs the
 same at m = 13 and at m = 10^18.  An expansion is dense, a tuple of row
 tuples read as ``table[p][s]`` (the coefficient of q^p t^s), because every
 coefficient up to the bounds is filled in and read by index.  Both are exact
-over Python integers and immutable.  The catalog builds each numerator and
-denominator from the factored displayed form, never cancelled (no polynomial
-GCD here); equality of presentations is confirmed by coefficient comparison
-in the tests.
+over Python integers and immutable.  The catalog has one row per block
+(family, reduced, finite modulus): the plus builder and the paper's displayed
+total, if any; any other total is :func:`_totalized`, the plus entry times
+(1 + q).  Entries keep the factored displayed form, never cancelled (no
+polynomial GCD here), and are rebuilt on every lookup, with no cache.
 
 Series inversion requires a denominator with constant term exactly 1 (true
 of every catalog entry for every modulus) and runs the graded coefficient
@@ -40,7 +41,7 @@ grows with k past n / 2.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .stats import INFINITY, Family, Modulus, Sign, check_cell, check_index
 
@@ -298,46 +299,35 @@ def _totalized(plus_gf: RationalGF) -> RationalGF:
     return RationalGF((ONE + Q) * plus_gf.numerator, plus_gf.denominator)
 
 
-# (family, reduced, sign, finite modulus) -> builder; a finite-modulus builder takes m
-_CATALOG: dict[tuple[Family, bool, Sign, bool], object] = {
-    (Family.PC, False, Sign.PLUS, False): _pc_plus_inf,
-    (Family.PC, False, Sign.TOTAL, False): lambda: _totalized(_pc_plus_inf()),
-    (Family.PC, True, Sign.PLUS, False): _rpc_plus_inf,
-    (Family.PC, True, Sign.TOTAL, False): lambda: _totalized(_rpc_plus_inf()),
-    (Family.AC, False, Sign.PLUS, False): _ac_plus_inf,
-    (Family.AC, False, Sign.TOTAL, False): _ac_total_inf,
-    (Family.AC, True, Sign.PLUS, False): _rac_plus_inf,
-    (Family.AC, True, Sign.TOTAL, False): lambda: _totalized(_rac_plus_inf()),
-    (Family.PC, False, Sign.PLUS, True): _pc_plus_mod,
-    (Family.PC, False, Sign.TOTAL, True): lambda m: _totalized(_pc_plus_mod(m)),
-    (Family.PC, True, Sign.PLUS, True): _rpc_plus_mod,
-    (Family.PC, True, Sign.TOTAL, True): lambda m: _totalized(_rpc_plus_mod(m)),
-    (Family.AC, False, Sign.PLUS, True): _ac_plus_mod,
-    (Family.AC, False, Sign.TOTAL, True): _ac_total_mod,
-    (Family.AC, True, Sign.PLUS, True): _rac_plus_mod,
-    (Family.AC, True, Sign.TOTAL, True): _rac_total_mod,
+class _CatalogRow(NamedTuple):
+    plus: Callable[..., RationalGF]  # the block's plus builder; a finite-modulus one takes m
+    total: Callable[..., RationalGF] | None = None  # the paper's displayed total, if any
+
+
+# (family, reduced, finite modulus) -> row
+_CATALOG: dict[tuple[Family, bool, bool], _CatalogRow] = {
+    (Family.PC, False, False): _CatalogRow(_pc_plus_inf),
+    (Family.PC, True, False): _CatalogRow(_rpc_plus_inf),
+    (Family.AC, False, False): _CatalogRow(_ac_plus_inf, _ac_total_inf),
+    (Family.AC, True, False): _CatalogRow(_rac_plus_inf),
+    (Family.PC, False, True): _CatalogRow(_pc_plus_mod),
+    (Family.PC, True, True): _CatalogRow(_rpc_plus_mod),
+    (Family.AC, False, True): _CatalogRow(_ac_plus_mod, _ac_total_mod),
+    (Family.AC, True, True): _CatalogRow(_rac_plus_mod, _rac_total_mod),
 }
 
 
 def gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> RationalGF:
-    """Look up (and for finite moduli, instantiate) a catalog generating function.
-
-    The cell is validated before the cached lookup, so a value that only
-    hashes like a valid one (1 for True) cannot read another cell's entry.
-    """
+    """Build a catalog generating function, a finite-modulus one at that modulus."""
     check_cell(family, reduced, sign, modulus)
-    return _gf_catalog(family, reduced, sign, modulus)
-
-
-@lru_cache(maxsize=64)
-def _gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> RationalGF:
     if sign is Sign.MINUS:
-        raise KeyError(
-            "no catalog entry for the minus part; expand the plus entry at n-1"
-        )
-    finite = modulus is not INFINITY
-    builder = _CATALOG[family, reduced, sign, finite]
-    gf = builder(modulus) if finite else builder()
+        raise KeyError("no catalog entry for the minus part; expand the plus entry at n-1")
+    row = _CATALOG[family, reduced, modulus is not INFINITY]
+    args = () if modulus is INFINITY else (modulus,)
+    if sign is Sign.PLUS:
+        gf = row.plus(*args)
+    else:
+        gf = row.total(*args) if row.total else _totalized(row.plus(*args))
     if gf.denominator.coeff(0, 0) != 1:
         raise AssertionError("catalog invariant violated: denominator constant term != 1")
     return gf

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +221,33 @@ class TestSequence:
             "--k", "0", "--n-max", "2", "--offset", "5",
         )
         assert code == 0 and out == ""
+
+    @pytest.mark.parametrize("refused, message", [
+        (("--k", "-1"), "k must be >= 0, got -1"),
+        (("--k", "1", "--variant", "2", "--method", "gf"),
+         "--variant selects among closed formulas; it requires --method formula"),
+    ], ids=["negative-k", "variant-with-gf"])
+    def test_an_empty_range_still_refuses(self, capsys, refused, message):
+        for offset in ("0", "5"):
+            code, out, err = run(
+                capsys, "sequence", "--family", "pc", "--sign", "plus", "--mod", "inf",
+                *refused, "--n-max", "3", "--offset", offset,
+            )
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_gf_builds_only_the_columns_it_prints(self, capsys):
+        # a column with k > n is 0, so k = 10^6 needs no padded rows of 10^6 zeros
+        tracemalloc.start()
+        try:
+            code, out, _ = run(
+                capsys, "sequence", "--family", "pc", "--sign", "plus", "--mod", "inf",
+                "--k", str(10**6), "--n-max", "10", "--method", "gf",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (0, "".join(f"{n} 0\n" for n in range(11)))
+        assert peak < 2**20
 
     def test_offset_starts_the_index(self, capsys):
         code, out, _ = run(
@@ -513,9 +541,16 @@ def _table(draw):
 
 @st.composite
 def _sequence(draw):
-    cell, method, _ = draw(_cell())
-    bounds = [f"--k={draw(INDEX)}", f"--n-max={draw(_top_n(method))}", f"--offset={draw(INDEX)}"]
-    return ["sequence", *cell, *bounds], False, None
+    """Sometimes an empty range, --offset above --n-max; it refuses all the same."""
+    cell, method, (_, _, _, mod) = draw(_cell())
+    k, n_max = draw(INDEX), draw(_top_n(method))
+    offset = draw(st.one_of(INDEX, st.integers(1, 3).map(lambda gap: n_max + gap)))
+    bounds = [f"--k={k}", f"--n-max={n_max}", f"--offset={offset}"]
+    variant_without_formula = method != "formula" and any(
+        option.startswith("--variant=") for option in cell
+    )
+    must_refuse = min(k, n_max, offset) < 0 or mod in ("-1", "0", "x") or variant_without_formula
+    return ["sequence", *cell, *bounds], must_refuse, None
 
 
 RECORDS = load_concordance()

@@ -16,6 +16,7 @@ from palcomp.genfun import (
     BivariatePoly,
     RationalGF,
     _CATALOG,
+    _totalized,
     gf_catalog,
     gf_count,
     poly_mul,
@@ -127,7 +128,7 @@ class TestCatalog:
             gf_catalog(Family.PC, False, Sign.MINUS, INFINITY)
 
     def test_refuses_a_bad_cell_before_the_cached_lookup(self):
-        gf_catalog(Family.PC, True, Sign.PLUS, INFINITY)  # 1 hashes like this cached key
+        gf_catalog(Family.PC, True, Sign.PLUS, INFINITY)  # 1 hashes like True, a catalog key
         with pytest.raises(TypeError, match="^reduced must be a bool, got 1$"):
             gf_catalog(Family.PC, 1, Sign.PLUS, INFINITY)
         with pytest.raises(TypeError, match="^family must be a Family, got 'pc'$"):
@@ -166,10 +167,28 @@ class TestCatalog:
                     assert total[n][k] == expected
 
     def test_catalog_covers_all_cells(self):
-        wanted = set(
-            itertools.product(Family, (False, True), (Sign.PLUS, Sign.TOTAL), (False, True))
-        )
-        assert set(_CATALOG) == wanted
+        # one row per (family, reduced, finite modulus) block; plus and total resolve from it
+        assert set(_CATALOG) == set(itertools.product(Family, (False, True), (False, True)))
+        for family, reduced, sign, modulus in itertools.product(
+            Family, (False, True), (Sign.PLUS, Sign.TOTAL), (5, INFINITY)
+        ):
+            assert isinstance(gf_catalog(family, reduced, sign, modulus), RationalGF)
+        displayed = {block for block, row in _CATALOG.items() if row.total is not None}
+        assert displayed == {(Family.AC, False, False), (Family.AC, False, True),
+                             (Family.AC, True, True)}
+
+    @pytest.mark.parametrize(
+        "modulus", (1, 2, 3, 5, 97, 10**6, 10**12, pytest.param(INFINITY, id="inf"))
+    )
+    def test_displayed_totals_are_the_plus_entries_totalized(self, modulus):
+        # exact polynomial identities, so they hold for every n, not only to a truncation
+        finite = modulus is not INFINITY
+        args = (modulus,) if finite else ()
+        for (family, reduced, row_finite), row in _CATALOG.items():
+            if row.total is not None and row_finite == finite:
+                total, totalized = row.total(*args), _totalized(row.plus(*args))
+                assert total.numerator == totalized.numerator, (family, reduced)
+                assert total.denominator == totalized.denominator, (family, reduced)
 
     @pytest.mark.parametrize("modulus", (13, 10**6, 10**18))
     def test_modulus_above_n_expands_like_infinity(self, modulus):
@@ -181,14 +200,16 @@ class TestCatalog:
             assert finite == series_table(gf_catalog(family, reduced, sign, INFINITY), 12, 4)
 
     def test_memory_does_not_grow_with_the_modulus(self):
+        # every finite-modulus builder is reached, the displayed totals included
         tracemalloc.start()
         try:
-            for (family, reduced, sign, finite), builder in _CATALOG.items():
-                if finite:
-                    tracemalloc.reset_peak()
-                    series_table.__wrapped__(builder(5000), 8, 2)
-                    peak = tracemalloc.get_traced_memory()[1]
-                    assert peak < 0.1 * 2**20, (family, reduced, sign, peak)
+            for family, reduced, sign in itertools.product(
+                Family, (False, True), (Sign.PLUS, Sign.TOTAL)
+            ):
+                tracemalloc.reset_peak()
+                series_table.__wrapped__(gf_catalog(family, reduced, sign, 5000), 8, 2)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert peak < 0.1 * 2**20, (family, reduced, sign, peak)
         finally:
             tracemalloc.stop()
 
