@@ -31,6 +31,7 @@ from .stats import (
     Family,
     Modulus,
     Sign,
+    check_index,
     format_composition,
     parse_composition,
     parse_modulus,
@@ -119,21 +120,26 @@ def _grid(
 ) -> list[list[int]]:
     """rows[i][j] = count(ns[i], ks[j]) for ascending ns, all computed up front.
 
-    The gf path makes one series expansion and the formula path evaluates
-    each plus value once, both over n = 0..ns[-1]; brute force goes cell by
-    cell, so its refusals name the first cell that needs them.
+    A composition of n has at most n // 2 mirror pairs, so every method
+    computes only the columns k <= max(ns) // 2 and writes 0 above them.  The
+    gf path makes one series expansion and the formula path evaluates each
+    plus value once, both over n = 0..max(ns); brute force goes cell by cell.
     """
     variant = _check_cell(args, min(ns, default=0), ks[0])  # an empty range refuses too
-    if not ns:
-        return []
-    if args.method == "brute":
-        return [[_evaluate(args, family, reduced, sign, modulus, n, k) for k in ks] for n in ns]
-    if args.method == "gf":
-        top = min(ks[-1], ns[-1])  # no column above n: n has at most n // 2 mirror pairs
-        rows = gf_grid(family, reduced, sign, modulus, ns[-1], top)
-        return [[rows[n][k] if k <= top else 0 for k in ks] for n in ns]
-    columns = [formula_column(family, reduced, sign, modulus, ns[-1], k, variant) for k in ks]
-    return [[column[n] for column in columns] for n in ns]
+    if variant is not None:  # the block must take the variant, even with no column kept
+        formula_count(family, reduced, sign, modulus, 0, ks[0], variant)
+    n_max = max(ns, default=0)
+    kept = range(ks[0], min(ks[-1], n_max // 2) + 1)
+    if args.method == "brute":  # each row's first cell still meets the --force and cap refusals
+        columns = [{n: _evaluate(args, family, reduced, sign, modulus, n, k) for n in ns}
+                   for k in kept or ks[:1]]
+    elif args.method == "gf":
+        series = gf_grid(family, reduced, sign, modulus, n_max, kept[-1]) if kept else []
+        columns = [[row[k] for row in series] for k in kept]
+    else:
+        columns = [formula_column(family, reduced, sign, modulus, n_max, k, variant) for k in kept]
+    padding = [0] * (len(ks) - len(columns))
+    return [[column[n] for column in columns] + padding for n in ns]
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -161,11 +167,10 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
     for flag, value in (("--offset", args.offset), ("--n-max", args.n_max)):
         if value < 0:
             raise ValueError(f"{flag} must be >= 0, got {value}")
-    indices = range(args.offset, args.n_max + 1)
-    if args.concordance:
-        # imported here, like json below, so that other commands start faster
-        from .concordance import lookup
+    # imported here, like json below, so that other commands start faster
+    from .concordance import ConcordanceRecord, lookup
 
+    if args.concordance:
         try:
             record = lookup(args.concordance)
         except KeyError as error:
@@ -175,42 +180,35 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         for flag, value in pinned:
             if value is not None:
                 raise ValueError(f"{flag} conflicts with --concordance (the record pins it)")
-        family, reduced, sign, modulus = record.family, record.reduced, record.sign, record.modulus
         if record.k is None and args.k is None:
             raise ValueError(f"{record.id} is a triangle; pass --k")
         if record.k is not None and args.k is not None:
             raise ValueError(f"--k conflicts with --concordance ({record.id} pins k={record.k})")
-        k = record.k if record.k is not None else args.k
-        arguments = [record.mapped_index(idx, k)[0] for idx in indices]
-        # a negative mapped argument reads as 0 and needs no evaluation
-        ns = [n for n in arguments if n >= 0]
     else:
         for flag, value in (("--family", args.family), ("--sign", args.sign), ("--mod", args.mod)):
             if value is None:
                 raise ValueError(f"{flag} is required unless --concordance is given")
         if args.k is None:
             raise ValueError("--k is required unless --concordance is given")
-        family, reduced, sign, modulus = _parse_cell(args)
-        record = None
-        k = args.k
-        arguments = ns = list(indices)
-
-    rows = _grid(args, family, reduced, sign, modulus, ns, range(k, k + 1))
+        # a plain export reads through a record with shift 0, stride 1 and divisor 1
+        record = ConcordanceRecord("", *_parse_cell(args), check_index(args.k, "k"), shift=0)
+    k = record.k if record.k is not None else args.k
+    indices = range(args.offset, args.n_max + 1)
+    arguments = [record.mapped_index(idx, k)[0] for idx in indices]
+    # a negative mapped argument reads as 0 and needs no evaluation
+    ns = [n for n in arguments if n >= 0]
+    rows = _grid(args, record.family, record.reduced, record.sign, record.modulus,
+                 ns, range(k, k + 1))
     values = {n: row[0] for n, row in zip(ns, rows)}
-    lines = []
+    separator = " " if args.format == "bfile" else ","
     with _long_ints():
-        for idx, n in zip(indices, arguments):
-            value = values.get(n, 0)
-            if record is not None:
-                quotient, remainder = divmod(value, record.divisor)
-                if remainder:
-                    raise ValueError(
-                        f"{record.id}: count {value} at n={n} is not divisible by {record.divisor}"
-                    )
-                value = quotient
-            separator = " " if args.format == "bfile" else ","
-            lines.append(f"{idx}{separator}{value}")
-    text = "".join(line + "\n" for line in lines)
+        for n, value in values.items():
+            if value % record.divisor:
+                raise ValueError(
+                    f"{record.id}: count {value} at n={n} is not divisible by {record.divisor}"
+                )
+        text = "".join(f"{idx}{separator}{values.get(n, 0) // record.divisor}\n"
+                       for idx, n in zip(indices, arguments))
     if args.out:
         try:
             with open(args.out, "w", encoding="ascii") as handle:

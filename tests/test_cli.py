@@ -235,6 +235,30 @@ class TestSequence:
             )
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("refused", [
+        ("--family", "pc", "--sign", "plus", "--mod", "inf", "--k", "1", "--variant", "2"),
+        ("--family", "ac", "--reduced", "--sign", "plus", "--mod", "2", "--k", "1",
+         "--variant", "3"),
+        ("--concordance", "A002620", "--variant", "3"),
+    ], ids=["single-formula-block", "variant-outside-the-block", "concordance"])
+    def test_an_empty_range_checks_the_variant_against_the_block(self, capsys, refused):
+        at_zero, past_n_max = (run(capsys, "sequence", *refused, "--n-max", "3", "--offset", offset)
+                               for offset in ("0", "5"))
+        code, out, err = at_zero
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert past_n_max == at_zero
+
+    def test_brute_refuses_where_every_column_is_zero(self, capsys):
+        # k = 40 lies above n // 2 for every n <= 30, yet each row's first cell is
+        # still evaluated, so n = 21 meets the --force refusal instead of printing 0
+        code, out, err = run(
+            capsys, "sequence", "--family", "pc", "--sign", "plus", "--mod", "inf",
+            "--k", "40", "--n-max", "30", "--method", "brute",
+        )
+        assert (code, out, err) == (
+            2, "", "error: brute force above n=20 needs --force (2^20 compositions)\n"
+        )
+
     def test_gf_builds_only_the_columns_it_prints(self, capsys):
         # a column with k > n is 0, so k = 10^6 needs no padded rows of 10^6 zeros
         tracemalloc.start()
@@ -344,6 +368,12 @@ class TestSequence:
         )
         assert code == 2 and out == ""
         assert "must be >= 0" in err
+        # the record maps position n to n + k, so every column lies above n // 2;
+        # the mapping still refuses k by the record's own name for it
+        code, out, err = run(
+            capsys, "sequence", "--concordance", "A105422", "--k", "-2", "--n-max", "3"
+        )
+        assert (code, out, err) == (2, "", "error: statistic index must be >= 0, got -2\n")
 
     def test_concordance_unknown_id(self, capsys):
         code, _, err = run(capsys, "sequence", "--concordance", "A999999", "--n-max", "3")
@@ -535,7 +565,8 @@ def _count(draw):
 @st.composite
 def _table(draw):
     cell, method, _ = draw(_cell())
-    bounds = [f"--n-max={draw(_top_n(method))}", f"--k-max={draw(INDEX)}"]
+    k_max = draw(st.one_of(INDEX, st.integers(25, 2000)))
+    bounds = [f"--n-max={draw(_top_n(method))}", f"--k-max={k_max}"]
     return ["table", *cell, *bounds], False, None
 
 
@@ -543,7 +574,7 @@ def _table(draw):
 def _sequence(draw):
     """Sometimes an empty range, --offset above --n-max; it refuses all the same."""
     cell, method, (_, _, _, mod) = draw(_cell())
-    k, n_max = draw(INDEX), draw(_top_n(method))
+    k, n_max = draw(st.one_of(INDEX, st.integers(25, 10**6))), draw(_top_n(method))
     offset = draw(st.one_of(INDEX, st.integers(1, 3).map(lambda gap: n_max + gap)))
     bounds = [f"--k={k}", f"--n-max={n_max}", f"--offset={offset}"]
     variant_without_formula = method != "formula" and any(
@@ -569,7 +600,10 @@ def _concordance(draw):
             f"--method={draw(st.sampled_from(['formula', 'gf']))}"]
     pinned = PINNED
     if record is not None and record.k is None:  # a triangle takes k from --k
-        argv.append(f"--k={draw(INDEX)}")
+        # far out in k, A105422's argument n + k stays below 2k, so each term is 0 and
+        # answers at once; A060098's n + 2k does not, and its terms are not 0
+        far = st.integers(25, 10**6) if record.shift_per_k < 2 else st.nothing()
+        argv.append(f"--k={draw(st.one_of(INDEX, far))}")
         pinned = PINNED[:-1]
     flag = draw(st.sampled_from([None, *pinned]))
     if flag is not None:
