@@ -328,9 +328,18 @@ def truncation_soundness(samples: Iterable[tuple[int, int]] = ((6, 1), (11, 3), 
 def bijection_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """decode(encode(c)) == c on every plus-class composition, the pair statistic
     transports the mismatch count, and image counts per statistic match the
-    plus-class closed formula."""
+    plus-class closed formula.
+
+    A cardinality cell counts the plus compositions of n with k mismatches,
+    which is the count of their distinct images: every round-trip cell of n
+    comes before the cardinality cells of n, and the walker stops at the
+    first cell that disagrees, so a cardinality cell is reached only once
+    ``encode_pair`` is shown injective on n.  So memory stays flat in n;
+    ``tests/test_bijection.py`` still counts the distinct images directly.
+    A walker that went on past a failed round trip would compare a count of
+    compositions, not of images."""
     for n in range(n_max + 1):
-        image_by_k: dict[int, set] = {}
+        count_by_k: dict[int, int] = {}
         for c in enumerate_compositions(n, cap=cap):
             if sign_class(c) is not Sign.PLUS:
                 continue
@@ -340,9 +349,9 @@ def bijection_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) ->
             direct = mismatch_count(c, INFINITY)
             params = {"n": n, "composition": list(c), "aspect": "statistic"}
             yield params, {"mismatches": direct, "n": n}, {"mismatches": got.mismatches, "n": got.n}
-            image_by_k.setdefault(direct, set()).add((pair.head, pair.tail))
-        for k, images in image_by_k.items():
-            yield {"n": n, "k": k, "aspect": "cardinality"}, formulas.pc_plus_k(n, k), len(images)
+            count_by_k[direct] = count_by_k.get(direct, 0) + 1
+        for k, count in count_by_k.items():
+            yield {"n": n, "k": k, "aspect": "cardinality"}, formulas.pc_plus_k(n, k), count
 
 
 @_check

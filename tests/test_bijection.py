@@ -157,7 +157,7 @@ class TestRoundTrip:
     def test_random(self, c):
         assert decode_pair(encode_pair(c)) == c
 
-    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("n", range(15))
     def test_image_cardinality_matches_closed_form(self, n):
         by_k = {}
         for c in enumerate_compositions(n):

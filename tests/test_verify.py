@@ -1,5 +1,7 @@
 """The cross-path harness itself: green on shipped code, red under mutation."""
 
+import tracemalloc
+
 import pytest
 
 from palcomp import formulas, verify
@@ -264,6 +266,12 @@ def test_direct_totals_and_k0_specializations_are_pinpointed(monkeypatch, name, 
             id="bijection_round_trip-statistic",
         ),
         pytest.param(
+            formulas, "pc_plus_k", lambda h: _bumped(h, lambda n, k, *_: (n, k) == (6, 1)),
+            lambda: verify.bijection_round_trip(9),
+            ({"n": 6, "k": 1, "aspect": "cardinality"}, 11, 10),
+            id="bijection_round_trip-cardinality",
+        ),
+        pytest.param(
             formulas, "ac_plus_k_mod",
             lambda h: _raising(h, lambda n, k, m, *_: (n, k, m) == (5, 1, 2)),
             lambda: verify.three_path_grid(8, 2, (2,)),
@@ -403,6 +411,17 @@ def test_round_trips_walk_every_requested_n(monkeypatch, check):
     monkeypatch.setattr(verify, "enumerate_compositions", recording)
     assert check(15).ok
     assert walked == list(range(16))
+
+
+def test_bijection_round_trip_memory_is_flat_in_n():
+    # the cardinality cells count compositions, so no set of images grows with 2^n
+    tracemalloc.start()
+    try:
+        assert verify.bijection_round_trip(14).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10
 
 
 def _variant_skewed(honest, cells):
