@@ -25,8 +25,8 @@ from typing import Iterator, Sequence
 
 from .bijection import decode_pair, encode_pair, format_pair, parse_pair
 from .formulas import FormulaVariant, formula_column, formula_count
-from .genfun import gf_count, gf_grid
-from .oracle import DEFAULT_ENUMERATION_CAP, brute_count
+from .genfun import gf_grid
+from .oracle import DEFAULT_ENUMERATION_CAP, brute_count, check_enumeration_cap
 from .stats import (
     Family,
     Modulus,
@@ -88,31 +88,29 @@ def _long_ints() -> Iterator[None]:
         sys.set_int_max_str_digits(limit)
 
 
-def _check_cell(args: argparse.Namespace, n: int, k: int) -> FormulaVariant | None:
-    """Refuse a cell the CLI cannot ask for; return the requested formula variant."""
+def _check_request(args: argparse.Namespace, ns: Sequence[int], k: int) -> FormulaVariant | None:
+    """Refuse, before any count, a request the CLI cannot answer; return its formula variant.
+
+    Brute force would walk the ascending ns in turn, meeting at each n the
+    --force refusal and then the cap, so the first n that fails is refused
+    with the message brute force would raise there, and nothing is walked.
+    """
+    n = min(ns, default=0)  # an empty range refuses too
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if args.variant is None:
-        return None
-    if args.method != "formula":
+    if args.variant is not None and args.method != "formula":
         raise ValueError("--variant selects among closed formulas; it requires --method formula")
-    return FormulaVariant(args.variant)
-
-
-def _evaluate(args: argparse.Namespace, family, reduced, sign, modulus, n: int, k: int) -> int:
-    variant = _check_cell(args, n, k)
-    if args.method == "formula":
-        return formula_count(family, reduced, sign, modulus, n, k, variant)
-    if args.method == "gf":
-        return gf_count(family, reduced, sign, modulus, n, k)
-    if n > BRUTE_OPTIN_LIMIT and not args.force:
-        raise ValueError(
-            f"brute force above n={BRUTE_OPTIN_LIMIT} needs --force "
-            f"(2^{n - 1} compositions)"
-        )
-    return brute_count(family, reduced, sign, modulus, n, k, cap=args.cap)
+    if args.method == "brute":
+        for n in ns:
+            if n > BRUTE_OPTIN_LIMIT and not args.force:
+                raise ValueError(
+                    f"brute force above n={BRUTE_OPTIN_LIMIT} needs --force "
+                    f"(2^{n - 1} compositions)"
+                )
+            check_enumeration_cap([n], args.cap)
+    return None if args.variant is None else FormulaVariant(args.variant)
 
 
 def _grid(
@@ -120,33 +118,34 @@ def _grid(
 ) -> list[list[int]]:
     """rows[i][j] = count(ns[i], ks[j]) for ascending ns, all computed up front.
 
-    A composition of n has at most n // 2 mirror pairs, so every method
-    computes only the columns k <= max(ns) // 2 and writes 0 above them.  The
-    gf path makes one series expansion and the formula path evaluates each
-    plus value once, both over n = 0..max(ns); brute force goes cell by cell.
+    The whole request is checked first, so every refusal comes before any
+    count.  A composition of n has at most n // 2 mirror pairs, so every method
+    computes only the columns k <= max(ns) // 2, at the n of ns alone, and
+    writes 0 above them.  The gf path makes one series expansion to max(ns),
+    the formula path evaluates once each plus value the rows read, and brute
+    force goes cell by cell.
     """
-    variant = _check_cell(args, min(ns, default=0), ks[0])  # an empty range refuses too
+    variant = _check_request(args, ns, ks[0])
     if variant is not None:  # the block must take the variant, even with no column kept
         formula_count(family, reduced, sign, modulus, 0, ks[0], variant)
     n_max = max(ns, default=0)
     kept = range(ks[0], min(ks[-1], n_max // 2) + 1)
-    if args.method == "brute":  # each row's first cell still meets the --force and cap refusals
-        columns = [{n: _evaluate(args, family, reduced, sign, modulus, n, k) for n in ns}
-                   for k in kept or ks[:1]]
+    if args.method == "brute":
+        columns = [[brute_count(family, reduced, sign, modulus, n, k, cap=args.cap) for n in ns]
+                   for k in kept]
     elif args.method == "gf":
         series = gf_grid(family, reduced, sign, modulus, n_max, kept[-1]) if kept else []
-        columns = [[row[k] for row in series] for k in kept]
+        columns = [[series[n][k] for n in ns] for k in kept]
     else:
-        columns = [formula_column(family, reduced, sign, modulus, n_max, k, variant) for k in kept]
+        columns = [formula_column(family, reduced, sign, modulus, ns, k, variant) for k in kept]
     padding = [0] * (len(ks) - len(columns))
-    return [[column[n] for column in columns] + padding for n in ns]
+    return [[column[i] for column in columns] + padding for i in range(len(ns))]
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    family, reduced, sign, modulus = _parse_cell(args)
-    value = _evaluate(args, family, reduced, sign, modulus, args.n, args.k)
+    rows = _grid(args, *_parse_cell(args), [args.n], range(args.k, args.k + 1))
     with _long_ints():
-        print(value)
+        print(rows[0][0])
     return 0
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .core import binom, fibonacci, multinom, tribonacci, tribonacci_prime
 from .stats import INFINITY, Family, Modulus, Sign, check_cell, check_index, check_modulus
@@ -721,25 +721,23 @@ def formula_column(
     reduced: bool,
     sign: Sign,
     modulus: Modulus,
-    n_max: int,
+    ns: Sequence[int],
     k: int,
     variant: FormulaVariant | None = None,
 ) -> list[int]:
-    """formula_count at n = 0..n_max for one k, evaluating each plus value once.
+    """formula_count at each n of ns for one k, evaluating each plus value once.
 
-    The plus column comes from one formula_count call per n; minus(n) is
-    plus(n-1) and total(n) is plus(n) + plus(n-1), both read from that list.
+    minus(n) is plus(n-1) and total(n) is plus(n) + plus(n-1); the plus values
+    the sign reads come from one formula_count call each, in ascending n.
     """
     check_cell(family, reduced, sign, modulus)
-    check_index(n_max, "n_max")
-    # a minus column of n_max = 0 still evaluates plus(0), which validates k and the variant
-    top = max(n_max - 1, 0) if sign is Sign.MINUS else n_max
-    plus = [formula_count(family, reduced, Sign.PLUS, modulus, n, k, variant) for n in range(top + 1)]
-    if sign is Sign.PLUS:
-        return plus
-    if sign is Sign.MINUS:
-        return [0] + plus[:n_max]
-    return [now + before for now, before in zip(plus, [0] + plus)]
+    for n in ns:
+        check_index(n, "n")
+    back = {Sign.PLUS: (0,), Sign.MINUS: (1,), Sign.TOTAL: (0, 1)}[sign]
+    # a request that reads no plus value still evaluates plus(0), which validates k and the variant
+    reads = sorted({n - b for n in ns for b in back if n >= b}) or [0]
+    plus = {m: formula_count(family, reduced, Sign.PLUS, modulus, m, k, variant) for m in reads}
+    return [sum(plus.get(n - b, 0) for b in back) for n in ns]
 
 
 def _nonnegative_n(n: int) -> bool:

@@ -90,14 +90,14 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
-def check_enumeration_cap(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-    """Refuse, before any work, a run that enumerates n = 0..n_max in turn.
+def check_enumeration_cap(ns: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """Refuse, before any work, a run that enumerates each n of ns in turn.
 
     The error is the one that run would raise at its first n past the cap.
     """
     check_index(cap, "cap")
-    if n_max > cap:
-        _check_cap(cap + 1, cap)
+    for n in ns:
+        _check_cap(n, cap)
 
 
 def enumerate_compositions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Composition]:

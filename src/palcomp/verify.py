@@ -444,7 +444,7 @@ def run_all(
     small_n = min(n_max, 14)
     deep_n = min(n_max + 4, 18)
     # each enumerating check walks n upward, to max(n_max, deep_n) at most
-    check_enumeration_cap(max(n_max, deep_n), cap)
+    check_enumeration_cap(range(max(n_max, deep_n) + 1), cap)
     # (check, *args), built per call: each row runs what the module name is bound to now
     planned = [
         (three_path_grid, n_max, k_max, moduli, cap),

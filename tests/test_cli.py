@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import palcomp
 from palcomp import formulas
-from palcomp.cli import main
+from palcomp.cli import BRUTE_OPTIN_LIMIT, main
 from palcomp.concordance import load_concordance, lookup
 from palcomp.formulas import formula_count
 from palcomp.genfun import gf_count
@@ -37,6 +37,28 @@ def digit_cap():
     before = sys.get_int_max_str_digits()
     yield sys.set_int_max_str_digits
     sys.set_int_max_str_digits(before)
+
+
+@pytest.fixture
+def no_brute(monkeypatch):
+    """Fail the test on any brute-force count: a refusal must come before it."""
+    def brute_count(*cell, **options):
+        raise AssertionError(f"brute_count{cell} was called")
+
+    monkeypatch.setattr(palcomp.cli, "brute_count", brute_count)
+
+
+@pytest.fixture
+def pc_plus_calls(monkeypatch):
+    """The n of every formulas.pc_plus_k call, in order."""
+    calls, honest = [], formulas.pc_plus_k
+
+    def pc_plus_k(n, k):
+        calls.append(n)
+        return honest(n, k)
+
+    monkeypatch.setattr(formulas, "pc_plus_k", pc_plus_k)
+    return calls
 
 
 class TestCount:
@@ -111,6 +133,14 @@ class TestCount:
             "--k", "0", "--mod", "inf", "--method", "brute", "--force", "--cap", "21",
         )
         assert code == 2 and "cap is 21" in err
+
+    def test_brute_answers_a_cell_past_half_of_n_without_counting(self, capsys, no_brute):
+        # a composition of 20 has at most 10 mirror pairs
+        code, out, err = run(
+            capsys, "count", "--family", "pc", "--sign", "plus", "--mod", "inf",
+            "--n", "20", "--k", "15", "--method", "brute",
+        )
+        assert (code, out, err) == (0, "0\n", "")
 
     def test_a_negative_cap_is_refused_by_name(self, capsys):
         code, out, err = run(
@@ -249,8 +279,8 @@ class TestSequence:
         assert past_n_max == at_zero
 
     def test_brute_refuses_where_every_column_is_zero(self, capsys):
-        # k = 40 lies above n // 2 for every n <= 30, yet each row's first cell is
-        # still evaluated, so n = 21 meets the --force refusal instead of printing 0
+        # k = 40 lies above n // 2 for every n <= 30, so no cell is counted, yet the
+        # request is checked at every n it names, and n = 21 meets the --force refusal
         code, out, err = run(
             capsys, "sequence", "--family", "pc", "--sign", "plus", "--mod", "inf",
             "--k", "40", "--n-max", "30", "--method", "brute",
@@ -258,6 +288,34 @@ class TestSequence:
         assert (code, out, err) == (
             2, "", "error: brute force above n=20 needs --force (2^20 compositions)\n"
         )
+
+    @pytest.mark.parametrize("options, message", [
+        ((), "brute force above n=20 needs --force (2^20 compositions)"),
+        (("--force", "--cap", "21"), "refusing to enumerate 2^21 compositions of n=22: "
+                                     "enumeration cap is 21 (pass a larger cap to override)"),
+    ], ids=["force", "cap"])
+    def test_brute_refuses_before_counting_anything(self, capsys, no_brute, options, message):
+        # the refusal names the first n that brute force may not walk, as if it had
+        # walked every n before it
+        code, out, err = run(
+            capsys, "sequence", "--family", "pc", "--sign", "plus", "--mod", "inf",
+            "--k", "2", "--n-max", "30", "--method", "brute", *options,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_formula_export_evaluates_only_the_plus_values_it_prints(self, capsys, pc_plus_calls):
+        cell = ("--family", "pc", "--sign", "total", "--mod", "inf", "--k", "2")
+        code, out, _ = run(capsys, "sequence", *cell, "--offset", "2000", "--n-max", "2000",
+                           "--method", "formula")
+        assert pc_plus_calls == [1999, 2000]
+        total = gf_count(Family.PC, False, Sign.TOTAL, parse_modulus("inf"), 2000, 2)
+        assert (code, out) == (0, f"2000 {total}\n")
+
+    def test_strided_formula_export_evaluates_only_its_arguments(self, capsys, pc_plus_calls):
+        # A036799 reads pc plus counts at n = 2 * idx + 1
+        code, _, _ = run(capsys, "sequence", "--concordance", "A036799", "--n-max", "10",
+                         "--method", "formula")
+        assert code == 0 and pc_plus_calls == list(range(1, 22, 2))
 
     def test_gf_builds_only_the_columns_it_prints(self, capsys):
         # a column with k > n is 0, so k = 10^6 needs no padded rows of 10^6 zeros
@@ -544,8 +602,11 @@ def _cell(draw):
 
 
 def _top_n(method):
-    """Brute force stays at n <= 12, where it is cheap; it never gets --force."""
-    return st.integers(-3, 12 if method == "brute" else 24)
+    """Brute force answers at n <= 12, where it is cheap, and is asked past
+    BRUTE_OPTIN_LIMIT, where it must refuse before counting; it never gets --force."""
+    if method == "brute":
+        return st.integers(-3, 12) | st.integers(BRUTE_OPTIN_LIMIT + 1, 40)
+    return st.integers(-3, 24)
 
 
 # each strategy draws (argv, must_refuse, expected): expected, if not None,
@@ -559,15 +620,16 @@ def _count(draw):
     def expected():
         return gf_count(Family(family), reduced, Sign(sign), parse_modulus(mod), n, k)
 
-    return ["count", *cell, f"--n={n}", f"--k={k}"], False, expected
+    must_refuse = method == "brute" and n > BRUTE_OPTIN_LIMIT
+    return ["count", *cell, f"--n={n}", f"--k={k}"], must_refuse, expected
 
 
 @st.composite
 def _table(draw):
     cell, method, _ = draw(_cell())
-    k_max = draw(st.one_of(INDEX, st.integers(25, 2000)))
-    bounds = [f"--n-max={draw(_top_n(method))}", f"--k-max={k_max}"]
-    return ["table", *cell, *bounds], False, None
+    k_max, n_max = draw(st.one_of(INDEX, st.integers(25, 2000))), draw(_top_n(method))
+    bounds = [f"--n-max={n_max}", f"--k-max={k_max}"]
+    return ["table", *cell, *bounds], method == "brute" and n_max > BRUTE_OPTIN_LIMIT, None
 
 
 @st.composite
@@ -580,7 +642,9 @@ def _sequence(draw):
     variant_without_formula = method != "formula" and any(
         option.startswith("--variant=") for option in cell
     )
-    must_refuse = min(k, n_max, offset) < 0 or mod in ("-1", "0", "x") or variant_without_formula
+    brute_past_the_limit = method == "brute" and offset <= n_max and n_max > BRUTE_OPTIN_LIMIT
+    must_refuse = (min(k, n_max, offset) < 0 or mod in ("-1", "0", "x") or variant_without_formula
+                   or brute_past_the_limit)
     return ["sequence", *cell, *bounds], must_refuse, None
 
 

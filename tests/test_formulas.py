@@ -705,7 +705,7 @@ class TestFactoredSums:
     )
     def test_column_binom_calls_are_bounded(self, monkeypatch, family, reduced, m, bound):
         calls = _counting_binom(monkeypatch)
-        column = formula_column(family, reduced, Sign.TOTAL, m, 40, 3)
+        column = formula_column(family, reduced, Sign.TOTAL, m, range(41), 3)
         monkeypatch.undo()
         assert column == [gf_count(family, reduced, Sign.TOTAL, m, n, 3) for n in range(41)]
         assert 0 < calls[0] <= bound, calls[0]

@@ -1,6 +1,7 @@
 """Whole-grid readers: gf_grid and formula_column equal their per-cell APIs."""
 
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -57,22 +58,37 @@ def test_gf_grid_past_half_of_n_max_expands_only_to_it():
 @settings(deadline=None)
 @given(cells_st, st.integers(0, 30), st.integers(0, 5))
 def test_formula_column_equals_formula_count(cell, n_max, k):
-    column = formula_column(*cell, n_max, k)
+    column = formula_column(*cell, range(n_max + 1), k)
     assert column == [formula_count(*cell, n, k) for n in range(n_max + 1)]
+
+
+@settings(deadline=None)
+@given(cells_st, st.sets(st.integers(0, 40)).map(sorted), st.integers(0, 5),
+       st.sampled_from([None, *FormulaVariant]))
+def test_formula_column_at_any_ns_equals_formula_count(cell, ns, k, variant):
+    try:
+        formula_count(*cell, 0, k, variant)
+    except ValueError as refusal:  # the block does not take this variant
+        with pytest.raises(ValueError, match=re.escape(str(refusal))):
+            formula_column(*cell, ns, k, variant)
+        return
+    assert formula_column(*cell, ns, k, variant) == [
+        formula_count(*cell, n, k, variant) for n in ns
+    ]
 
 
 def test_formula_column_passes_the_variant():
     cell = (Family.AC, False, Sign.TOTAL, INFINITY)
     for variant in (None, *FormulaVariant):
-        assert formula_column(*cell, 12, 1, variant) == [
+        assert formula_column(*cell, range(13), 1, variant) == [
             formula_count(*cell, n, 1, variant) for n in range(13)
         ]
 
 
 def test_minus_column_at_n0_still_validates_the_variant():
     with pytest.raises(ValueError, match="single published formula"):
-        formula_column(Family.PC, False, Sign.MINUS, INFINITY, 0, 0, V2)
-    assert formula_column(Family.AC, False, Sign.MINUS, INFINITY, 0, 0, V2) == [0]
+        formula_column(Family.PC, False, Sign.MINUS, INFINITY, [0], 0, V2)
+    assert formula_column(Family.AC, False, Sign.MINUS, INFINITY, [0], 0, V2) == [0]
 
 
 @pytest.mark.parametrize(
@@ -88,13 +104,15 @@ def test_gf_grid_rejects_non_int_bounds(bounds, name):
     "n_max, k, name", [(True, 1, "n_max"), (3, True, "k"), (3.5, 1, "n_max"), (3, 1.0, "k")]
 )
 def test_formula_column_rejects_non_int_arguments(n_max, k, name):
-    with pytest.raises(TypeError, match=f"^{name} must be an int"):
-        formula_column(Family.PC, False, Sign.PLUS, INFINITY, n_max, k)
+    # n_max is passed as the one element of ns, which is named n
+    with pytest.raises(TypeError, match=f"^{name.removesuffix('_max')} must be an int"):
+        formula_column(Family.PC, False, Sign.PLUS, INFINITY, [n_max], k)
 
 
 @pytest.mark.parametrize("reader", [gf_grid, formula_column])
 def test_negative_bounds_rejected(reader):
+    n_bound = (lambda n: [n]) if reader is formula_column else (lambda n: n)
     with pytest.raises(ValueError, match="must be >= 0"):
-        reader(Family.AC, True, Sign.TOTAL, 2, -1, 0)
+        reader(Family.AC, True, Sign.TOTAL, 2, n_bound(-1), 0)
     with pytest.raises(ValueError, match="must be >= 0"):
-        reader(Family.AC, True, Sign.TOTAL, 2, 3, -1)
+        reader(Family.AC, True, Sign.TOTAL, 2, n_bound(3), -1)

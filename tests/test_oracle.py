@@ -73,6 +73,13 @@ class TestBruteCount:
         with pytest.raises(EnumerationCapError):
             brute_count(Family.PC, False, Sign.TOTAL, INFINITY, 9, 0, cap=8)
 
+    def test_cap_check_names_the_first_n_past_the_cap(self):
+        # a strided run walks n = 21, 23, 25, ...; it would refuse at 25, not at cap + 1
+        check_enumeration_cap(range(0, 25, 2), 24)
+        refusal = r"^refusing to enumerate 2\^24 compositions of n=25: "
+        with pytest.raises(EnumerationCapError, match=refusal):
+            check_enumeration_cap(range(21, 31, 2), 24)
+
     def test_refuses_the_cell_then_k_then_n(self):
         with pytest.raises(TypeError, match="family must be a Family"):
             brute_count("pc", False, Sign.TOTAL, 0, 99, -1)
@@ -106,7 +113,7 @@ class TestBruteCount:
     @pytest.mark.parametrize(
         "count",
         [
-            lambda cap: check_enumeration_cap(18, cap),
+            lambda cap: check_enumeration_cap(range(19), cap),
             lambda cap: brute_count(Family.PC, False, Sign.TOTAL, INFINITY, 5, 0, cap=cap),
             lambda cap: count_parts_equal_one(5, 0, cap=cap),
             lambda cap: count_parts_at_most(5, 3, cap=cap),
