@@ -121,21 +121,19 @@ def _grid(
     The whole request is checked first, so every refusal comes before any
     count.  A composition of n has at most n // 2 mirror pairs, so every method
     computes only the columns k <= max(ns) // 2, at the n of ns alone, and
-    writes 0 above them.  The gf path makes one series expansion to max(ns),
-    the formula path evaluates once each plus value the rows read, and brute
-    force goes cell by cell.
+    writes 0 above them.  The gf path makes one series expansion over the
+    cells it reads, the formula path evaluates once each plus value the rows
+    read, and brute force goes cell by cell.
     """
     variant = _check_request(args, ns, ks[0])
     if variant is not None:  # the block must take the variant, even with no column kept
         formula_count(family, reduced, sign, modulus, 0, ks[0], variant)
-    n_max = max(ns, default=0)
-    kept = range(ks[0], min(ks[-1], n_max // 2) + 1)
+    kept = range(ks[0], min(ks[-1], max(ns, default=0) // 2) + 1)
     if args.method == "brute":
         columns = [[brute_count(family, reduced, sign, modulus, n, k, cap=args.cap) for n in ns]
                    for k in kept]
     elif args.method == "gf":
-        series = gf_grid(family, reduced, sign, modulus, n_max, kept[-1]) if kept else []
-        columns = [[series[n][k] for n in ns] for k in kept]
+        columns = list(zip(*gf_grid(family, reduced, sign, modulus, ns, kept)))
     else:
         columns = [formula_column(family, reduced, sign, modulus, ns, k, variant) for k in kept]
     padding = [0] * (len(ks) - len(columns))

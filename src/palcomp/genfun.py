@@ -27,21 +27,19 @@ recomputing any coefficient with larger bounds returns the same value.
 Every coefficient is read from one expansion, :func:`series_table`: the
 inverse of the denominator, shift-added once per term of the numerator,
 truncated to the requested bounds and cached.  :func:`gf_grid` reads a whole
-grid from it, and :func:`gf_count` reads one cell of that grid.
+request from it, and :func:`gf_count` is its one-cell request.
 
-Every term of every catalog numerator and denominator has q-degree at least
-twice its t-degree, at every modulus; the tests check this over the whole
-catalog.  So does every term of a product or inverse of such series, and
-each coefficient with 2s > p is zero: :func:`gf_grid` expands only to
-t-degree n_max // 2 and pads the columns above with zeros, and :func:`gf_count`
-answers a cell with 2k > n as 0 without expanding anything, so no expansion
-grows with k past n / 2.
+Every catalog term has q-degree at least twice its t-degree, at every modulus
+(:func:`gf_catalog` refuses one that has not).  So in u = t/q^2
+(:func:`_shifted`), G(q, u) = F(q, u/q^2) is again a rational series with
+nonnegative degrees and a(n, k) = [q^(n-2k) u^k] G: a request's expansion spans
+only q-degree max(n) - 2 min(k), and a cell with 2k > n is 0 without one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .stats import INFINITY, Family, Modulus, Sign, check_cell, check_index
 
@@ -330,39 +328,40 @@ def gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> R
         gf = row.total(*args) if row.total else _totalized(row.plus(*args))
     if gf.denominator.coeff(0, 0) != 1:
         raise AssertionError("catalog invariant violated: denominator constant term != 1")
+    if any(p < 2 * s for poly in gf for p, s, _ in poly.terms()):
+        raise AssertionError("catalog invariant violated: a term has q-degree below 2 * t-degree")
     return gf
+
+
+def _shifted(gf: RationalGF) -> RationalGF:
+    """gf in u = t/q^2: each term q^p t^s becomes q^(p - 2s) u^s."""
+    return RationalGF(*(BivariatePoly({(p - 2 * s, s): c for p, s, c in poly.terms()})
+                        for poly in gf))
 
 
 def gf_count(
     family: Family, reduced: bool, sign: Sign, modulus: Modulus, n: int, k: int
 ) -> int:
-    """Evaluate one counting function through its generating function: the
-    (n, k) cell of :func:`gf_grid`."""
-    check_cell(family, reduced, sign, modulus)
-    check_index(n, "n")
-    check_index(k, "k")
-    if 2 * k > n:  # every catalog term has q-degree >= 2 * t-degree
-        return 0
-    return gf_grid(family, reduced, sign, modulus, n, k)[n][k]
+    """Evaluate one counting function through its generating function."""
+    return gf_grid(family, reduced, sign, modulus, [n], [k])[0][0]
 
 
 def gf_grid(
-    family: Family, reduced: bool, sign: Sign, modulus: Modulus, n_max: int, k_max: int
+    family: Family, reduced: bool, sign: Sign, modulus: Modulus,
+    ns: Sequence[int], ks: Sequence[int],
 ) -> list[list[int]]:
-    """rows[n][k] = gf_count(..., n, k) for n <= n_max and k <= k_max.
-
-    One series expansion answers every cell, because a larger truncation
-    never changes a coefficient.  The minus rows are the plus rows one
-    q-degree down, below an all-zero row 0; they are read off the plus
-    expansion at (n_max, k_max), so a plus and a minus grid share it.
+    """rows[i][j] = gf_count(..., ns[i], ks[j]), all read from one expansion of
+    the shifted entry to q-degree max(ns) - 2 min(ks) and u-degree
+    min(max(ks), max(ns) // 2).  A minus cell is plus(n - 1), read off the
+    plus expansion of the same window, so a plus and a minus request share it.
     """
     check_cell(family, reduced, sign, modulus)
-    check_index(n_max, "n_max")
-    check_index(k_max, "k_max")
-    if sign is Sign.MINUS:
-        plus_rows = gf_grid(family, reduced, Sign.PLUS, modulus, n_max, k_max)
-        return [[0] * (k_max + 1)] + plus_rows[:n_max]
-    top = min(k_max, n_max // 2)  # every column above n_max // 2 is zero
-    series = series_table(gf_catalog(family, reduced, sign, modulus), n_max, top)
-    padding = [0] * (k_max - top)
-    return [[*row, *padding] for row in series]
+    for name, values in (("n", ns), ("k", ks)):
+        for value in values:
+            check_index(value, name)
+    back = int(sign is Sign.MINUS)
+    n_max = max(ns, default=0)
+    k_min = min(ks, default=n_max)  # no column read: the window is one coefficient
+    gf = _shifted(gf_catalog(family, reduced, Sign.PLUS if back else sign, modulus))
+    g = series_table(gf, max(n_max - 2 * k_min, 0), min(max(ks, default=0), n_max // 2))
+    return [[g[n - back - 2 * k][k] if n - back >= 2 * k else 0 for k in ks] for n in ns]

@@ -134,7 +134,7 @@ def three_path_grid(
 ) -> _Cells:
     """formula == generating function == brute force on the whole grid."""
     for block, cells in _grid(Sign, moduli, _box(n_max, k_max)):
-        rows = gf_grid(*block, n_max, k_max)
+        rows = gf_grid(*block, range(n_max + 1), range(k_max + 1))
         for n, k, params in cells:
             try:
                 f = formulas.formula_count(*block, n, k)
@@ -286,10 +286,10 @@ def special_values(n_max: int = 24) -> _Cells:
     gf_n_max = max(n_max, 200)
     for name, row in sorted(formulas.SPECIAL_VALUES.items()):
         *block, k = row.cell
-        rows = gf_grid(*block, gf_n_max, k)
+        rows = gf_grid(*block, range(gf_n_max + 1), [k])
         for n in filter(row.domain, range(gf_n_max + 1)):
             legs = {"formula": formulas.formula_count(*block, n, k)} if n <= n_max else {}
-            yield {"name": name, "n": n}, {**legs, "genfun": rows[n][k]}, row.closed_form(n)
+            yield {"name": name, "n": n}, {**legs, "genfun": rows[n][0]}, row.closed_form(n)
 
 
 @_check

@@ -665,8 +665,9 @@ def _concordance(draw):
     pinned = PINNED
     if record is not None and record.k is None:  # a triangle takes k from --k
         # far out in k, A105422's argument n + k stays below 2k, so each term is 0 and
-        # answers at once; A060098's n + 2k does not, and its terms are not 0
-        far = st.integers(25, 10**6) if record.shift_per_k < 2 else st.nothing()
+        # answers at once; A060098's n + 2k does not, and its terms are not 0, but the
+        # gf path expands only the cells near the diagonal that it reads
+        far = st.integers(25, 10**6) if record.shift_per_k < 2 else st.integers(25, 2000)
         argv.append(f"--k={draw(st.one_of(INDEX, far))}")
         pinned = PINNED[:-1]
     flag = draw(st.sampled_from([None, *pinned]))

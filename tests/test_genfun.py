@@ -16,6 +16,7 @@ from palcomp.genfun import (
     BivariatePoly,
     RationalGF,
     _CATALOG,
+    _CatalogRow,
     _totalized,
     gf_catalog,
     gf_count,
@@ -217,13 +218,24 @@ class TestCatalog:
         "modulus", (1, 2, 3, 5, 7, 97, 10**6, pytest.param(INFINITY, id="modulus7"))
     )
     def test_every_term_has_q_degree_at_least_twice_its_t_degree(self, modulus):
-        # so every coefficient with 2k > n is zero, and gf_count expands nothing there
+        # so the entry shifted to u = t/q^2 has nonnegative degrees, and a cell with 2k > n is 0
         for family, reduced, sign in itertools.product(
             Family, (False, True), (Sign.PLUS, Sign.TOTAL)
         ):
             gf = gf_catalog(family, reduced, sign, modulus)
             for poly in (gf.numerator, gf.denominator):
                 assert all(p >= 2 * s for p, s, _ in poly.terms()), (family, reduced, sign, poly)
+
+    def test_a_term_below_twice_its_t_degree_is_refused(self, monkeypatch):
+        # shifted by u = t/q^2, a q t term would have q-degree -1, and the
+        # expansion would read rows it has not filled
+        row = _CatalogRow(lambda: RationalGF(ONE - Q, ONE - Q - Q**2 - Q * T))
+        monkeypatch.setitem(_CATALOG, (Family.PC, False, False), row)
+        for sign in (Sign.PLUS, Sign.TOTAL):
+            with pytest.raises(AssertionError, match="q-degree below 2 \\* t-degree"):
+                gf_catalog(Family.PC, False, sign, INFINITY)
+        with pytest.raises(AssertionError, match="q-degree below 2 \\* t-degree"):
+            gf_count(Family.PC, False, Sign.MINUS, INFINITY, 6, 1)
 
     def test_gf_count_past_half_of_n_expands_nothing(self):
         tracemalloc.start()

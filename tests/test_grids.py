@@ -5,10 +5,10 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from palcomp.formulas import V2, FormulaVariant, formula_column, formula_count
-from palcomp.genfun import gf_count, gf_grid
+from palcomp.genfun import BivariatePoly, RationalGF, gf_catalog, gf_count, gf_grid, series_table
 from palcomp.stats import INFINITY, Family, Sign
 
 cells_st = st.tuples(
@@ -22,7 +22,7 @@ cells_st = st.tuples(
 @settings(deadline=None)
 @given(cells_st, st.integers(0, 30), st.integers(0, 5))
 def test_gf_grid_equals_gf_count(cell, n_max, k_max):
-    rows = gf_grid(*cell, n_max, k_max)
+    rows = gf_grid(*cell, range(n_max + 1), range(k_max + 1))
     assert rows == [
         [gf_count(*cell, n, k) for k in range(k_max + 1)] for n in range(n_max + 1)
     ]
@@ -30,11 +30,11 @@ def test_gf_grid_equals_gf_count(cell, n_max, k_max):
 
 @pytest.mark.parametrize("modulus", (1, 2, 3, 5, 97, INFINITY))
 def test_gf_grid_past_half_of_n_max_equals_gf_count(modulus):
-    # the columns above n_max // 2 are padding, and zero like gf_count's cells there
+    # the columns above n_max // 2 are read as 0 without a coefficient, like gf_count's cells
     for family, reduced, sign in itertools.product(Family, (False, True), Sign):
         for n_max in (0, 1, 6, 9):
             k_max = n_max // 2 + 3
-            rows = gf_grid(family, reduced, sign, modulus, n_max, k_max)
+            rows = gf_grid(family, reduced, sign, modulus, range(n_max + 1), range(k_max + 1))
             assert rows == [
                 [gf_count(family, reduced, sign, modulus, n, k) for k in range(k_max + 1)]
                 for n in range(n_max + 1)
@@ -42,10 +42,10 @@ def test_gf_grid_past_half_of_n_max_equals_gf_count(modulus):
 
 
 def test_gf_grid_past_half_of_n_max_expands_only_to_it():
-    # 11 padded rows of 10^5 + 1 zeros take 8.4 MiB; expanding to t-degree 10^5 takes 25
+    # 11 rows of 10^5 + 1 cells take 8.4 MiB; expanding to t-degree 10^5 takes 25
     tracemalloc.start()
     try:
-        rows = gf_grid(Family.PC, False, Sign.PLUS, INFINITY, 10, 10**5)
+        rows = gf_grid(Family.PC, False, Sign.PLUS, INFINITY, range(11), range(10**5 + 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -53,6 +53,53 @@ def test_gf_grid_past_half_of_n_max_expands_only_to_it():
     assert rows[10][:6] == [gf_count(*cell, 10, k) for k in range(6)]
     assert not any(any(row[6:]) for row in rows)
     assert peak < 12 * 2**20
+
+
+def _unshifted_differences(modulus, ns, ks):
+    """The cells where gf_grid differs from the unshifted catalog entry's
+    expansion, over every block and sign; minus(n) is plus(n - 1)."""
+    differences = []
+    for family, reduced, sign in itertools.product(Family, (False, True), Sign):
+        back = int(sign is Sign.MINUS)
+        gf = gf_catalog(family, reduced, Sign.PLUS if back else sign, modulus)
+        series = series_table(gf, 40, 25)  # a larger truncation changes no coefficient
+        rows = gf_grid(family, reduced, sign, modulus, ns, ks)
+        differences += [(family, reduced, sign, n, k) for n, row in zip(ns, rows)
+                        for k, cell in zip(ks, row)
+                        if cell != (series[n - back][k] if n >= back else 0)]
+    return differences
+
+
+@pytest.mark.parametrize("modulus", (1, 2, 3, 5, 97, INFINITY))
+@settings(max_examples=25, deadline=None)
+@given(ns=st.sets(st.integers(0, 40)).map(sorted), ks=st.sets(st.integers(0, 25)).map(sorted))
+@example(ns=[0, 1, 7, 40], ks=[3, 9, 20])  # min(ks) > 0, with gaps, past max(ns) // 2
+@example(ns=list(range(41)), ks=list(range(26)))
+def test_gf_grid_equals_the_unshifted_expansion(modulus, ns, ks):
+    assert _unshifted_differences(modulus, ns, ks) == []
+
+
+def test_a_shift_by_t_over_q_is_caught(monkeypatch):
+    # the mutant reads [q^(n-k) (t/q)^k], so it moves every cell with k >= 1 to a wrong q-degree
+    def shifted_by_t_over_q(gf):
+        return RationalGF(*(BivariatePoly({(p - s, s): c for p, s, c in poly.terms()})
+                            for poly in gf))
+
+    monkeypatch.setattr("palcomp.genfun._shifted", shifted_by_t_over_q)
+    assert _unshifted_differences(INFINITY, range(13), range(4)) != []
+
+
+def test_a_triangle_term_far_out_in_k_expands_only_its_window():
+    # A060098's terms sit at (n + 2k, k); the unshifted window would be 2026 x 1001 coefficients
+    cell = (Family.AC, True, Sign.TOTAL, 1)
+    tracemalloc.start()
+    try:
+        rows = gf_grid(*cell, range(2000, 2025), [1000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row[0] for row in rows] == formula_column(*cell, range(2000, 2025), 1000)
+    assert peak < 8 * 2**20
 
 
 @settings(deadline=None)
@@ -96,8 +143,10 @@ def test_minus_column_at_n0_still_validates_the_variant():
     [((True, 2), "n_max"), ((3, False), "k_max"), ((3.0, 2), "n_max"), ((3, "2"), "k_max")],
 )
 def test_gf_grid_rejects_non_int_bounds(bounds, name):
-    with pytest.raises(TypeError, match=f"^{name} must be an int"):
-        gf_grid(Family.PC, False, Sign.PLUS, INFINITY, *bounds)
+    # each bound is passed as the one element of ns or ks, which is named n or k
+    n_max, k_max = bounds
+    with pytest.raises(TypeError, match=f"^{name.removesuffix('_max')} must be an int"):
+        gf_grid(Family.PC, False, Sign.PLUS, INFINITY, [n_max], [k_max])
 
 
 @pytest.mark.parametrize(
@@ -111,8 +160,8 @@ def test_formula_column_rejects_non_int_arguments(n_max, k, name):
 
 @pytest.mark.parametrize("reader", [gf_grid, formula_column])
 def test_negative_bounds_rejected(reader):
-    n_bound = (lambda n: [n]) if reader is formula_column else (lambda n: n)
+    k_bound = (lambda k: k) if reader is formula_column else (lambda k: [k])
     with pytest.raises(ValueError, match="must be >= 0"):
-        reader(Family.AC, True, Sign.TOTAL, 2, n_bound(-1), 0)
+        reader(Family.AC, True, Sign.TOTAL, 2, [-1], k_bound(0))
     with pytest.raises(ValueError, match="must be >= 0"):
-        reader(Family.AC, True, Sign.TOTAL, 2, n_bound(3), -1)
+        reader(Family.AC, True, Sign.TOTAL, 2, [3], k_bound(-1))

@@ -71,7 +71,7 @@ ENTRY_POINTS = {
     "formula_count": lambda *cell: formula_count(*cell, 6, 0),
     "formula_column": lambda *cell: formula_column(*cell, range(5), 0),
     "gf_count": lambda *cell: gf_count(*cell, 6, 0),
-    "gf_grid": lambda *cell: gf_grid(*cell, 4, 0),
+    "gf_grid": lambda *cell: gf_grid(*cell, range(5), [0]),
     "brute_count": lambda *cell: brute_count(*cell, 6, 0),
 }
 
