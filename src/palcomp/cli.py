@@ -95,11 +95,8 @@ def _check_request(args: argparse.Namespace, ns: Sequence[int], k: int) -> Formu
     --force refusal and then the cap, so the first n that fails is refused
     with the message brute force would raise there, and nothing is walked.
     """
-    n = min(ns, default=0)  # an empty range refuses too
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    check_index(min(ns, default=0), "n")  # an empty range refuses too
+    check_index(k, "k")
     if args.variant is not None and args.method != "formula":
         raise ValueError("--variant selects among closed formulas; it requires --method formula")
     if args.method == "brute":

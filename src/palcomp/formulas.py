@@ -19,9 +19,9 @@ compositions without an odd middle part, ``_mod`` takes a finite modulus m
 (the modulus-free functions are the m = infinity family and are not the
 large-m limit of the _mod ones; keep the two groups apart).
 
-Totals follow total(n) = plus(n) + plus(n-1), realized by
-:func:`total_from_plus`; the minus part equals plus(n-1) by the
-insert-or-bump-the-middle bijection, so no separate minus formulas exist.
+The minus part equals plus(n-1) by the insert-or-bump-the-middle bijection,
+and the total is plus(n) + plus(n-1): every sign is read off plus values by
+:func:`palcomp.stats.plus_reads`, so no separate minus formulas exist.
 
 Where several published formulas compute the same quantity they are kept as
 separate variants (V1, V2, V3) selected by :class:`FormulaVariant`.  The
@@ -49,7 +49,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .core import binom, fibonacci, multinom, tribonacci, tribonacci_prime
-from .stats import INFINITY, Family, Modulus, Sign, check_cell, check_index, check_modulus
+from .stats import (INFINITY, Family, Modulus, Sign, check_cell, check_index, check_modulus,
+                    plus_reads)
 
 
 class FormulaVariant(Enum):
@@ -670,12 +671,7 @@ def rac_total_k_mod1(n: int, k: int) -> int:
 
 def total_from_plus(plus_fn: Callable[..., int], n: int, *args, **kwargs) -> int:
     """plus_fn(n) + plus_fn(n-1), with the n = -1 term defined as 0."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    value = plus_fn(n, *args, **kwargs)
-    if n >= 1:
-        value += plus_fn(n - 1, *args, **kwargs)
-    return value
+    return sum(plus_fn(m, *args, **kwargs) for m in plus_reads(Sign.TOTAL, check_index(n, "n")))
 
 
 def formula_count(
@@ -689,7 +685,7 @@ def formula_count(
 ) -> int:
     """Evaluate one counting function through its closed formula.
 
-    The minus part is plus(n-1) and the total is plus(n) + plus(n-1).  The
+    Every sign is read off the plus function (stats.plus_reads).  The
     block's row of _PLUS_FORMULAS names its plus function and the variants it
     takes; a block with a single published formula takes none.
     """
@@ -708,12 +704,7 @@ def formula_count(
             "this quantity has a single published formula; do not pass a variant"
         )
     plus = globals()[row.plus]
-
-    if sign is Sign.PLUS:
-        return plus(n, *args)
-    if sign is Sign.MINUS:
-        return plus(n - 1, *args) if n >= 1 else 0
-    return total_from_plus(plus, n, *args)
+    return sum(plus(m, *args) for m in plus_reads(sign, n))
 
 
 def formula_column(
@@ -725,19 +716,15 @@ def formula_column(
     k: int,
     variant: FormulaVariant | None = None,
 ) -> list[int]:
-    """formula_count at each n of ns for one k, evaluating each plus value once.
-
-    minus(n) is plus(n-1) and total(n) is plus(n) + plus(n-1); the plus values
-    the sign reads come from one formula_count call each, in ascending n.
-    """
+    """formula_count at each n of ns for one k, every sign read off (stats.plus_reads)
+    the plus values it needs, each from one formula_count call, in ascending n."""
     check_cell(family, reduced, sign, modulus)
     for n in ns:
         check_index(n, "n")
-    back = {Sign.PLUS: (0,), Sign.MINUS: (1,), Sign.TOTAL: (0, 1)}[sign]
     # a request that reads no plus value still evaluates plus(0), which validates k and the variant
-    reads = sorted({n - b for n in ns for b in back if n >= b}) or [0]
+    reads = sorted({m for n in ns for m in plus_reads(sign, n)}) or [0]
     plus = {m: formula_count(family, reduced, Sign.PLUS, modulus, m, k, variant) for m in reads}
-    return [sum(plus.get(n - b, 0) for b in back) for n in ns]
+    return [sum(plus[m] for m in plus_reads(sign, n)) for n in ns]
 
 
 def _nonnegative_n(n: int) -> bool:

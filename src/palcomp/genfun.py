@@ -27,7 +27,8 @@ recomputing any coefficient with larger bounds returns the same value.
 Every coefficient is read from one expansion, :func:`series_table`: the
 inverse of the denominator, shift-added once per term of the numerator,
 truncated to the requested bounds and cached.  :func:`gf_grid` reads a whole
-request from it, and :func:`gf_count` is its one-cell request.
+request off the block's plus entry, every sign by stats.plus_reads, and
+:func:`gf_count` is its one-cell request.
 
 Every catalog term has q-degree at least twice its t-degree, at every modulus
 (:func:`gf_catalog` refuses one that has not).  So in u = t/q^2
@@ -41,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .stats import INFINITY, Family, Modulus, Sign, check_cell, check_index
+from .stats import INFINITY, Family, Modulus, Sign, check_cell, check_index, plus_reads
 
 
 class BivariatePoly:
@@ -350,18 +351,19 @@ def gf_grid(
     family: Family, reduced: bool, sign: Sign, modulus: Modulus,
     ns: Sequence[int], ks: Sequence[int],
 ) -> list[list[int]]:
-    """rows[i][j] = gf_count(..., ns[i], ks[j]), all read from one expansion of
-    the shifted entry to q-degree max(ns) - 2 min(ks) and u-degree
-    min(max(ks), max(ns) // 2).  A minus cell is plus(n - 1), read off the
-    plus expansion of the same window, so a plus and a minus request share it.
+    """rows[i][j] = gf_count(..., ns[i], ks[j]), every sign read off
+    (stats.plus_reads) one expansion of the block's shifted plus entry to
+    q-degree max(ns) - 2 min(ks) and u-degree min(max(ks), max(ns) // 2), so
+    the plus, minus and total requests of one window share it.
     """
     check_cell(family, reduced, sign, modulus)
     for name, values in (("n", ns), ("k", ks)):
         for value in values:
             check_index(value, name)
-    back = int(sign is Sign.MINUS)
     n_max = max(ns, default=0)
     k_min = min(ks, default=n_max)  # no column read: the window is one coefficient
-    gf = _shifted(gf_catalog(family, reduced, Sign.PLUS if back else sign, modulus))
+    gf = _shifted(gf_catalog(family, reduced, Sign.PLUS, modulus))
     g = series_table(gf, max(n_max - 2 * k_min, 0), min(max(ks, default=0), n_max // 2))
-    return [[g[n - back - 2 * k][k] if n - back >= 2 * k else 0 for k in ks] for n in ns]
+    reads = ([[g[m - 2 * k][k] if m >= 2 * k else 0 for k in ks] for m in plus_reads(sign, n)]
+             for n in ns)  # per n, the plus rows its sign sums
+    return [[sum(cell) for cell in zip([0] * len(ks), *rows)] for rows in reads]

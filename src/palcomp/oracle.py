@@ -33,9 +33,9 @@ n or cap is refused at its first ``next()``.
 :func:`brute_count` takes a cell like the other two paths,
 ``(family, reduced, sign, modulus, n, k)``, and refuses what they refuse, in
 their order: a bad cell (through :func:`palcomp.stats.check_cell`), then a
-bad n, then a bad k.  Only then does it refuse a bad ``cap`` or an n above it
-(default 24): 2^(n-1) items grow fast and a typo should not start an
-hour-long loop.  The cap is an argument, not a constant.
+bad n, then a bad k.  Only then does it refuse a bad ``cap`` argument or an n
+above it (default 24): 2^(n-1) items grow fast and a typo should not start an
+hour-long loop.  Past those, a cell with 2k > n is 0 without a walk.
 
 Each n is walked at most twice, once per record below, and the 32 most
 recent records of each kind are kept, which covers every n up to the default
@@ -167,6 +167,8 @@ def brute_count(
     check_index(n, "n")
     check_index(k, "k")
     _check_cap(n, cap)
+    if 2 * k > n:  # n has at most n // 2 mirror pairs
+        return 0
     census = _census(n, modulus)
     signs = (Sign.PLUS, Sign.MINUS) if sign is Sign.TOTAL else (sign,)
     return sum(census[(family, reduced, s, k)] for s in signs)

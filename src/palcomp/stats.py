@@ -16,7 +16,8 @@ and which reads as ``inf`` under repr, str and format.
 
 Sign classes refine the count by the middle part: a composition is PLUS when
 its length is even, or odd with an even middle part; MINUS when the middle
-part is odd.  The empty composition has even length 0 and is PLUS.
+part is odd.  The empty composition has even length 0 and is PLUS.  Since
+minus(n) = plus(n - 1), :func:`plus_reads` reads every sign off plus values.
 
 The reduced families count equivalence classes under independently swapping
 the two parts of any pair; :func:`swap_canonical` picks the class
@@ -192,6 +193,15 @@ def sign_class(c: Composition) -> Sign:
     if l % 2 == 1 and c[l // 2] % 2 == 1:
         return Sign.MINUS
     return Sign.PLUS
+
+
+# sign(n) = sum of plus(n - b) over the sign's offsets b, plus below 0 reading as 0
+SIGN_OFFSETS = {Sign.PLUS: (0,), Sign.MINUS: (1,), Sign.TOTAL: (0, 1)}
+
+
+def plus_reads(sign: Sign, n: int) -> list[int]:
+    """The m with sign(n) = sum of plus(m): n - b for each offset b <= n of the sign."""
+    return [n - b for b in SIGN_OFFSETS[sign] if n >= b]
 
 
 def swap_canonical(c: Composition) -> Composition:

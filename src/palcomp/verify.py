@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import formulas
 from .bijection import decode_pair, encode_pair, pair_statistics
 from .core import binom, tribonacci, tribonacci_identity_sum
-from .genfun import gf_catalog, gf_grid, series_table
+from .genfun import ONE, Q, gf_catalog, gf_grid, series_table
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     brute_count,
@@ -293,25 +293,26 @@ def special_values(n_max: int = 24) -> _Cells:
 
 
 @_check
-def gf_total_plus_relation(
-    n_max: int = 14, k_max: int = 4, moduli: Sequence[Modulus] = DEFAULT_MODULI
-) -> _Cells:
-    """Catalog totals equal plus(n) + plus(n-1) coefficientwise."""
-    for (family, reduced, sign, modulus), cells in _grid((Sign.TOTAL,), moduli, _box(n_max, k_max)):
-        plus = series_table(gf_catalog(family, reduced, Sign.PLUS, modulus), n_max, k_max)
-        total = series_table(gf_catalog(family, reduced, sign, modulus), n_max, k_max)
-        for n, k, params in cells:
-            want = plus[n][k] + (plus[n - 1][k] if n >= 1 else 0)
-            yield params, want, total[n][k]
+def gf_total_plus_relation(moduli: Sequence[Modulus] = DEFAULT_MODULI) -> _Cells:
+    """Each catalog total T is (1 + q) times its plus entry P, at every n and k:
+    T.num * P.den == (1 + q) * P.num * T.den exactly, one cell per term."""
+    for family, reduced, modulus in itertools.product(Family, (False, True), moduli):
+        plus = gf_catalog(family, reduced, Sign.PLUS, modulus)
+        total = gf_catalog(family, reduced, Sign.TOTAL, modulus)
+        lhs = total.numerator * plus.denominator
+        rhs = (ONE + Q) * plus.numerator * total.denominator
+        block = dict(family=family.value, reduced=reduced, sign="total", modulus=str(modulus))
+        for p, s in sorted({(p, s) for poly in (lhs, rhs) for p, s, _ in poly.terms()}):
+            yield {**block, "q_degree": p, "t_degree": s}, rhs.coeff(p, s), lhs.coeff(p, s)
 
 
 @_check
 def rpc_mod2_fibonacci_fold(n_max: int = 24) -> _Cells:
     """Reduced palindromic plus series at m=2: odd coefficients vanish and the
     even ones interleave the odd-indexed Fibonacci numbers."""
-    series = series_table(gf_catalog(Family.PC, True, Sign.PLUS, 2), n_max, 0)
+    rows = gf_grid(Family.PC, True, Sign.PLUS, 2, range(n_max + 1), [0])
     for n in range(n_max + 1):
-        yield {"n": n}, _named("RPC_PLUS_MOD2_FIB", n), series[n][0]
+        yield {"n": n}, _named("RPC_PLUS_MOD2_FIB", n), rows[n][0]
 
 
 @_check
@@ -458,7 +459,7 @@ def run_all(
         (sequence_identification,),
         (parity_vanishing,),
         (special_values,),
-        (gf_total_plus_relation, n_max, k_max, moduli),
+        (gf_total_plus_relation, moduli),
         (rpc_mod2_fibonacci_fold,),
         (truncation_soundness,),
         (bijection_round_trip, small_n, cap),

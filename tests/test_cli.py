@@ -142,6 +142,15 @@ class TestCount:
         )
         assert (code, out, err) == (0, "0\n", "")
 
+    @pytest.mark.parametrize("method", ["formula", "gf", "brute"])
+    def test_a_negative_index_is_refused_by_name(self, capsys, method):
+        for n, k, name in (("-1", "0", "n"), ("3", "-1", "k")):
+            code, out, err = run(
+                capsys, "count", "--family", "pc", "--sign", "minus", "--mod", "inf",
+                "--n", n, "--k", k, "--method", method,
+            )
+            assert (code, out, err) == (2, "", f"error: {name} must be >= 0, got -1\n")
+
     def test_a_negative_cap_is_refused_by_name(self, capsys):
         code, out, err = run(
             capsys, "count", "--family", "pc", "--sign", "total", "--n", "5",

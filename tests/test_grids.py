@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from palcomp import genfun
 from palcomp.formulas import V2, FormulaVariant, formula_column, formula_count
 from palcomp.genfun import BivariatePoly, RationalGF, gf_catalog, gf_count, gf_grid, series_table
 from palcomp.stats import INFINITY, Family, Sign
@@ -100,6 +101,21 @@ def test_a_triangle_term_far_out_in_k_expands_only_its_window():
         tracemalloc.stop()
     assert [row[0] for row in rows] == formula_column(*cell, range(2000, 2025), 1000)
     assert peak < 8 * 2**20
+
+
+def test_every_sign_of_a_block_reads_one_plus_expansion(monkeypatch):
+    asked = []
+
+    def catalog(family, reduced, sign, modulus):
+        asked.append(sign)
+        return gf_catalog(family, reduced, sign, modulus)
+
+    monkeypatch.setattr(genfun, "gf_catalog", catalog)
+    series_table.cache_clear()
+    for sign in Sign:
+        gf_grid(Family.AC, True, sign, 3, range(31), range(6))
+    assert series_table.cache_info().misses == 1
+    assert asked == [Sign.PLUS] * 3
 
 
 @settings(deadline=None)

@@ -80,6 +80,20 @@ class TestBruteCount:
         with pytest.raises(EnumerationCapError, match=refusal):
             check_enumeration_cap(range(21, 31, 2), 24)
 
+    def test_a_cell_past_half_of_n_is_zero_without_a_walk(self, monkeypatch):
+        def no_walk(n, cap=DEFAULT_ENUMERATION_CAP):
+            raise AssertionError(f"enumerate_compositions({n}) was called")
+
+        monkeypatch.setattr(oracle, "enumerate_compositions", no_walk)
+        records = (oracle._pair_record, oracle._census)
+        before = [record.cache_info() for record in records]
+        # a composition of 20 has at most 10 mirror pairs
+        assert brute_count(Family.PC, False, Sign.PLUS, INFINITY, 20, 15) == 0
+        assert brute_count(Family.AC, True, Sign.TOTAL, 3, 7, 4) == 0
+        assert [record.cache_info() for record in records] == before  # not even a cached read
+        with pytest.raises(EnumerationCapError, match="n=20: enumeration cap is 19"):
+            brute_count(Family.PC, False, Sign.PLUS, INFINITY, 20, 15, cap=19)
+
     def test_refuses_the_cell_then_k_then_n(self):
         with pytest.raises(TypeError, match="family must be a Family"):
             brute_count("pc", False, Sign.TOTAL, 0, 99, -1)

@@ -20,6 +20,7 @@ from palcomp.stats import (
     mismatch_count,
     parse_composition,
     parse_modulus,
+    plus_reads,
     sign_class,
     swap_canonical,
 )
@@ -113,6 +114,12 @@ class TestStatistics:
         assert sign_class(()) is Sign.PLUS
         assert sign_class((4,)) is Sign.PLUS
         assert sign_class((3,)) is Sign.MINUS
+
+    def test_plus_reads(self):
+        # minus(n) = plus(n - 1) and total = plus + minus
+        assert [plus_reads(sign, 5) for sign in Sign] == [[5], [4], [5, 4]]
+        # plus below 0 reads as 0, so no m < 0 is read
+        assert [plus_reads(sign, 0) for sign in Sign] == [[0], [], [0]]
 
     @given(compositions_st, moduli_st)
     def test_counts_partition_pairs(self, c, modulus):

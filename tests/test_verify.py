@@ -1,10 +1,12 @@
 """The cross-path harness itself: green on shipped code, red under mutation."""
 
+import json
 import tracemalloc
 
 import pytest
 
-from palcomp import formulas, verify
+from palcomp import formulas, genfun, stats, verify
+from palcomp.genfun import ONE, Q, T, RationalGF
 from palcomp.oracle import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from palcomp.stats import INFINITY, Family, Sign
 
@@ -118,7 +120,42 @@ def test_variant_agreement_runs_each_row_at_its_own_moduli():
     ],
 )
 def test_individual_grid_checks(check):
-    assert check(n_max=8, k_max=2, moduli=(1, 3, INFINITY)).ok
+    # the GF identity is exact, so it takes no grid bounds
+    bounds = {} if check is verify.gf_total_plus_relation else {"n_max": 8, "k_max": 2}
+    assert check(**bounds, moduli=(1, 3, INFINITY)).ok
+
+
+@pytest.mark.parametrize("modulus", [m for m in verify.DEFAULT_MODULI if m is not INFINITY])
+def test_a_displayed_total_wrong_past_the_grid_is_caught(monkeypatch, modulus):
+    # the t-term -q^2 (1 - q) t of rac's displayed total times (1 + q^(m+20)): every
+    # coefficient below q^(m+22) stays right, and no count reads the total entry
+    def skewed(m):
+        total = genfun._rac_total_mod(m)
+        return RationalGF(total.numerator, total.denominator - Q ** (m + 22) * (ONE - Q) * T)
+
+    row = genfun._CatalogRow(genfun._rac_plus_mod, skewed)
+    monkeypatch.setitem(genfun._CATALOG, (Family.AC, True, True), row)
+    result = verify.gf_total_plus_relation(moduli=(modulus,))
+    assert not result.ok
+    assert result.params["family"] == "ac" and result.params["reduced"] is True
+    assert result.params["modulus"] == str(modulus)
+
+
+def test_a_wrong_sign_rule_is_caught_by_brute_force(monkeypatch):
+    # formula and GF read every sign through the one table, so they agree under a
+    # wrong rule; brute force tallies the sign classes itself
+    monkeypatch.setitem(stats.SIGN_OFFSETS, Sign.TOTAL, (0, 2))
+    result = verify.three_path_grid(n_max=6, k_max=1, moduli=(2,))
+    assert not result.ok and result.params["sign"] == "total"
+    assert result.expected["formula"] == result.expected["genfun"] != result.actual["brute"]
+
+
+def test_gf_total_plus_relation_cells_are_json_ints():
+    cells = list(verify.gf_total_plus_relation.__wrapped__((1, 10**12, INFINITY)))
+    assert len({tuple(params.values())[:4] for params, _, _ in cells}) == 12
+    for params, expected, actual in cells:
+        assert type(expected) is int and type(actual) is int
+        assert json.loads(json.dumps(params)) == params
 
 
 def test_individual_fixed_checks():
