@@ -12,23 +12,23 @@ tuples read as ``table[p][s]`` (the coefficient of q^p t^s), because every
 coefficient up to the bounds is filled in and read by index.  Both are exact
 over Python integers and immutable.  The catalog has one row per block
 (family, reduced, finite modulus): the plus builder and the paper's displayed
-total, if any; any other total is :func:`_totalized`, the plus entry times
-(1 + q).  Entries keep the factored displayed form, never cancelled (no
-polynomial GCD here), and are rebuilt on every lookup, with no cache.
+total, if any.  Every count reads the plus entry (stats.plus_reads), so no
+other total is built.  Entries keep the factored displayed form, never
+cancelled (no polynomial GCD here), and are rebuilt on every lookup, with no
+cache.
 
-Series inversion requires a denominator with constant term exactly 1 (true
-of every catalog entry for every modulus) and runs the graded coefficient
-recurrence: u(0,0) = 1 and each further coefficient of u is determined by
-d * u = 1 from lower-order ones.  Terms of d beyond the bounds reach no
-coefficient within them and are dropped first, so the work depends on the
-bounds, not on d's degree.  Truncation bounds only discard higher terms, so
-recomputing any coefficient with larger bounds returns the same value.
+An expansion needs a denominator with constant term exactly 1 (true of every
+catalog entry for every modulus): f = N / d is then one pass of the graded
+recurrence f[p][s] = N[p][s] - sum of D[dp][ds] f[p-dp][s-ds] over d's other
+terms.  Terms of d beyond the bounds reach no coefficient within them and are
+dropped first, so the work depends on the bounds, not on d's degree.
+Truncation bounds only discard higher terms, so recomputing any coefficient
+with larger bounds returns the same value.
 
-Every coefficient is read from one expansion, :func:`series_table`: the
-inverse of the denominator, shift-added once per term of the numerator,
-truncated to the requested bounds and cached.  :func:`gf_grid` reads a whole
-request off the block's plus entry, every sign by stats.plus_reads, and
-:func:`gf_count` is its one-cell request.
+Every coefficient is read from one expansion, :func:`series_table`, the
+cached :func:`series_inverse` pass truncated to the requested bounds.
+:func:`gf_grid` reads a whole request off the block's plus entry, every sign
+by stats.plus_reads, and :func:`gf_count` is its one-cell request.
 
 Every catalog term has q-degree at least twice its t-degree, at every modulus
 (:func:`gf_catalog` refuses one that has not).  So in u = t/q^2
@@ -149,9 +149,11 @@ def poly_mul(a: BivariatePoly, b: BivariatePoly) -> BivariatePoly:
     return BivariatePoly(product)
 
 
-def series_inverse(d: BivariatePoly, nq: int, nt: int) -> tuple[tuple[int, ...], ...]:
-    """The table u[p][s], p <= nq and s <= nt, of u with d * u = 1 modulo
-    (q^(nq+1), t^(nt+1)); d must have constant term 1."""
+def series_inverse(
+    d: BivariatePoly, nq: int, nt: int, numerator: BivariatePoly
+) -> tuple[tuple[int, ...], ...]:
+    """The table f[p][s], p <= nq and s <= nt, of f = numerator / d modulo
+    (q^(nq+1), t^(nt+1)), in one pass; d must have constant term 1."""
     if nq < 0 or nt < 0:
         raise ValueError(f"truncation bounds must be >= 0, got ({nq}, {nt})")
     if d.coeff(0, 0) != 1:
@@ -159,18 +161,18 @@ def series_inverse(d: BivariatePoly, nq: int, nt: int) -> tuple[tuple[int, ...],
             f"series inversion needs constant term 1, got {d.coeff(0, 0)}"
         )
     tail = [(p, s, c) for p, s, c in d.terms() if (p, s) != (0, 0) and p <= nq and s <= nt]
-    rows = [[0] * (nt + 1) for _ in range(nq + 1)]
-    rows[0][0] = 1
+    rows: list[Sequence[int]] = []
     for p in range(nq + 1):
+        row = [numerator.coeff(p, s) for s in range(nt + 1)]
+        rows.append(row)  # a term with dp = 0 reads this row's earlier entries
         for s in range(nt + 1):
-            if p == 0 and s == 0:
-                continue
-            acc = 0
+            acc = row[s]
             for dp, ds, dc in tail:
                 if dp <= p and ds <= s:
-                    acc += dc * rows[p - dp][s - ds]
-            rows[p][s] = -acc
-    return tuple(map(tuple, rows))
+                    acc -= dc * rows[p - dp][s - ds]
+            row[s] = acc
+        rows[p] = tuple(row)
+    return tuple(rows)
 
 
 class RationalGF(NamedTuple):
@@ -183,21 +185,12 @@ class RationalGF(NamedTuple):
 @lru_cache(maxsize=32)
 def series_table(gf: RationalGF, nq: int, nt: int) -> tuple[tuple[int, ...], ...]:
     """The expansion of gf as a table[p][s]: every coefficient with q-degree
-    <= nq and t-degree <= nt.
+    <= nq and t-degree <= nt, one :func:`series_inverse` pass with gf's numerator.
 
-    The denominator is inverted to those bounds, and each numerator term
-    c q^dp t^ds adds c times the inverse, shifted by (dp, ds), into the rows.
     Only the 32 most recent expansions are kept, so a long-running process
     does not hold every table it has ever expanded.
     """
-    inverse = series_inverse(gf.denominator, nq, nt)
-    rows = [[0] * (nt + 1) for _ in range(nq + 1)]
-    for dp, ds, c in gf.numerator.terms():
-        for p in range(dp, nq + 1):
-            row, source = rows[p], inverse[p - dp]
-            for s in range(ds, nt + 1):
-                row[s] += c * source[s - ds]
-    return tuple(map(tuple, rows))
+    return series_inverse(gf.denominator, nq, nt, gf.numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +286,6 @@ def _rac_total_mod(m: int) -> RationalGF:
     return RationalGF(num, den)
 
 
-def _totalized(plus_gf: RationalGF) -> RationalGF:
-    """Total series from a plus series: multiply the numerator by (1 + q)."""
-    return RationalGF((ONE + Q) * plus_gf.numerator, plus_gf.denominator)
-
-
 class _CatalogRow(NamedTuple):
     plus: Callable[..., RationalGF]  # the block's plus builder; a finite-modulus one takes m
     total: Callable[..., RationalGF] | None = None  # the paper's displayed total, if any
@@ -317,16 +305,17 @@ _CATALOG: dict[tuple[Family, bool, bool], _CatalogRow] = {
 
 
 def gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> RationalGF:
-    """Build a catalog generating function, a finite-modulus one at that modulus."""
+    """Build a catalog generating function, a finite-modulus one at that modulus:
+    the block's plus entry, or the total the paper displays for it.  Any other
+    sign is a KeyError, since it is read off the plus entry (stats.plus_reads)."""
     check_cell(family, reduced, sign, modulus)
     if sign is Sign.MINUS:
         raise KeyError("no catalog entry for the minus part; expand the plus entry at n-1")
     row = _CATALOG[family, reduced, modulus is not INFINITY]
-    args = () if modulus is INFINITY else (modulus,)
-    if sign is Sign.PLUS:
-        gf = row.plus(*args)
-    else:
-        gf = row.total(*args) if row.total else _totalized(row.plus(*args))
+    build = row.plus if sign is Sign.PLUS else row.total
+    if build is None:
+        raise KeyError("no displayed total for this block; add the plus entry at n and n-1")
+    gf = build(*(() if modulus is INFINITY else (modulus,)))
     if gf.denominator.coeff(0, 0) != 1:
         raise AssertionError("catalog invariant violated: denominator constant term != 1")
     if any(p < 2 * s for poly in gf for p, s, _ in poly.terms()):

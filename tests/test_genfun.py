@@ -17,7 +17,7 @@ from palcomp.genfun import (
     RationalGF,
     _CATALOG,
     _CatalogRow,
-    _totalized,
+    _shifted,
     gf_catalog,
     gf_count,
     poly_mul,
@@ -33,6 +33,36 @@ ALL_MODULI = (1, 2, 3, 4, 5, pytest.param(INFINITY, id="modulus5"))
 
 def coefficient(gf: RationalGF, n: int, k: int) -> int:
     return series_table(gf, n, k)[n][k]
+
+
+def entries(modulus):
+    """(family, reduced, sign) of every catalog entry at the modulus: each block's
+    plus entry and the totals the paper displays."""
+    for family, reduced, sign in itertools.product(Family, (False, True), (Sign.PLUS, Sign.TOTAL)):
+        if sign is Sign.PLUS or _CATALOG[family, reduced, modulus is not INFINITY].total:
+            yield family, reduced, sign
+
+
+def expansion(family, reduced, sign, modulus, nq, nt):
+    """A block's plus or total series to (nq, nt): its catalog entry expanded,
+    or, for a total the paper does not display, plus(n) + plus(n - 1)."""
+    if (family, reduced, sign) in entries(modulus):
+        return series_table(gf_catalog(family, reduced, sign, modulus), nq, nt)
+    plus = series_table(gf_catalog(family, reduced, Sign.PLUS, modulus), nq, nt)
+    below = ((0,) * (nt + 1),) + plus
+    return tuple(tuple(map(sum, zip(row, lower))) for row, lower in zip(plus, below))
+
+
+def two_pass(gf: RationalGF, nq: int, nt: int):
+    """gf expanded the way the GF path once did: 1/denominator, then each
+    numerator term c q^dp t^ds shift-added into the rows."""
+    inverse = series_inverse(gf.denominator, nq, nt, ONE)
+    rows = [[0] * (nt + 1) for _ in range(nq + 1)]
+    for dp, ds, c in gf.numerator.terms():
+        for p in range(dp, nq + 1):
+            for s in range(ds, nt + 1):
+                rows[p][s] += c * inverse[p - dp][s - ds]
+    return tuple(map(tuple, rows))
 
 
 class TestPolyArithmetic:
@@ -80,23 +110,23 @@ class TestPolyArithmetic:
 
 class TestSeriesInverse:
     def test_geometric(self):
-        inv = series_inverse(ONE - Q, 12, 0)
+        inv = series_inverse(ONE - Q, 12, 0, ONE)
         assert inv == ((1,),) * 13
 
     def test_fibonacci_shift(self):
-        inv = series_inverse(ONE - Q - Q**2, 15, 0)
+        inv = series_inverse(ONE - Q - Q**2, 15, 0, ONE)
         assert [inv[i][0] for i in range(16)] == [fibonacci(i + 1) for i in range(16)]
 
     def test_rejects_bad_constant_term(self):
         with pytest.raises(ValueError):
-            series_inverse(2 * ONE - Q, 4, 4)
+            series_inverse(2 * ONE - Q, 4, 4, ONE)
         with pytest.raises(ValueError):
-            series_inverse(Q, 4, 4)
+            series_inverse(Q, 4, 4, ONE)
 
     @pytest.mark.parametrize("bounds", [(-1, 0), (0, -1)])
     def test_rejects_negative_bounds(self, bounds):
         with pytest.raises(ValueError, match="^truncation bounds must be >= 0"):
-            series_inverse(ONE - Q, *bounds)
+            series_inverse(ONE - Q, *bounds, ONE)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -112,13 +142,32 @@ class TestSeriesInverse:
         unit = tuple(tuple(int(p == s == 0) for s in range(5)) for p in range(9))
         assert series_table(RationalGF(d, d), 8, 4) == unit
 
+    @pytest.mark.parametrize("modulus", (1, 2, 3, 5, 97, pytest.param(INFINITY, id="inf")))
+    @pytest.mark.parametrize("bounds", [(0, 0), (0, 4), (9, 0), (1, 1), (17, 5)])
+    def test_one_pass_equals_inverse_then_shift_add(self, modulus, bounds):
+        # every block's plus entry, as stored and as gf_grid expands it in u = t/q^2
+        for family, reduced in itertools.product(Family, (False, True)):
+            plus = gf_catalog(family, reduced, Sign.PLUS, modulus)
+            for gf in (plus, _shifted(plus)):
+                one_pass = series_inverse(gf.denominator, *bounds, gf.numerator)
+                assert one_pass == two_pass(gf, *bounds), (family, reduced, gf)
+
+    def test_one_pass_keeps_one_table(self):
+        # the two-pass expansion held the inverse and the product at once (about 1.6 MiB here)
+        gf = _shifted(gf_catalog(Family.AC, False, Sign.PLUS, INFINITY))
+        tracemalloc.start()
+        try:
+            series_table.__wrapped__(gf, 800, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestCatalog:
     @pytest.mark.parametrize("modulus", ALL_MODULI)
     def test_denominator_constant_term_is_one(self, modulus):
-        for family, reduced, sign in itertools.product(
-            Family, (False, True), (Sign.PLUS, Sign.TOTAL)
-        ):
+        for family, reduced, sign in entries(modulus):
             gf = gf_catalog(family, reduced, sign, modulus)
             assert gf.denominator.coeff(0, 0) == 1
             # the constant term of every entry is the empty composition
@@ -127,6 +176,19 @@ class TestCatalog:
     def test_minus_has_no_entry(self):
         with pytest.raises(KeyError):
             gf_catalog(Family.PC, False, Sign.MINUS, INFINITY)
+
+    @pytest.mark.parametrize("modulus", (1, 5, pytest.param(INFINITY, id="inf")))
+    def test_a_total_has_an_entry_only_where_the_paper_displays_one(self, modulus):
+        answered = set()
+        for family, reduced in itertools.product(Family, (False, True)):
+            try:
+                gf_catalog(family, reduced, Sign.TOTAL, modulus)
+            except KeyError as error:
+                assert "plus entry at n and n-1" in str(error)
+            else:
+                answered.add((family, reduced))
+        displayed = {(Family.AC, False), (Family.AC, True)}
+        assert answered == (displayed if modulus is not INFINITY else {(Family.AC, False)})
 
     def test_refuses_a_bad_cell_before_the_cached_lookup(self):
         gf_catalog(Family.PC, True, Sign.PLUS, INFINITY)  # 1 hashes like True, a catalog key
@@ -159,7 +221,8 @@ class TestCatalog:
 
     @pytest.mark.parametrize("modulus", ALL_MODULI)
     def test_total_equals_shifted_plus(self, modulus):
-        for family, reduced in itertools.product(Family, (False, True)):
+        # each total the paper displays; any other total is read as this sum
+        for family, reduced in ((f, r) for f, r, sign in entries(modulus) if sign is Sign.TOTAL):
             plus = series_table(gf_catalog(family, reduced, Sign.PLUS, modulus), 14, 4)
             total = series_table(gf_catalog(family, reduced, Sign.TOTAL, modulus), 14, 4)
             for n in range(15):
@@ -168,12 +231,12 @@ class TestCatalog:
                     assert total[n][k] == expected
 
     def test_catalog_covers_all_cells(self):
-        # one row per (family, reduced, finite modulus) block; plus and total resolve from it
+        # one row per (family, reduced, finite modulus) block; plus and any displayed
+        # total resolve from it
         assert set(_CATALOG) == set(itertools.product(Family, (False, True), (False, True)))
-        for family, reduced, sign, modulus in itertools.product(
-            Family, (False, True), (Sign.PLUS, Sign.TOTAL), (5, INFINITY)
-        ):
-            assert isinstance(gf_catalog(family, reduced, sign, modulus), RationalGF)
+        for modulus in (5, INFINITY):
+            for family, reduced, sign in entries(modulus):
+                assert isinstance(gf_catalog(family, reduced, sign, modulus), RationalGF)
         displayed = {block for block, row in _CATALOG.items() if row.total is not None}
         assert displayed == {(Family.AC, False, False), (Family.AC, False, True),
                              (Family.AC, True, True)}
@@ -187,9 +250,9 @@ class TestCatalog:
         args = (modulus,) if finite else ()
         for (family, reduced, row_finite), row in _CATALOG.items():
             if row.total is not None and row_finite == finite:
-                total, totalized = row.total(*args), _totalized(row.plus(*args))
-                assert total.numerator == totalized.numerator, (family, reduced)
-                assert total.denominator == totalized.denominator, (family, reduced)
+                total, plus = row.total(*args), row.plus(*args)
+                assert total.numerator == (ONE + Q) * plus.numerator, (family, reduced)
+                assert total.denominator == plus.denominator, (family, reduced)
 
     @pytest.mark.parametrize("modulus", (13, 10**6, 10**18))
     def test_modulus_above_n_expands_like_infinity(self, modulus):
@@ -197,16 +260,14 @@ class TestCatalog:
         for family, reduced, sign in itertools.product(
             Family, (False, True), (Sign.PLUS, Sign.TOTAL)
         ):
-            finite = series_table(gf_catalog(family, reduced, sign, modulus), 12, 4)
-            assert finite == series_table(gf_catalog(family, reduced, sign, INFINITY), 12, 4)
+            finite = expansion(family, reduced, sign, modulus, 12, 4)
+            assert finite == expansion(family, reduced, sign, INFINITY, 12, 4)
 
     def test_memory_does_not_grow_with_the_modulus(self):
         # every finite-modulus builder is reached, the displayed totals included
         tracemalloc.start()
         try:
-            for family, reduced, sign in itertools.product(
-                Family, (False, True), (Sign.PLUS, Sign.TOTAL)
-            ):
+            for family, reduced, sign in entries(5000):
                 tracemalloc.reset_peak()
                 series_table.__wrapped__(gf_catalog(family, reduced, sign, 5000), 8, 2)
                 peak = tracemalloc.get_traced_memory()[1]
@@ -219,9 +280,7 @@ class TestCatalog:
     )
     def test_every_term_has_q_degree_at_least_twice_its_t_degree(self, modulus):
         # so the entry shifted to u = t/q^2 has nonnegative degrees, and a cell with 2k > n is 0
-        for family, reduced, sign in itertools.product(
-            Family, (False, True), (Sign.PLUS, Sign.TOTAL)
-        ):
+        for family, reduced, sign in entries(modulus):
             gf = gf_catalog(family, reduced, sign, modulus)
             for poly in (gf.numerator, gf.denominator):
                 assert all(p >= 2 * s for p, s, _ in poly.terms()), (family, reduced, sign, poly)
@@ -229,7 +288,10 @@ class TestCatalog:
     def test_a_term_below_twice_its_t_degree_is_refused(self, monkeypatch):
         # shifted by u = t/q^2, a q t term would have q-degree -1, and the
         # expansion would read rows it has not filled
-        row = _CatalogRow(lambda: RationalGF(ONE - Q, ONE - Q - Q**2 - Q * T))
+        def bad():
+            return RationalGF(ONE - Q, ONE - Q - Q**2 - Q * T)
+
+        row = _CatalogRow(bad, bad)
         monkeypatch.setitem(_CATALOG, (Family.PC, False, False), row)
         for sign in (Sign.PLUS, Sign.TOTAL):
             with pytest.raises(AssertionError, match="q-degree below 2 \\* t-degree"):

@@ -58,16 +58,20 @@ def test_gf_grid_past_half_of_n_max_expands_only_to_it():
 
 def _unshifted_differences(modulus, ns, ks):
     """The cells where gf_grid differs from the unshifted catalog entry's
-    expansion, over every block and sign; minus(n) is plus(n - 1)."""
+    expansion, over every block and sign; minus(n) is plus(n - 1), and a total
+    the paper does not display is plus(n) + plus(n - 1)."""
     differences = []
     for family, reduced, sign in itertools.product(Family, (False, True), Sign):
-        back = int(sign is Sign.MINUS)
-        gf = gf_catalog(family, reduced, Sign.PLUS if back else sign, modulus)
+        try:  # the entry itself: plus, or a displayed total
+            gf, backs = gf_catalog(family, reduced, sign, modulus), (0,)
+        except KeyError:  # minus, or a total without a displayed form
+            gf = gf_catalog(family, reduced, Sign.PLUS, modulus)
+            backs = (1,) if sign is Sign.MINUS else (0, 1)
         series = series_table(gf, 40, 25)  # a larger truncation changes no coefficient
         rows = gf_grid(family, reduced, sign, modulus, ns, ks)
         differences += [(family, reduced, sign, n, k) for n, row in zip(ns, rows)
                         for k, cell in zip(ks, row)
-                        if cell != (series[n - back][k] if n >= back else 0)]
+                        if cell != sum(series[n - b][k] for b in backs if n >= b)]
     return differences
 
 

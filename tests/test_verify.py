@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from palcomp import formulas, genfun, stats, verify
-from palcomp.genfun import ONE, Q, T, RationalGF
+from palcomp.genfun import ONE, Q, T, BivariatePoly, RationalGF
 from palcomp.oracle import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from palcomp.stats import INFINITY, Family, Sign
 
@@ -152,10 +152,40 @@ def test_a_wrong_sign_rule_is_caught_by_brute_force(monkeypatch):
 
 def test_gf_total_plus_relation_cells_are_json_ints():
     cells = list(verify.gf_total_plus_relation.__wrapped__((1, 10**12, INFINITY)))
-    assert len({tuple(params.values())[:4] for params, _, _ in cells}) == 12
+    assert len({tuple(params.values())[:4] for params, _, _ in cells}) == 5
     for params, expected, actual in cells:
         assert type(expected) is int and type(actual) is int
         assert json.loads(json.dumps(params)) == params
+
+
+def test_gf_total_plus_relation_covers_exactly_the_displayed_totals():
+    # a block without a displayed total has no total entry to relate to its plus entry
+    moduli = (1, 5, INFINITY)
+    displayed = {(family.value, reduced, str(modulus))
+                 for (family, reduced, finite), row in genfun._CATALOG.items() if row.total
+                 for modulus in moduli if (modulus is not INFINITY) == finite}
+    cells = list(verify.gf_total_plus_relation.__wrapped__(moduli))
+    blocks = {(params["family"], params["reduced"], params["modulus"]) for params, _, _ in cells}
+    assert blocks == displayed and len(displayed) == 5
+
+
+def test_truncation_soundness_catches_a_cell_that_depends_on_its_window(monkeypatch):
+    # the mutant drops the denominator terms that reach exactly the last row of
+    # an expansion, so a cell read alone, in that row, differs from a wider read
+    honest = genfun.series_inverse
+
+    def window_bound(d, nq, nt, numerator):
+        kept = {(p, s): c for p, s, c in d.terms() if p != nq or (p, s) == (0, 0)}
+        return honest(BivariatePoly(kept), nq, nt, numerator)
+
+    assert len(list(verify.truncation_soundness.__wrapped__())) == 72
+    monkeypatch.setattr(genfun, "series_inverse", window_bound)
+    genfun.series_table.cache_clear()
+    try:
+        result = verify.truncation_soundness()
+    finally:
+        genfun.series_table.cache_clear()
+    assert not result.ok and result.expected != result.actual
 
 
 def test_individual_fixed_checks():
