@@ -23,12 +23,13 @@ import contextlib
 import sys
 from typing import Iterator, Sequence
 
-from .bijection import decode_pair, encode_pair, format_pair, parse_pair
-from .formulas import FormulaVariant, formula_column, formula_count
-from .genfun import gf_grid
-from .oracle import DEFAULT_ENUMERATION_CAP, brute_count, check_enumeration_cap
+# the path modules run on first use (see palcomp/__init__.py), so each command
+# runs only those it computes with, and building the parser runs none of them
+from . import bijection, formulas, genfun, oracle, verify
 from .stats import (
+    DEFAULT_ENUMERATION_CAP,
     Family,
+    FormulaVariant,
     Modulus,
     Sign,
     check_index,
@@ -36,7 +37,6 @@ from .stats import (
     parse_composition,
     parse_modulus,
 )
-from .verify import DEFAULT_MODULI, run_all
 
 BRUTE_OPTIN_LIMIT = 20
 
@@ -106,7 +106,7 @@ def _check_request(args: argparse.Namespace, ns: Sequence[int], k: int) -> Formu
                     f"brute force above n={BRUTE_OPTIN_LIMIT} needs --force "
                     f"(2^{n - 1} compositions)"
                 )
-            check_enumeration_cap([n], args.cap)
+            oracle.check_enumeration_cap([n], args.cap)
     return None if args.variant is None else FormulaVariant(args.variant)
 
 
@@ -124,15 +124,16 @@ def _grid(
     """
     variant = _check_request(args, ns, ks[0])
     if variant is not None:  # the block must take the variant, even with no column kept
-        formula_count(family, reduced, sign, modulus, 0, ks[0], variant)
+        formulas.formula_count(family, reduced, sign, modulus, 0, ks[0], variant)
     kept = range(ks[0], min(ks[-1], max(ns, default=0) // 2) + 1)
     if args.method == "brute":
-        columns = [[brute_count(family, reduced, sign, modulus, n, k, cap=args.cap) for n in ns]
-                   for k in kept]
+        columns = [[oracle.brute_count(family, reduced, sign, modulus, n, k, cap=args.cap)
+                    for n in ns] for k in kept]
     elif args.method == "gf":
-        columns = list(zip(*gf_grid(family, reduced, sign, modulus, ns, kept)))
+        columns = list(zip(*genfun.gf_grid(family, reduced, sign, modulus, ns, kept)))
     else:
-        columns = [formula_column(family, reduced, sign, modulus, ns, k, variant) for k in kept]
+        columns = [formulas.formula_column(family, reduced, sign, modulus, ns, k, variant)
+                   for k in kept]
     padding = [0] * (len(ks) - len(columns))
     return [[column[i] for column in columns] + padding for i in range(len(ns))]
 
@@ -215,10 +216,11 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    moduli = tuple(parse_modulus(tok) for tok in args.mods.split(","))
+    moduli = verify.DEFAULT_MODULI if args.mods is None else tuple(
+        parse_modulus(tok) for tok in args.mods.split(","))
     if args.n_max < 0 or args.k_max < 0:
         raise ValueError("--n-max and --k-max must be >= 0")
-    results = run_all(n_max=args.n_max, k_max=args.k_max, moduli=moduli, cap=args.cap)
+    results = verify.run_all(n_max=args.n_max, k_max=args.k_max, moduli=moduli, cap=args.cap)
     if args.report == "json":
         import json
 
@@ -234,9 +236,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
     if args.direction == "encode":
-        print(format_pair(encode_pair(parse_composition(args.value))))
+        print(bijection.format_pair(bijection.encode_pair(parse_composition(args.value))))
     else:
-        print(format_composition(decode_pair(parse_pair(args.value))))
+        print(format_composition(bijection.decode_pair(bijection.parse_pair(args.value))))
     return 0
 
 
@@ -274,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-check formulas, series, and brute force")
     p_verify.add_argument("--n-max", type=int, default=14)
     p_verify.add_argument("--k-max", type=int, default=4)
-    p_verify.add_argument("--mods", default=",".join(map(str, DEFAULT_MODULI)),
-                          help="comma-separated moduli, e.g. '1,2,3,4,5,inf'")
+    p_verify.add_argument("--mods", help="comma-separated moduli, e.g. '1,2,3,4,5,inf'")
     p_verify.add_argument("--report", choices=["text", "json"], default="text")
     p_verify.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p_verify.set_defaults(func=_cmd_verify)

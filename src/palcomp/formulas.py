@@ -44,20 +44,12 @@ the rule also makes the sum finite.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .core import binom, fibonacci, multinom, tribonacci, tribonacci_prime
-from .stats import (INFINITY, Family, Modulus, Sign, check_cell, check_index, check_modulus,
-                    plus_reads)
-
-
-class FormulaVariant(Enum):
-    V1 = 1
-    V2 = 2
-    V3 = 3
-
+from .stats import (INFINITY, Family, FormulaVariant, Modulus, Sign, check_cell, check_index,
+                    check_modulus, plus_reads)
 
 V1, V2, V3 = FormulaVariant.V1, FormulaVariant.V2, FormulaVariant.V3
 

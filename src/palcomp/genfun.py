@@ -343,7 +343,8 @@ def gf_grid(
     """rows[i][j] = gf_count(..., ns[i], ks[j]), every sign read off
     (stats.plus_reads) one expansion of the block's shifted plus entry to
     q-degree max(ns) - 2 min(ks) and u-degree min(max(ks), max(ns) // 2), so
-    the plus, minus and total requests of one window share it.
+    the plus, minus and total requests of one window share it.  Over ascending
+    ns each plus row is built once, and at most two are held besides the rows.
     """
     check_cell(family, reduced, sign, modulus)
     for name, values in (("n", ns), ("k", ks)):
@@ -353,6 +354,9 @@ def gf_grid(
     k_min = min(ks, default=n_max)  # no column read: the window is one coefficient
     gf = _shifted(gf_catalog(family, reduced, Sign.PLUS, modulus))
     g = series_table(gf, max(n_max - 2 * k_min, 0), min(max(ks, default=0), n_max // 2))
-    reads = ([[g[m - 2 * k][k] if m >= 2 * k else 0 for k in ks] for m in plus_reads(sign, n)]
-             for n in ns)  # per n, the plus rows its sign sums
-    return [[sum(cell) for cell in zip([0] * len(ks), *rows)] for rows in reads]
+    rows, plus = [], {}  # plus: the plus rows the previous n summed, which n + 1 reads again
+    for n in ns:
+        plus = {m: plus.get(m) or [g[m - 2 * k][k] if m >= 2 * k else 0 for k in ks]
+                for m in plus_reads(sign, n)}
+        rows.append(list(map(sum, zip([0] * len(ks), *plus.values()))))
+    return rows

@@ -61,6 +61,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .stats import (
+    DEFAULT_ENUMERATION_CAP,
     Composition,
     Family,
     Modulus,
@@ -72,7 +73,6 @@ from .stats import (
     swap_canonical,
 )
 
-DEFAULT_ENUMERATION_CAP = 24
 _SUFFIX_DEPTH = 8  # rests up to this are read from the table of small compositions
 
 

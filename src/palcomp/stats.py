@@ -65,6 +65,15 @@ class Sign(Enum):
     __hash__ = object.__hash__
 
 
+class FormulaVariant(Enum):  # the published formulas for one block (palcomp.formulas)
+    V1 = 1
+    V2 = 2
+    V3 = 3
+
+
+DEFAULT_ENUMERATION_CAP = 24  # the largest n brute force walks unless asked (palcomp.oracle)
+
+
 def check_modulus(modulus: Modulus) -> Modulus:
     """Validate a modulus: a positive integer or INFINITY."""
     if modulus is INFINITY:

@@ -45,7 +45,7 @@ def no_brute(monkeypatch):
     def brute_count(*cell, **options):
         raise AssertionError(f"brute_count{cell} was called")
 
-    monkeypatch.setattr(palcomp.cli, "brute_count", brute_count)
+    monkeypatch.setattr(palcomp.oracle, "brute_count", brute_count)
 
 
 @pytest.fixture
@@ -762,7 +762,7 @@ class TestCountsPastTheDigitCap:
 
 class TestStartup:
     def test_import_loads_the_layers_and_nothing_heavier(self):
-        """A fresh `import palcomp.cli` loads every layer that
+        """A fresh `import palcomp.cli` registers every layer that
         perfbench/traced_cli.py looks up in sys.modules right after it, and
         none of the modules that only some commands need."""
         src = os.path.dirname(os.path.dirname(palcomp.__file__))
@@ -776,3 +776,53 @@ class TestStartup:
         for layer in ("cli", "formulas", "genfun", "oracle", "bijection", "verify", "core"):
             assert f"palcomp.{layer}" in loaded
         assert not {"dataclasses", "inspect", "json", "palcomp.concordance"} & loaded
+
+    RAN_ON_IMPORT = {"palcomp", "palcomp.cli", "palcomp.stats"}
+    TABLE = ["table", "--family", "pc", "--sign", "total", "--mod", "3", "--n-max", "8",
+             "--k-max", "2"]
+
+    @pytest.mark.parametrize("argv, also_ran", [
+        ([], set()),
+        ([*TABLE, "--method", "gf"], {"genfun"}),
+        ([*TABLE, "--method", "formula"], {"formulas", "core"}),
+        ([*TABLE, "--method", "brute"], {"oracle"}),
+        (["verify", "--n-max", "6", "--k-max", "2"],
+         {"core", "oracle", "formulas", "genfun", "bijection", "verify"}),
+    ], ids=["import", "gf", "formula", "brute", "verify"])
+    def test_a_command_runs_only_the_modules_it_computes_with(self, argv, also_ran):
+        """A palcomp module that has run is a plain module; one registered
+        and not yet run is of a subclass."""
+        code, *ran = self._fresh_interpreter(
+            "import contextlib, io, types",
+            "import palcomp.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    code = palcomp.cli.main({argv!r}) if {argv!r} else 0",
+            "print(code, *(name for name, module in sys.modules.items()",
+            "              if name.startswith('palcomp') and type(module) is types.ModuleType))",
+        ).split()
+        assert code == "0"
+        assert set(ran) == self.RAN_ON_IMPORT | {f"palcomp.{name}" for name in also_ran}
+
+    def test_threads_that_first_use_a_module_at_once_all_find_it_run(self):
+        out = self._fresh_interpreter(
+            "import threading",
+            "import palcomp",
+            "barrier, found = threading.Barrier(4), []",
+            "def use():",
+            "    barrier.wait()",
+            "    found.append(hasattr(palcomp.formulas, 'formula_column'))",
+            "threads = [threading.Thread(target=use) for _ in range(4)]",
+            "for thread in threads: thread.start()",
+            "for thread in threads: thread.join(30)",
+            "print(found)",
+        )
+        assert out.strip() == str([True] * 4)
+
+    @staticmethod
+    def _fresh_interpreter(*lines: str) -> str:
+        """The stdout of a fresh interpreter, without site, that runs lines
+        with palcomp's sources on its path."""
+        src = os.path.dirname(os.path.dirname(palcomp.__file__))
+        code = "\n".join([f"import sys; sys.path.insert(0, {src!r})", *lines])
+        return subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                              capture_output=True, text=True, timeout=60, check=True).stdout
