@@ -115,27 +115,24 @@ def _grid(
 ) -> list[list[int]]:
     """rows[i][j] = count(ns[i], ks[j]) for ascending ns, all computed up front.
 
-    The whole request is checked first, so every refusal comes before any
+    The whole request is checked first, here and by the method's reader (the
+    formula reader checks the variant), so every refusal comes before any
     count.  A composition of n has at most n // 2 mirror pairs, so every method
     computes only the columns k <= max(ns) // 2, at the n of ns alone, and
-    writes 0 above them.  The gf path makes one series expansion over the
-    cells it reads, the formula path evaluates once each plus value the rows
-    read, and brute force goes cell by cell.
+    writes 0 above them.  Every method reads rows: the gf path makes one
+    series expansion over the cells it reads, the formula path evaluates once
+    per k each plus value the rows read, and brute force goes cell by cell.
     """
     variant = _check_request(args, ns, ks[0])
-    if variant is not None:  # the block must take the variant, even with no column kept
-        formulas.formula_count(family, reduced, sign, modulus, 0, ks[0], variant)
     kept = range(ks[0], min(ks[-1], max(ns, default=0) // 2) + 1)
     if args.method == "brute":
-        columns = [[oracle.brute_count(family, reduced, sign, modulus, n, k, cap=args.cap)
-                    for n in ns] for k in kept]
+        rows = [[oracle.brute_count(family, reduced, sign, modulus, n, k, cap=args.cap)
+                 for k in kept] for n in ns]
     elif args.method == "gf":
-        columns = list(zip(*genfun.gf_grid(family, reduced, sign, modulus, ns, kept)))
+        rows = genfun.gf_grid(family, reduced, sign, modulus, ns, kept)
     else:
-        columns = [formulas.formula_column(family, reduced, sign, modulus, ns, k, variant)
-                   for k in kept]
-    padding = [0] * (len(ks) - len(columns))
-    return [[column[i] for column in columns] + padding for i in range(len(ns))]
+        rows = formulas.formula_grid(family, reduced, sign, modulus, ns, kept, variant)
+    return [row + [0] * (len(ks) - len(kept)) for row in rows]
 
 
 def _cmd_count(args: argparse.Namespace) -> int:

@@ -5,8 +5,8 @@ nonnegative index tuples satisfying the stated linear constraint, and every
 binomial goes through :func:`palcomp.core.binom` (the three-case convention).
 In the V1 finite-modulus sums, an inner sub-sum that depends on k, m and one
 or two free indices, but not on n, is a function of all its arguments with
-one bounded memo, reused for every outer index: the calls of a formula
-column share its entries, and so do the cells of a grid, in any order.
+one bounded memo, reused for every outer index: the plus values of a
+formula grid share its entries, and so do separate calls, in any order.
 The terms and the exact arithmetic are those of the literal nested loops,
 and so are the values.
 Nothing here is simplified, telescoped, or shared with the
@@ -27,7 +27,8 @@ Where several published formulas compute the same quantity they are kept as
 separate variants (V1, V2, V3) selected by :class:`FormulaVariant`.  The
 table ``_PLUS_FORMULAS`` is the one record of which formula answers which
 block (family, reduced, finite modulus): its plus function, that function's
-variants and the block's direct total formula, if any.
+variants and the block's direct total formula, if any.  The one dispatch over
+it is :func:`formula_grid`, and :func:`formula_count` is its one-cell request.
 
 Loops stop where a binomial factor of their term turns zero: under the
 three-case convention binom(a, x) = 0 for x > a >= 0, so a loop over x whose
@@ -139,7 +140,7 @@ def _geometric_power_coeffs(m: int, e: int, w_max: int) -> tuple[tuple[int, int]
 
 # Inner sub-sums of the V1 finite-modulus sums.  Each is a plain function of
 # k, m and free indices that do not involve n, with its own bounded memo:
-# calls at one k and m share its entries (every n of a formula column, and
+# calls at one k and m share its entries (every n of a formula grid, and
 # plus(n) and plus(n-1) of a total) in any cell order, and _sj_sum, which has
 # no m, is shared across moduli.  One grid command or a whole verify run fills
 # about 1,800 entries per memo, far below _MEMO_SIZE, which caps the memory a
@@ -667,26 +668,32 @@ def total_from_plus(plus_fn: Callable[..., int], n: int, *args, **kwargs) -> int
 
 
 def formula_count(
-    family: Family,
-    reduced: bool,
-    sign: Sign,
-    modulus: Modulus,
-    n: int,
-    k: int,
+    family: Family, reduced: bool, sign: Sign, modulus: Modulus, n: int, k: int,
     variant: FormulaVariant | None = None,
 ) -> int:
-    """Evaluate one counting function through its closed formula.
+    """Evaluate one counting function through its closed formula."""
+    return formula_grid(family, reduced, sign, modulus, [n], [k], variant)[0][0]
 
-    Every sign is read off the plus function (stats.plus_reads).  The
-    block's row of _PLUS_FORMULAS names its plus function and the variants it
-    takes; a block with a single published formula takes none.
+
+def formula_grid(
+    family: Family, reduced: bool, sign: Sign, modulus: Modulus,
+    ns: Sequence[int], ks: Sequence[int], variant: FormulaVariant | None = None,
+) -> list[list[int]]:
+    """rows[i][j] = formula_count(..., ns[i], ks[j], variant), every sign read
+    off (stats.plus_reads) the plus function that the block's row of
+    _PLUS_FORMULAS names; a block with a single published formula takes no
+    variant.  The cell, every n, every k and the variant are checked before
+    any plus value is computed.  Then each k of ks in turn evaluates once, in
+    ascending m, every plus value the rows read, and only that k's are held.
     """
     check_cell(family, reduced, sign, modulus)
-    _check_nk(n, k)
+    for name, values in (("n", ns), ("k", ks)):
+        for value in values:
+            check_index(value, name)
     finite = modulus is not INFINITY
     block = (family, reduced, finite)
     row = _PLUS_FORMULAS[block]
-    args: tuple = (k, modulus) if finite else (k,)
+    args: tuple = (modulus,) if finite else ()
     if row.variants:
         if variant is not None:
             _require_variant(variant, block, "formula_count")
@@ -695,28 +702,15 @@ def formula_count(
         raise ValueError(
             "this quantity has a single published formula; do not pass a variant"
         )
-    plus = globals()[row.plus]
-    return sum(plus(m, *args) for m in plus_reads(sign, n))
-
-
-def formula_column(
-    family: Family,
-    reduced: bool,
-    sign: Sign,
-    modulus: Modulus,
-    ns: Sequence[int],
-    k: int,
-    variant: FormulaVariant | None = None,
-) -> list[int]:
-    """formula_count at each n of ns for one k, every sign read off (stats.plus_reads)
-    the plus values it needs, each from one formula_count call, in ascending n."""
-    check_cell(family, reduced, sign, modulus)
-    for n in ns:
-        check_index(n, "n")
-    # a request that reads no plus value still evaluates plus(0), which validates k and the variant
-    reads = sorted({m for n in ns for m in plus_reads(sign, n)}) or [0]
-    plus = {m: formula_count(family, reduced, Sign.PLUS, modulus, m, k, variant) for m in reads}
-    return [sum(plus[m] for m in plus_reads(sign, n)) for n in ns]
+    plus_fn = globals()[row.plus]
+    reads = [plus_reads(sign, n) for n in ns]
+    ms = sorted(set().union(*reads))
+    rows: list[list[int]] = [[] for _ in ns]
+    for k in ks:
+        plus = {m: plus_fn(m, k, *args) for m in ms}
+        for cells, read in zip(rows, reads):
+            cells.append(sum(plus[m] for m in read))
+    return rows
 
 
 def _nonnegative_n(n: int) -> bool:

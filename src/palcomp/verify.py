@@ -9,9 +9,12 @@ unless the check passes another test, and stops at the first cell that
 disagrees: status is ``pass`` only if every cell agreed, and a failure
 reports that cell's params, expected and actual values.
 
-The named closed forms live once, in ``formulas.SPECIAL_VALUES``: every check
-that compares a count with one reads it there, and :func:`special_values`
-checks each row on the formula path (n <= 24) and the GF path (n <= 200).
+The named closed forms live in ``formulas.SPECIAL_VALUES``, and
+:func:`special_values` checks each row on the formula path (n <= 24) and the
+GF path (n <= 200).  Two checks still write a closed form of a family count
+inline: :func:`statistic_partition` and :func:`m1_specializations` compare
+with 2^(n-1), and :func:`m1_specializations` with C(n, 2k).  They wait for
+rows that take k (ROADMAP item 8).
 
 The formula path, including the functions that the rows of
 ``formulas._PLUS_FORMULAS`` name, is resolved through the
@@ -282,13 +285,14 @@ def parity_vanishing(n_max: int = 20, k_max: int = 6) -> _Cells:
 @_check(agree=_all_equal)
 def special_values(n_max: int = 24) -> _Cells:
     """Each row of formulas.SPECIAL_VALUES matches, on its domain, the formula
-    path up to n_max and the GF path up to n = 200, one expansion per row."""
+    path up to n_max and the GF path up to n = 200, one request per path and row."""
     gf_n_max = max(n_max, 200)
     for name, row in sorted(formulas.SPECIAL_VALUES.items()):
         *block, k = row.cell
         rows = gf_grid(*block, range(gf_n_max + 1), [k])
+        formula_rows = formulas.formula_grid(*block, range(n_max + 1), [k])
         for n in filter(row.domain, range(gf_n_max + 1)):
-            legs = {"formula": formulas.formula_count(*block, n, k)} if n <= n_max else {}
+            legs = {"formula": formula_rows[n][0]} if n <= n_max else {}
             yield {"name": name, "n": n}, {**legs, "genfun": rows[n][0]}, row.closed_form(n)
 
 

@@ -810,7 +810,7 @@ class TestStartup:
             "barrier, found = threading.Barrier(4), []",
             "def use():",
             "    barrier.wait()",
-            "    found.append(hasattr(palcomp.formulas, 'formula_column'))",
+            "    found.append(hasattr(palcomp.formulas, 'formula_grid'))",
             "threads = [threading.Thread(target=use) for _ in range(4)]",
             "for thread in threads: thread.start()",
             "for thread in threads: thread.join(30)",

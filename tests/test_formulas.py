@@ -21,8 +21,8 @@ from palcomp.formulas import (
     ac_plus_k_mod1,
     ac_total_k_alt,
     ac_total_k_mod,
-    formula_column,
     formula_count,
+    formula_grid,
     pc_plus_1_closed,
     pc_plus_1_mod2_odd,
     pc_plus_k,
@@ -705,7 +705,7 @@ class TestFactoredSums:
     )
     def test_column_binom_calls_are_bounded(self, monkeypatch, family, reduced, m, bound):
         calls = _counting_binom(monkeypatch)
-        column = formula_column(family, reduced, Sign.TOTAL, m, range(41), 3)
+        column = [row[0] for row in formula_grid(family, reduced, Sign.TOTAL, m, range(41), [3])]
         monkeypatch.undo()
         assert column == [gf_count(family, reduced, Sign.TOTAL, m, n, 3) for n in range(41)]
         assert 0 < calls[0] <= bound, calls[0]

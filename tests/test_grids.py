@@ -1,4 +1,4 @@
-"""Whole-grid readers: gf_grid and formula_column equal their per-cell APIs."""
+"""Whole-grid readers: gf_grid and formula_grid equal their per-cell APIs and each other."""
 
 import itertools
 import re
@@ -7,8 +7,8 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from palcomp import genfun
-from palcomp.formulas import V2, FormulaVariant, formula_column, formula_count
+from palcomp import formulas, genfun
+from palcomp.formulas import V2, FormulaVariant, formula_count, formula_grid
 from palcomp.genfun import BivariatePoly, RationalGF, gf_catalog, gf_count, gf_grid, series_table
 from palcomp.stats import INFINITY, Family, Sign
 
@@ -103,7 +103,7 @@ def test_a_triangle_term_far_out_in_k_expands_only_its_window():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [row[0] for row in rows] == formula_column(*cell, range(2000, 2025), 1000)
+    assert rows == formula_grid(*cell, range(2000, 2025), [1000])
     assert peak < 8 * 2**20
 
 
@@ -122,10 +122,15 @@ def test_every_sign_of_a_block_reads_one_plus_expansion(monkeypatch):
     assert asked == [Sign.PLUS] * 3
 
 
+def _formula_column(cell, ns, k, variant=None):
+    """The formula path's column at k: formula_grid's request with ks = [k]."""
+    return [row[0] for row in formula_grid(*cell, ns, [k], variant)]
+
+
 @settings(deadline=None)
 @given(cells_st, st.integers(0, 30), st.integers(0, 5))
 def test_formula_column_equals_formula_count(cell, n_max, k):
-    column = formula_column(*cell, range(n_max + 1), k)
+    column = _formula_column(cell, range(n_max + 1), k)
     assert column == [formula_count(*cell, n, k) for n in range(n_max + 1)]
 
 
@@ -137,9 +142,9 @@ def test_formula_column_at_any_ns_equals_formula_count(cell, ns, k, variant):
         formula_count(*cell, 0, k, variant)
     except ValueError as refusal:  # the block does not take this variant
         with pytest.raises(ValueError, match=re.escape(str(refusal))):
-            formula_column(*cell, ns, k, variant)
+            formula_grid(*cell, ns, [k], variant)
         return
-    assert formula_column(*cell, ns, k, variant) == [
+    assert _formula_column(cell, ns, k, variant) == [
         formula_count(*cell, n, k, variant) for n in ns
     ]
 
@@ -147,15 +152,15 @@ def test_formula_column_at_any_ns_equals_formula_count(cell, ns, k, variant):
 def test_formula_column_passes_the_variant():
     cell = (Family.AC, False, Sign.TOTAL, INFINITY)
     for variant in (None, *FormulaVariant):
-        assert formula_column(*cell, range(13), 1, variant) == [
+        assert _formula_column(cell, range(13), 1, variant) == [
             formula_count(*cell, n, 1, variant) for n in range(13)
         ]
 
 
 def test_minus_column_at_n0_still_validates_the_variant():
     with pytest.raises(ValueError, match="single published formula"):
-        formula_column(Family.PC, False, Sign.MINUS, INFINITY, [0], 0, V2)
-    assert formula_column(Family.AC, False, Sign.MINUS, INFINITY, [0], 0, V2) == [0]
+        formula_grid(Family.PC, False, Sign.MINUS, INFINITY, [0], [0], V2)
+    assert formula_grid(Family.AC, False, Sign.MINUS, INFINITY, [0], [0], V2) == [[0]]
 
 
 @pytest.mark.parametrize(
@@ -175,13 +180,72 @@ def test_gf_grid_rejects_non_int_bounds(bounds, name):
 def test_formula_column_rejects_non_int_arguments(n_max, k, name):
     # n_max is passed as the one element of ns, which is named n
     with pytest.raises(TypeError, match=f"^{name.removesuffix('_max')} must be an int"):
-        formula_column(Family.PC, False, Sign.PLUS, INFINITY, [n_max], k)
+        formula_grid(Family.PC, False, Sign.PLUS, INFINITY, [n_max], [k])
 
 
-@pytest.mark.parametrize("reader", [gf_grid, formula_column])
+@pytest.mark.parametrize("reader", [gf_grid, formula_grid])
 def test_negative_bounds_rejected(reader):
-    k_bound = (lambda k: k) if reader is formula_column else (lambda k: [k])
     with pytest.raises(ValueError, match="must be >= 0"):
-        reader(Family.AC, True, Sign.TOTAL, 2, [-1], k_bound(0))
+        reader(Family.AC, True, Sign.TOTAL, 2, [-1], [0])
     with pytest.raises(ValueError, match="must be >= 0"):
-        reader(Family.AC, True, Sign.TOTAL, 2, [3], k_bound(-1))
+        reader(Family.AC, True, Sign.TOTAL, 2, [3], [-1])
+
+
+def _drawn(good, bad):
+    """A field drawn good or bad, as (value, is_bad)."""
+    return st.one_of(good.map(lambda v: (v, False)), st.sampled_from(bad).map(lambda v: (v, True)))
+
+
+def _indices(top):
+    """A sorted subset of 0..top (maybe empty or gapped), or one with a bad index slipped in."""
+    good = st.sets(st.integers(0, top)).map(sorted)
+    slipped = st.tuples(good, st.sampled_from([-1, True, 1.5]), st.integers(0, top)).map(
+        lambda t: (t[0][:t[2]] + [t[1]] + t[0][t[2]:], True))
+    return st.one_of(good.map(lambda values: (values, False)), slipped)
+
+
+GRID_FIELDS = ("family", "reduced", "sign", "modulus", "n", "k")
+_PC_PLUS_INF = ((Family.PC, False), (False, False), (Sign.PLUS, False), (INFINITY, False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(
+    _drawn(st.sampled_from(Family), ["pc"]),
+    _drawn(st.booleans(), [1]),
+    _drawn(st.sampled_from(Sign), ["plus"]),
+    _drawn(st.sampled_from((1, 2, 3, 4, 5, INFINITY)), [0, 2.0, True]),
+    _indices(40),
+    _indices(25),
+))
+@example((*_PC_PLUS_INF, ([0, 1, 7, 40], False), ([3, 9, 20], False)))  # ks past max(ns) // 2
+@example((*_PC_PLUS_INF, ([], False), ([0, 4], False)))
+@example((*_PC_PLUS_INF, ([2, 5], False), ([], False)))
+@example(((Family.AC, False), (1, True), (Sign.TOTAL, False), (3, False),
+          ([4, -1], True), ([True], True)))  # three faults: the cell's is named
+def test_formula_grid_equals_gf_grid_and_refuses_alike(request):
+    args = [value for value, _ in request]
+    faults = [name for name, (_, bad) in zip(GRID_FIELDS, request) if bad]
+    outcomes = []
+    for reader in (formula_grid, gf_grid):
+        try:
+            outcomes.append(reader(*args))
+        except (TypeError, ValueError) as error:
+            outcomes.append((type(error), str(error)))
+    assert outcomes[0] == outcomes[1], (args, outcomes)
+    if faults:  # the first fault in the order cell, n, k is the one refused
+        assert isinstance(outcomes[0], tuple) and outcomes[0][1].startswith(f"{faults[0]} must")
+    else:
+        assert [len(row) for row in outcomes[0]] == [len(args[5])] * len(args[4])
+
+
+@pytest.mark.parametrize("ns, ks", [([], [0, 1]), ([3, 4], []), ([6], [1])])
+def test_formula_grid_refuses_a_variant_before_any_plus_value(monkeypatch, ns, ks):
+    def evaluated(*args):
+        raise AssertionError("a plus function ran before the variant was checked")
+
+    for row in formulas._PLUS_FORMULAS.values():
+        monkeypatch.setattr(formulas, row.plus, evaluated)
+    with pytest.raises(ValueError, match="^this quantity has a single published formula"):
+        formula_grid(Family.PC, False, Sign.TOTAL, INFINITY, ns, ks, V2)
+    with pytest.raises(ValueError, match="^formula_count has variants V1, V2; got V3$"):
+        formula_grid(Family.AC, True, Sign.MINUS, 3, ns, ks, FormulaVariant.V3)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import palcomp
-from palcomp.formulas import formula_column, formula_count
+from palcomp.formulas import formula_count, formula_grid
 from palcomp.genfun import gf_count, gf_grid
 from palcomp.oracle import brute_count
 from palcomp.stats import INFINITY, Family, Sign
@@ -69,7 +69,7 @@ def test_a_path_imports_only_shared_modules_and_the_stdlib(path):
 # each entry point asked for one small cell: (family, reduced, sign, modulus) -> answer
 ENTRY_POINTS = {
     "formula_count": lambda *cell: formula_count(*cell, 6, 0),
-    "formula_column": lambda *cell: formula_column(*cell, range(5), 0),
+    "formula_grid": lambda *cell: formula_grid(*cell, range(5), [0]),
     "gf_count": lambda *cell: gf_count(*cell, 6, 0),
     "gf_grid": lambda *cell: gf_grid(*cell, range(5), [0]),
     "brute_count": lambda *cell: brute_count(*cell, 6, 0),

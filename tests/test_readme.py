@@ -29,7 +29,7 @@ PUBLIC = {
               "parse_modulus", "sign_class", "swap_canonical"},
     "oracle": {"EnumerationCapError", "brute_count", "count_parts_at_most",
                "count_parts_equal_one", "enumerate_compositions"},
-    "formulas": {"formula_column", "formula_count", "special_value", "total_from_plus"},
+    "formulas": {"formula_count", "formula_grid", "special_value", "total_from_plus"},
     "genfun": {"BivariatePoly", "RationalGF", "gf_catalog", "gf_count", "gf_grid",
                "series_inverse"},
     "bijection": {"InvalidPairError", "MinusClassError", "PairSequences", "PairStatistics",
