@@ -14,8 +14,8 @@ over Python integers and immutable.  The catalog has one row per block
 (family, reduced, finite modulus): the plus builder and the paper's displayed
 total, if any.  Every count reads the plus entry (stats.plus_reads), so no
 other total is built.  Entries keep the factored displayed form, never
-cancelled (no polynomial GCD here), and are rebuilt on every lookup, with no
-cache.
+cancelled (no polynomial GCD here), and the 64 most recently read are kept
+built (:func:`gf_catalog`).
 
 An expansion needs a denominator with constant term exactly 1 (true of every
 catalog entry for every modulus): f = N / d is then one pass of the graded
@@ -39,6 +39,7 @@ only q-degree max(n) - 2 min(k), and a cell with 2k > n is 0 without one.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -305,9 +306,17 @@ _CATALOG: dict[tuple[Family, bool, bool], _CatalogRow] = {
 
 
 def gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> RationalGF:
-    """Build a catalog generating function, a finite-modulus one at that modulus:
-    the block's plus entry, or the total the paper displays for it.  Any other
-    sign is a KeyError, since it is read off the plus entry (stats.plus_reads)."""
+    """A catalog generating function, a finite-modulus one at that modulus: the
+    block's plus entry, or the total the paper displays for it.  Any other sign
+    is a KeyError, since it is read off the plus entry (stats.plus_reads).
+
+    Each entry is built and checked once and then shared, which is safe since
+    a :class:`BivariatePoly` is immutable.  The 64 most recently read are
+    kept: room for the 35 entries that verify reads at its six default moduli.
+    The memo is keyed on the row's builder and the modulus, and only after
+    :func:`check_cell` has passed.  So a cell that merely hashes like a valid
+    one (reduced=1 for True) is still refused, and a row of ``_CATALOG``
+    replaced at run time is the one the next call builds."""
     check_cell(family, reduced, sign, modulus)
     if sign is Sign.MINUS:
         raise KeyError("no catalog entry for the minus part; expand the plus entry at n-1")
@@ -315,6 +324,12 @@ def gf_catalog(family: Family, reduced: bool, sign: Sign, modulus: Modulus) -> R
     build = row.plus if sign is Sign.PLUS else row.total
     if build is None:
         raise KeyError("no displayed total for this block; add the plus entry at n and n-1")
+    return _built(build, modulus)
+
+
+@lru_cache(maxsize=64)
+def _built(build: Callable[..., RationalGF], modulus: Modulus) -> RationalGF:
+    """The entry that build makes at the modulus, checked against both catalog invariants."""
     gf = build(*(() if modulus is INFINITY else (modulus,)))
     if gf.denominator.coeff(0, 0) != 1:
         raise AssertionError("catalog invariant violated: denominator constant term != 1")
@@ -358,5 +373,8 @@ def gf_grid(
     for n in ns:
         plus = {m: plus.get(m) or [g[m - 2 * k][k] if m >= 2 * k else 0 for k in ks]
                 for m in plus_reads(sign, n)}
-        rows.append(list(map(sum, zip([0] * len(ks), *plus.values()))))
+        row = [0] * len(ks)  # a sign that reads no plus row, minus at n = 0, reads zeros
+        for plus_row in plus.values():
+            row = list(map(operator.add, row, plus_row))
+        rows.append(row)
     return rows

@@ -1,11 +1,13 @@
 """Series arithmetic, inversion, and the generating-function catalog."""
 
+import collections
 import itertools
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from palcomp import genfun, verify
 from palcomp.core import fibonacci
 from palcomp.formulas import formula_count, rac_plus_k_mod
 from palcomp.genfun import (
@@ -196,6 +198,34 @@ class TestCatalog:
             gf_catalog(Family.PC, 1, Sign.PLUS, INFINITY)
         with pytest.raises(TypeError, match="^family must be a Family, got 'pc'$"):
             gf_catalog("pc", False, Sign.PLUS, INFINITY)
+
+    def test_a_default_verify_builds_each_entry_once(self, monkeypatch):
+        built = collections.Counter()
+
+        def counted(build):
+            def wrapper(*modulus):
+                built[(build.__name__, *modulus)] += 1
+                return build(*modulus)
+            return wrapper
+
+        for block, row in list(_CATALOG.items()):
+            total = row.total and counted(row.total)
+            monkeypatch.setitem(_CATALOG, block, _CatalogRow(counted(row.plus), total))
+        genfun._built.cache_clear()
+        assert all(result.ok for result in verify.run_all())
+        # every plus entry at the six default moduli, and each displayed total
+        assert len(built) == 4 * 6 + 1 + 2 * 5
+        assert set(built.values()) == {1}
+
+    def test_a_row_replaced_after_a_call_is_the_one_read(self, monkeypatch):
+        first = gf_catalog(Family.PC, False, Sign.PLUS, 3)
+        assert gf_catalog(Family.PC, False, Sign.PLUS, 3) is first
+
+        def other(m):
+            return RationalGF(ONE - Q, ONE - Q - Q**2)
+
+        monkeypatch.setitem(_CATALOG, (Family.PC, False, True), _CatalogRow(other))
+        assert gf_catalog(Family.PC, False, Sign.PLUS, 3) == other(3) != first
 
     def test_fixture_coefficients(self):
         assert coefficient(gf_catalog(Family.PC, False, Sign.PLUS, INFINITY), 4, 1) == 2

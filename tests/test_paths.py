@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import palcomp
 from palcomp.formulas import formula_count, formula_grid
-from palcomp.genfun import gf_count, gf_grid
+from palcomp.genfun import gf_catalog, gf_count, gf_grid
 from palcomp.oracle import brute_count
 from palcomp.stats import INFINITY, Family, Sign
 
@@ -71,6 +71,10 @@ ENTRY_POINTS = {
     "formula_count": lambda *cell: formula_count(*cell, 6, 0),
     "formula_grid": lambda *cell: formula_grid(*cell, range(5), [0]),
     "gf_count": lambda *cell: gf_count(*cell, 6, 0),
+    # memoized per entry; a minus cell asks for the plus entry, as gf_grid does
+    "gf_catalog": lambda family, reduced, sign, modulus: gf_catalog(
+        family, reduced, Sign.PLUS if sign is Sign.MINUS else sign, modulus
+    ),
     "gf_grid": lambda *cell: gf_grid(*cell, range(5), [0]),
     "brute_count": lambda *cell: brute_count(*cell, 6, 0),
 }

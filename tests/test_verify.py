@@ -320,6 +320,14 @@ def test_direct_totals_and_k0_specializations_are_pinpointed(monkeypatch, name, 
             id="binary_round_trip",
         ),
         pytest.param(
+            # bits as a string still decode to c, but their last entry is "1", not 1
+            verify, "encode_binary",
+            lambda h: lambda c: "".join(map(str, h(c))) if c == (2, 3) else h(c),
+            lambda: verify.binary_round_trip(9),
+            ({"n": 5, "composition": [2, 3], "aspect": "last bit"}, 1, "1"),
+            id="binary_round_trip-last-bit",
+        ),
+        pytest.param(
             formulas, "rpc_total_k", lambda h: _raising(h, lambda n, k: (n, k) == (9, 2)),
             lambda: verify.divisibility(14, 4),
             ({"n": 9, "k": 2}, "exact division", "perturbed at (9, 2)"),
@@ -331,6 +339,12 @@ def test_direct_totals_and_k0_specializations_are_pinpointed(monkeypatch, name, 
             ({"n": 6, "composition": [6], "aspect": "statistic"},
              {"mismatches": 1, "n": 6}, {"mismatches": 0, "n": 6}),
             id="bijection_round_trip-statistic",
+        ),
+        pytest.param(
+            verify, "decode_pair", lambda h: lambda pair: h(pair)[::-1],
+            lambda: verify.bijection_round_trip(9),
+            ({"n": 3, "composition": [2, 1]}, [2, 1], [1, 2]),
+            id="bijection_round_trip-round-trip",
         ),
         pytest.param(
             formulas, "pc_plus_k", lambda h: _bumped(h, lambda n, k, *_: (n, k) == (6, 1)),
@@ -360,6 +374,21 @@ def test_failure_report_is_pinned(monkeypatch, module, name, corrupt, call, repo
     result = call()
     assert result.status == "fail"
     assert (result.params, result.expected, result.actual) == report
+
+
+def test_three_path_grid_names_the_first_raising_cell_in_n_major_order(monkeypatch):
+    # the block's formula grid runs k-major and reaches (9, 0) first; the report
+    # names (5, 2), the first cell of the n-major walk
+    raising = _raising(formulas.pc_plus_k, lambda n, k: (n, k) in {(5, 2), (9, 0)})
+    monkeypatch.setattr(formulas, "pc_plus_k", raising)
+    plus = (Family.PC, False, Sign.PLUS, INFINITY)
+    with pytest.raises(ArithmeticError, match=r"^perturbed at \(9, 0\)$"):
+        formulas.formula_grid(*plus, range(11), range(3))
+    result = verify.three_path_grid(10, 2, (INFINITY,))
+    params = {"family": "pc", "reduced": False, "sign": "plus", "modulus": "inf", "n": 5, "k": 2}
+    assert (result.params, result.expected, result.actual) == (
+        params, "a count", "perturbed at (5, 2)"
+    )
 
 
 @pytest.mark.parametrize(
