@@ -49,8 +49,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .core import binom, fibonacci, multinom, tribonacci, tribonacci_prime
-from .stats import (INFINITY, Family, FormulaVariant, Modulus, Sign, check_cell, check_index,
-                    check_modulus, plus_reads)
+from .stats import (INFINITY, Family, FormulaVariant, Modulus, Sign, check_index, check_modulus,
+                    check_request, plus_reads)
 
 V1, V2, V3 = FormulaVariant.V1, FormulaVariant.V2, FormulaVariant.V3
 
@@ -686,10 +686,7 @@ def formula_grid(
     any plus value is computed.  Then each k of ks in turn evaluates once, in
     ascending m, every plus value the rows read, and only that k's are held.
     """
-    check_cell(family, reduced, sign, modulus)
-    for name, values in (("n", ns), ("k", ks)):
-        for value in values:
-            check_index(value, name)
+    check_request(family, reduced, sign, modulus, ns, ks)
     finite = modulus is not INFINITY
     block = (family, reduced, finite)
     row = _PLUS_FORMULAS[block]

@@ -43,7 +43,7 @@ import operator
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .stats import INFINITY, Family, Modulus, Sign, check_cell, check_index, plus_reads
+from .stats import INFINITY, Family, Modulus, Sign, check_cell, check_request, plus_reads
 
 
 class BivariatePoly:
@@ -338,6 +338,7 @@ def _built(build: Callable[..., RationalGF], modulus: Modulus) -> RationalGF:
     return gf
 
 
+@lru_cache(maxsize=64)
 def _shifted(gf: RationalGF) -> RationalGF:
     """gf in u = t/q^2: each term q^p t^s becomes q^(p - 2s) u^s."""
     return RationalGF(*(BivariatePoly({(p - 2 * s, s): c for p, s, c in poly.terms()})
@@ -361,10 +362,7 @@ def gf_grid(
     the plus, minus and total requests of one window share it.  Over ascending
     ns each plus row is built once, and at most two are held besides the rows.
     """
-    check_cell(family, reduced, sign, modulus)
-    for name, values in (("n", ns), ("k", ks)):
-        for value in values:
-            check_index(value, name)
+    check_request(family, reduced, sign, modulus, ns, ks)
     n_max = max(ns, default=0)
     k_min = min(ks, default=n_max)  # no column read: the window is one coefficient
     gf = _shifted(gf_catalog(family, reduced, Sign.PLUS, modulus))

@@ -32,10 +32,11 @@ n or cap is refused at its first ``next()``.
 
 :func:`brute_count` takes a cell like the other two paths,
 ``(family, reduced, sign, modulus, n, k)``, and refuses what they refuse, in
-their order: a bad cell (through :func:`palcomp.stats.check_cell`), then a
-bad n, then a bad k.  Only then does it refuse a bad ``cap`` argument or an n
-above it (default 24): 2^(n-1) items grow fast and a typo should not start an
-hour-long loop.  Past those, a cell with 2k > n is 0 without a walk.
+their order (:func:`palcomp.stats.check_request`): a bad cell, then a bad n,
+then a bad k.  Only then does it refuse a bad ``cap`` argument or an n above
+it (default 24) through :func:`check_enumeration_cap`, the one cap rule that
+every walk and count here and ``verify`` use: 2^(n-1) items grow fast and a
+typo should not start an hour-long loop.  Past those, 2k > n is 0 without a walk.
 
 Each n is walked at most twice, once per record below, and the 32 most
 recent records of each kind are kept, which covers every n up to the default
@@ -66,8 +67,8 @@ from .stats import (
     Family,
     Modulus,
     Sign,
-    check_cell,
     check_index,
+    check_request,
     congruent,
     sign_class,
     swap_canonical,
@@ -80,24 +81,17 @@ class EnumerationCapError(ValueError):
     """Raised when an exhaustive count would exceed the enumeration cap."""
 
 
-def _check_cap(n: int, cap: int) -> None:
-    check_index(cap, "cap")
-    check_index(n, "n")
-    if n > cap:
-        raise EnumerationCapError(
-            f"refusing to enumerate 2^{n - 1} compositions of n={n}: "
-            f"enumeration cap is {cap} (pass a larger cap to override)"
-        )
-
-
 def check_enumeration_cap(ns: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-    """Refuse, before any work, a run that enumerates each n of ns in turn.
-
-    The error is the one that run would raise at its first n past the cap.
-    """
+    """Refuse, before any work, a run that enumerates each n of ns in turn: a bad
+    cap first, then the error that run would raise at its first bad n or n past the cap."""
     check_index(cap, "cap")
     for n in ns:
-        _check_cap(n, cap)
+        check_index(n, "n")
+        if n > cap:
+            raise EnumerationCapError(
+                f"refusing to enumerate 2^{n - 1} compositions of n={n}: "
+                f"enumeration cap is {cap} (pass a larger cap to override)"
+            )
 
 
 def enumerate_compositions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Composition]:
@@ -107,7 +101,7 @@ def enumerate_compositions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterat
 
 def _runs(n: int, cap: int) -> Iterator[Iterable[Composition]]:
     """The runs of the walk of n, after refusing a bad n or cap at the first one."""
-    _check_cap(n, cap)
+    check_enumeration_cap([n], cap)
     if n == 0:
         yield ((),)
         return
@@ -163,10 +157,8 @@ def brute_count(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """Count compositions (or swap classes) of n in one cell, from scratch."""
-    check_cell(family, reduced, sign, modulus)
-    check_index(n, "n")
-    check_index(k, "k")
-    _check_cap(n, cap)
+    check_request(family, reduced, sign, modulus, [n], [k])
+    check_enumeration_cap([n], cap)
     if 2 * k > n:  # n has at most n // 2 mirror pairs
         return 0
     census = _census(n, modulus)
@@ -185,14 +177,14 @@ def _part_record(n: int) -> Counter:
 
 def count_parts_equal_one(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Number of compositions of n with exactly k parts equal to 1."""
-    _check_cap(n, cap)
+    check_enumeration_cap([n], cap)
     check_index(k, "k")
     return sum(count for parts, count in _part_record(n).items() if parts.count(1) == k)
 
 
 def count_parts_at_most(n: int, limit: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Number of compositions of n with every part <= limit."""
-    _check_cap(n, cap)
+    check_enumeration_cap([n], cap)
     if isinstance(limit, bool) or not isinstance(limit, int):
         raise TypeError(f"part limit must be an int, got {limit!r}")
     if limit < 1:
@@ -205,13 +197,13 @@ def count_two_colored_no_ones(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int
 
     Weighted count: sum of 2^length over compositions without a part 1.
     """
-    _check_cap(n, cap)
+    check_enumeration_cap([n], cap)
     return sum(count << len(parts) for parts, count in _part_record(n).items() if 1 not in parts)
 
 
 def count_at_most_one_even_part(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Number of compositions of n with at most one even part."""
-    _check_cap(n, cap)
+    check_enumeration_cap([n], cap)
     return sum(
         count for parts, count in _part_record(n).items()
         if sum(1 for p in parts if p % 2 == 0) <= 1

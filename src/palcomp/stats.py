@@ -3,7 +3,7 @@
 A composition of n is a tuple of positive integers summing to n; the empty
 tuple is the unique composition of 0.  Compositions are kept as plain tuples
 throughout the package, validated at API boundaries by :func:`composition`.
-Every counting path validates the cell it is asked for with :func:`check_cell`.
+Every counting path validates its request with :func:`check_request`.
 
 For a composition (a_1, ..., a_l), position i and its mirror l+1-i form a
 pair for 1 <= i <= l//2.  A pair *mismatches* modulo m when the two parts are
@@ -101,6 +101,15 @@ def check_index(value: int, name: str) -> int:
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value
+
+
+def check_request(family: Family, reduced: bool, sign: Sign, modulus: Modulus,
+                  ns: Iterable[int], ks: Iterable[int]) -> None:
+    """Validate the request every counting path takes: the cell, then each n, then each k."""
+    check_cell(family, reduced, sign, modulus)
+    for name, values in (("n", ns), ("k", ks)):
+        for value in values:
+            check_index(value, name)
 
 
 def composition(parts: Iterable[int]) -> Composition:

@@ -217,6 +217,12 @@ class TestCatalog:
         assert len(built) == 4 * 6 + 1 + 2 * 5
         assert set(built.values()) == {1}
 
+    def test_a_default_verify_shifts_each_plus_entry_once(self):
+        genfun._shifted.cache_clear()
+        assert all(result.ok for result in verify.run_all())
+        # one plus entry per family and reduced flag at each of the six default moduli
+        assert genfun._shifted.cache_info().misses == 4 * 6
+
     def test_a_row_replaced_after_a_call_is_the_one_read(self, monkeypatch):
         first = gf_catalog(Family.PC, False, Sign.PLUS, 3)
         assert gf_catalog(Family.PC, False, Sign.PLUS, 3) is first

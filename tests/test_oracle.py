@@ -80,6 +80,21 @@ class TestBruteCount:
         with pytest.raises(EnumerationCapError, match=refusal):
             check_enumeration_cap(range(21, 31, 2), 24)
 
+    def test_cap_check_refuses_the_cap_then_each_n_in_turn(self):
+        with pytest.raises(ValueError, match="^cap must be >= 0, got -1$"):
+            check_enumeration_cap([-1, 99], -1)
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            check_enumeration_cap([5, -1, 99], 24)
+        with pytest.raises(EnumerationCapError, match="n=99: enumeration cap is 24"):
+            check_enumeration_cap([5, 99, -1], 24)
+
+    def test_a_cell_request_comes_before_the_cap_and_the_cap_before_n(self):
+        # brute_count checks its cell, n and k first; a part count checks its cap first
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            brute_count(Family.PC, False, Sign.TOTAL, INFINITY, -1, 0, cap=-1)
+        with pytest.raises(ValueError, match="^cap must be >= 0, got -1$"):
+            count_parts_equal_one(-1, 0, cap=-1)
+
     def test_a_cell_past_half_of_n_is_zero_without_a_walk(self, monkeypatch):
         def no_walk(n, cap=DEFAULT_ENUMERATION_CAP):
             raise AssertionError(f"enumerate_compositions({n}) was called")

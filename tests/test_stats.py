@@ -12,6 +12,7 @@ from palcomp.stats import (
     Family,
     Sign,
     check_cell,
+    check_request,
     composition,
     decode_binary,
     encode_binary,
@@ -187,6 +188,17 @@ class TestCountSpec:
         ):
             with pytest.raises(TypeError, match=f"^{field} must be a "):
                 check_cell(*cell)
+
+    def test_a_request_is_refused_at_its_cell_then_each_n_then_each_k(self):
+        cell = (Family.PC, False, Sign.PLUS, INFINITY)
+        check_request(*cell, range(5), range(3))
+        with pytest.raises(ValueError, match="^modulus must be >= 1, got 0$"):
+            check_request(*cell[:3], 0, [-1], [-1])
+        # a bad n late in ns is named before a bad first k
+        with pytest.raises(ValueError, match="^n must be >= 0, got -2$"):
+            check_request(*cell, [3, 4, -2], [-1, 2])
+        with pytest.raises(TypeError, match="^k must be an int, got True$"):
+            check_request(*cell, [3, 4], [2, True, -1])
 
     @pytest.mark.parametrize("member", [*Family, *Sign, INFINITY])
     def test_members_hash_by_identity_and_copy_to_themselves(self, member):
