@@ -196,6 +196,7 @@ def congruent(a: int, b: int, modulus: Modulus) -> bool:
 
 def mismatch_count(c: Composition, modulus: Modulus) -> int:
     """Number of pairs (i, l+1-i), i <= l//2, whose parts are incongruent."""
+    check_modulus(modulus)
     l = len(c)
     return sum(1 for i in range(l // 2) if not congruent(c[i], c[l - 1 - i], modulus))
 

@@ -7,7 +7,8 @@ one result per named check.  Each check is written as a generator of cells
 the public check.  The walker tests each cell for agreement, with ``==``
 unless the check passes another test, and stops at the first cell that
 disagrees: status is ``pass`` only if every cell agreed, and a failure
-reports that cell's params, expected and actual values.
+reports that cell's params, expected and actual values.  The walker also
+turns an internal ``ArithmeticError`` into the check's failing result.
 
 Work is paid per block, not per cell.  :func:`three_path_grid` reads its
 formula leg, like its GF leg, as one ``formula_grid`` per block; only when a
@@ -92,16 +93,19 @@ _Cells = Iterator[tuple]  # one (params, expected, actual) per cell, read by _ch
 
 
 def _check(cells=None, *, agree=operator.eq):
-    """Turn a cell generator into the check of its name and arguments, which
-    fails at the first cell where ``agree(expected, actual)`` is false."""
+    """Turn a cell generator into the check of its name and arguments, which fails
+    at the first cell where ``agree(expected, actual)`` is false, or at an ArithmeticError."""
     if cells is None:
         return functools.partial(_check, agree=agree)
 
     @functools.wraps(cells)
     def check(*args, **kwargs) -> CheckResult:
-        for params, expected, actual in cells(*args, **kwargs):
-            if not agree(expected, actual):
-                return CheckResult(cells.__name__, "fail", params, expected, actual)
+        try:
+            for params, expected, actual in cells(*args, **kwargs):
+                if not agree(expected, actual):
+                    return CheckResult(cells.__name__, "fail", params, expected, actual)
+        except ArithmeticError as error:
+            return CheckResult(cells.__name__, "fail", {}, "no internal errors", str(error))
         return CheckResult(cells.__name__, "pass")
 
     return check
@@ -257,9 +261,9 @@ def reduced_halving(n_max: int = 14, k_max: int = 4, cap: int = DEFAULT_ENUMERAT
 
 
 @_check
-def divisibility(n_max: int = 20, k_max: int = 6) -> _Cells:
+def divisibility() -> _Cells:
     """2^k divides the total mismatch count at infinity (exact swap halving)."""
-    for n, k in _box(n_max, k_max):
+    for n, k in _box(20, 6):
         try:
             formulas.rpc_total_k(n, k)
         except ArithmeticError as error:
@@ -276,12 +280,12 @@ def tribonacci_identity(n_max: int = 18, cap: int = DEFAULT_ENUMERATION_CAP) -> 
 
 
 @_check(agree=_all_equal)
-def sequence_identification(n_max: int = 30) -> _Cells:
+def sequence_identification() -> _Cells:
     """Named sequences: plus anti-palindromic counts are shifted tribonacci,
     reduced anti-palindromic counts are Fibonacci, and the three tribonacci
     expressions for the total anti-palindromic count agree."""
     forms = {"prime": "AC_TOTAL_TRIB_PRIME", "diff": "AC_TOTAL_TRIB_DIFF", "plain": "AC_TOTAL_TRIB"}
-    for n in range(n_max + 1):
+    for n in range(31):
         ac_plus = _named("AC_PLUS_TRIB_PRIME", n)
         yield {"quantity": "ac_plus", "n": n}, ac_plus, formulas.ac_plus_k(n, 0)
         values = {form: v for form, name in forms.items() if (v := _named(name, n)) is not None}
@@ -291,26 +295,25 @@ def sequence_identification(n_max: int = 30) -> _Cells:
 
 
 @_check
-def parity_vanishing(n_max: int = 20, k_max: int = 6) -> _Cells:
+def parity_vanishing() -> _Cells:
     """Mod-2 plus counts vanish at odd n-k; k=0 plus counts vanish at odd n for even m."""
-    for n, k in _box(n_max, k_max):
+    for n, k in _box(20, 6):
         if (n - k) % 2:
             yield {"quantity": "pc_plus_mod2", "n": n, "k": k}, 0, formulas.pc_plus_k_mod(n, k, 2)
-    for m, n in itertools.product((2, 4, 6), range(1, n_max + 1, 2)):
+    for m, n in itertools.product((2, 4, 6), range(1, 21, 2)):
         yield {"quantity": "pc_plus_k0", "modulus": m, "n": n}, 0, formulas.pc_plus_mod_k0(n, m)
 
 
 @_check(agree=_all_equal)
-def special_values(n_max: int = 24) -> _Cells:
+def special_values() -> _Cells:
     """Each row of formulas.SPECIAL_VALUES matches, on its domain, the formula
-    path up to n_max and the GF path up to n = 200, one request per path and row."""
-    gf_n_max = max(n_max, 200)
+    path up to n = 24 and the GF path up to n = 200, one request per path and row."""
     for name, row in sorted(formulas.SPECIAL_VALUES.items()):
         *block, k = row.cell
-        rows = gf_grid(*block, range(gf_n_max + 1), [k])
-        formula_rows = formulas.formula_grid(*block, range(n_max + 1), [k])
-        for n in filter(row.domain, range(gf_n_max + 1)):
-            legs = {"formula": formula_rows[n][0]} if n <= n_max else {}
+        rows = gf_grid(*block, range(201), [k])
+        formula_rows = formulas.formula_grid(*block, range(25), [k])
+        for n in filter(row.domain, range(201)):
+            legs = {"formula": formula_rows[n][0]} if n <= 24 else {}
             yield {"name": name, "n": n}, {**legs, "genfun": rows[n][0]}, row.closed_form(n)
 
 
@@ -333,18 +336,19 @@ def gf_total_plus_relation(moduli: Sequence[Modulus] = DEFAULT_MODULI) -> _Cells
 
 
 @_check
-def rpc_mod2_fibonacci_fold(n_max: int = 24) -> _Cells:
+def rpc_mod2_fibonacci_fold() -> _Cells:
     """Reduced palindromic plus series at m=2: odd coefficients vanish and the
     even ones interleave the odd-indexed Fibonacci numbers."""
-    rows = gf_grid(Family.PC, True, Sign.PLUS, 2, range(n_max + 1), [0])
-    for n in range(n_max + 1):
+    rows = gf_grid(Family.PC, True, Sign.PLUS, 2, range(25), [0])
+    for n in range(25):
         yield {"n": n}, _named("RPC_PLUS_MOD2_FIB", n), rows[n][0]
 
 
 @_check
-def truncation_soundness(samples: Iterable[tuple[int, int]] = ((6, 1), (11, 3), (14, 2))) -> _Cells:
+def truncation_soundness() -> _Cells:
     """A cell read alone equals the same cell read from the request of every
     n' <= n + 5 and k' <= k + 3: larger bounds never change a coefficient."""
+    samples = ((6, 1), (11, 3), (14, 2))
     for block, cells in _grid((Sign.PLUS, Sign.TOTAL), (1, 3, INFINITY), samples):
         for n, k, params in cells:
             wide = gf_grid(*block, range(n + 6), range(k + 4))
@@ -398,15 +402,15 @@ def binary_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) -> _C
 
 
 @_check
-def m1_specializations(n_max: int = 20, k_max: int = 6) -> _Cells:
+def m1_specializations() -> _Cells:
     """Everything the m=1 and m=2 closed forms promise."""
     f = formulas
-    for n in range(n_max + 1):
-        for k in range(1, k_max + 1):
+    for n in range(21):
+        for k in range(1, 7):
             yield {"quantity": "pc_plus_mod1", "n": n, "k": k}, 0, f.pc_plus_k_mod(n, k, 1)
             yield {"quantity": "rpc_plus_mod1", "n": n, "k": k}, 0, f.rpc_plus_k_mod(n, k, 1)
         mod2 = {}  # k -> (pc, rpc) plus values at m = 2; the single-n forms read k = 1
-        for k in range(k_max + 1):
+        for k in range(7):
             mod2[k] = pc2, rpc2 = f.pc_plus_k_mod(n, k, 2), f.rpc_plus_k_mod(n, k, 2)
             pairs = (
                 ("ac_plus_mod1", f.ac_plus_k_mod(n, k, 1), f.ac_plus_k_mod1(n, k)),
@@ -418,7 +422,7 @@ def m1_specializations(n_max: int = 20, k_max: int = 6) -> _Cells:
             )
             for quantity, general, specialized in pairs:
                 yield {"quantity": quantity, "n": n, "k": k}, specialized, general
-        pc2, rpc2 = mod2.get(1) or (f.pc_plus_k_mod(n, 1, 2), f.rpc_plus_k_mod(n, 1, 2))
+        pc2, rpc2 = mod2[1]
         singles = [
             ("rpc_plus_1_mod2", rpc2, _named("RPC_PLUS1_MOD2", n)),
             ("pc_total_mod1", f.formula_count(Family.PC, False, Sign.TOTAL, 1, n, 0),
@@ -448,10 +452,10 @@ def coloring_interpretations(n_max: int = 16, cap: int = DEFAULT_ENUMERATION_CAP
 
 
 @_check
-def parts_equal_one(n_max: int = 18, k_max: int = 5, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
+def parts_equal_one(n_max: int = 18, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """Reduced anti-palindromic plus counts equal counts of compositions of
-    n-k with exactly k parts equal to 1."""
-    for n, k in _box(n_max, k_max):
+    n-k with exactly k <= 5 parts equal to 1."""
+    for n, k in _box(n_max, 5):
         if n - k >= 0:
             lhs = formulas.rac_plus_k(n, k)
             yield {"n": n, "k": k}, count_parts_equal_one(n - k, k, cap=cap), lhs
@@ -466,11 +470,10 @@ def run_all(
     """Run every check.
 
     Checks backed by exhaustive enumeration scale with the requested grid;
-    formula-only and series-only identities always run over their full fixed
-    ranges (they are cheap and their ranges are part of the contract).  A
-    grid that would enumerate past the cap raises EnumerationCapError before
-    any check runs.  An exception escaping a check (a failed exact division,
-    say) is reported as that check failing rather than aborting the run.
+    formula-only and series-only identities take no arguments, so their
+    fixed ranges are the code (they are cheap and their ranges are part of
+    the contract).  A grid that would enumerate past the cap raises
+    EnumerationCapError before any check runs.
     """
     small_n = min(n_max, 14)
     deep_n = min(n_max + 4, 18)
@@ -496,13 +499,6 @@ def run_all(
         (binary_round_trip, small_n, cap),
         (m1_specializations,),
         (coloring_interpretations, min(n_max + 2, 16), cap),
-        (parts_equal_one, deep_n, 5, cap),
+        (parts_equal_one, deep_n, cap),
     ]
-    results = []
-    for check, *args in planned:
-        try:
-            result = check(*args)
-        except ArithmeticError as error:
-            result = CheckResult(check.__name__, "fail", {}, "no internal errors", str(error))
-        results.append(result)
-    return results
+    return [check(*args) for check, *args in planned]

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,7 @@ from palcomp.stats import (
     Family,
     Sign,
     check_cell,
+    check_modulus,
     check_request,
     composition,
     decode_binary,
@@ -121,6 +123,15 @@ class TestStatistics:
         assert [plus_reads(sign, 5) for sign in Sign] == [[5], [4], [5, 4]]
         # plus below 0 reads as 0, so no m < 0 is read
         assert [plus_reads(sign, 0) for sign in Sign] == [[0], [], [0]]
+
+    @pytest.mark.parametrize("modulus", [0, -1, -3, 2.5, True, "3"])
+    @pytest.mark.parametrize("count", [mismatch_count, match_count])
+    def test_a_bad_modulus_is_refused_by_name(self, count, modulus):
+        # the same refusal check_modulus gives, not a ZeroDivisionError or a count
+        with pytest.raises((TypeError, ValueError)) as expected:
+            check_modulus(modulus)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            count((1, 2, 4), modulus)
 
     @given(compositions_st, moduli_st)
     def test_counts_partition_pairs(self, c, modulus):

@@ -1,5 +1,6 @@
 """The cross-path harness itself: green on shipped code, red under mutation."""
 
+import inspect
 import json
 import tracemalloc
 
@@ -189,18 +190,18 @@ def test_truncation_soundness_catches_a_cell_that_depends_on_its_window(monkeypa
 
 
 def test_individual_fixed_checks():
-    assert verify.divisibility(14, 4).ok
+    assert verify.divisibility().ok
     assert verify.tribonacci_identity(12).ok
-    assert verify.sequence_identification(18).ok
-    assert verify.parity_vanishing(12, 4).ok
-    assert verify.special_values(16).ok
-    assert verify.rpc_mod2_fibonacci_fold(16).ok
-    assert verify.truncation_soundness([(5, 1)]).ok
+    assert verify.sequence_identification().ok
+    assert verify.parity_vanishing().ok
+    assert verify.special_values().ok
+    assert verify.rpc_mod2_fibonacci_fold().ok
+    assert verify.truncation_soundness().ok
     assert verify.bijection_round_trip(9).ok
     assert verify.binary_round_trip(9).ok
-    assert verify.m1_specializations(12, 4).ok
+    assert verify.m1_specializations().ok
     assert verify.coloring_interpretations(10).ok
-    assert verify.parts_equal_one(12, 4).ok
+    assert verify.parts_equal_one(12).ok
     assert verify.statistic_partition(8, (2, INFINITY)).ok
     assert verify.reduced_halving(10, 3).ok
 
@@ -210,6 +211,35 @@ def test_cap_is_checked_before_any_check_runs():
     with pytest.raises(EnumerationCapError, match="compositions of n=9: enumeration cap is 8"):
         verify.run_all(n_max=6, k_max=1, moduli=(2,), cap=8)
     verify.run_all(n_max=6, k_max=1, moduli=(2,), cap=10)
+
+
+ENUMERATING = ("brute_count", "enumerate_compositions", "count_parts_equal_one",
+               "count_parts_at_most", "count_two_colored_no_ones", "count_at_most_one_even_part")
+
+
+@pytest.mark.parametrize("n_max", [0, 3, 8, 14])
+def test_cap_pre_check_covers_exactly_the_n_the_checks_walk(monkeypatch, n_max):
+    # every oracle entry point verify calls records the n it is asked for; the
+    # largest is the last n run_all's cap pre-check covers, max(n_max, deep_n)
+    imported = {name for name, obj in vars(verify).items()
+                if callable(obj) and getattr(obj, "__module__", None) == "palcomp.oracle"}
+    assert imported - {"check_enumeration_cap"} == set(ENUMERATING)
+    asked, checked = [], []
+    honest_check = verify.check_enumeration_cap
+
+    def recording_check(ns, cap):
+        checked.extend(ns)
+        return honest_check(ns, cap)
+
+    monkeypatch.setattr(verify, "check_enumeration_cap", recording_check)
+    for name in ENUMERATING:
+        def recording(*args, honest=getattr(verify, name), **kwargs):
+            asked.append(inspect.signature(honest).bind(*args, **kwargs).arguments["n"])
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, recording)
+    assert all(r.ok for r in verify.run_all(n_max, 2, (2, INFINITY)))
+    assert max(asked) == max(checked) == max(n_max, min(n_max + 4, 18))
 
 
 def _bumped(honest, at):
@@ -296,19 +326,19 @@ def test_direct_totals_and_k0_specializations_are_pinpointed(monkeypatch, name, 
         ),
         pytest.param(
             formulas, "ac_plus_k", lambda h: _bumped(h, lambda n, k, *_: (n, k) == (5, 0)),
-            lambda: verify.sequence_identification(18),
+            verify.sequence_identification,
             ({"quantity": "ac_plus", "n": 5}, 6, 7),
             id="sequence_identification-ac_plus",
         ),
         pytest.param(
             formulas, "tribonacci", lambda h: _bumped(h, lambda n: n == 6),
-            lambda: verify.sequence_identification(18),
+            verify.sequence_identification,
             ({"quantity": "ac_total_forms", "n": 5}, 9, {"prime": 9, "diff": 10, "plain": 9}),
             id="sequence_identification-forms",
         ),
         pytest.param(
             formulas, "rac_total_k", lambda h: _bumped(h, lambda n, k: (n, k) == (4, 0)),
-            lambda: verify.sequence_identification(18),
+            verify.sequence_identification,
             ({"quantity": "rac_total", "n": 4}, 3, 4),
             id="sequence_identification-rac_total",
         ),
@@ -329,7 +359,7 @@ def test_direct_totals_and_k0_specializations_are_pinpointed(monkeypatch, name, 
         ),
         pytest.param(
             formulas, "rpc_total_k", lambda h: _raising(h, lambda n, k: (n, k) == (9, 2)),
-            lambda: verify.divisibility(14, 4),
+            verify.divisibility,
             ({"n": 9, "k": 2}, "exact division", "perturbed at (9, 2)"),
             id="divisibility",
         ),
@@ -366,6 +396,13 @@ def test_direct_totals_and_k0_specializations_are_pinpointed(monkeypatch, name, 
                          if r.check == "sequence_identification"),
             ({}, "no internal errors", "perturbed at (9, 0)"),
             id="run_all-internal-error",
+        ),
+        pytest.param(
+            # a check run alone reports an internal error as run_all does, not raising it
+            formulas, "rac_plus_k", lambda h: _raising(h, lambda n, k: (n, k) == (9, 0)),
+            verify.sequence_identification,
+            ({}, "no internal errors", "perturbed at (9, 0)"),
+            id="direct-internal-error",
         ),
     ],
 )
@@ -475,7 +512,6 @@ def test_m1_specializations_evaluates_each_mod2_plus_value_once(monkeypatch):
     at_k1_mod2 = {key: count for key, count in calls.items() if key[2:] == (1, 2)}
     assert at_k1_mod2 == {(name, n, 1, 2): 1
                           for name in ("pc_plus_k_mod", "rpc_plus_k_mod") for n in range(21)}
-    assert verify.m1_specializations(8, 0).ok
 
 
 def test_run_all_leaves_fixed_ranges_to_the_check_defaults(monkeypatch):
@@ -561,7 +597,7 @@ def _variant_skewed(honest, cells):
         ),
         pytest.param(
             "ac_plus_k_mod", lambda h: _bumped(h, lambda n, k, m, *_: (n, k) in {(5, 2), (6, 1)}),
-            lambda: verify.m1_specializations(8, 2),
+            verify.m1_specializations,
             ({"quantity": "ac_plus_mod1", "n": 5, "k": 2}, 4, 5),
             id="m1_specializations",
         ),
