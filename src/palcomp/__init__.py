@@ -30,7 +30,7 @@ _EXPORTS = {
               "Modulus", "Sign", "composition", "decode_binary", "encode_binary",
               "format_composition", "match_count", "mismatch_count", "parse_composition",
               "parse_modulus", "sign_class", "swap_canonical"),
-    "oracle": ("EnumerationCapError", "brute_count", "count_parts_at_most",
+    "oracle": ("EnumerationCapError", "brute_count", "brute_grid", "count_parts_at_most",
                "count_parts_equal_one", "enumerate_compositions"),
     "formulas": ("formula_count", "formula_grid", "special_value", "total_from_plus"),
     "genfun": ("BivariatePoly", "RationalGF", "gf_catalog", "gf_count", "gf_grid",

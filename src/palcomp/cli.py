@@ -121,13 +121,13 @@ def _grid(
     computes only the columns k <= max(ns) // 2, at the n of ns alone, and
     writes 0 above them.  Every method reads rows: the gf path makes one
     series expansion over the cells it reads, the formula path evaluates once
-    per k each plus value the rows read, and brute force goes cell by cell.
+    per k each plus value the rows read, and brute force reads each n's census
+    once.
     """
     variant = _check_request(args, ns, ks[0])
     kept = range(ks[0], min(ks[-1], max(ns, default=0) // 2) + 1)
     if args.method == "brute":
-        rows = [[oracle.brute_count(family, reduced, sign, modulus, n, k, cap=args.cap)
-                 for k in kept] for n in ns]
+        rows = oracle.brute_grid(family, reduced, sign, modulus, ns, kept, args.cap)
     elif args.method == "gf":
         rows = genfun.gf_grid(family, reduced, sign, modulus, ns, kept)
     else:

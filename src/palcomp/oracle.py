@@ -30,13 +30,14 @@ returns ``itertools.chain`` over the walk's runs, so no composition passes
 through a Python generator frame; the chain is as lazy as the walk, and a bad
 n or cap is refused at its first ``next()``.
 
-:func:`brute_count` takes a cell like the other two paths,
-``(family, reduced, sign, modulus, n, k)``, and refuses what they refuse, in
-their order (:func:`palcomp.stats.check_request`): a bad cell, then a bad n,
-then a bad k.  Only then does it refuse a bad ``cap`` argument or an n above
-it (default 24) through :func:`check_enumeration_cap`, the one cap rule that
-every walk and count here and ``verify`` use: 2^(n-1) items grow fast and a
-typo should not start an hour-long loop.  Past those, 2k > n is 0 without a walk.
+:func:`brute_grid` reads a request as rows, like ``formula_grid`` and
+``gf_grid``, and :func:`brute_count` is its one-cell request.  It refuses what
+they refuse, in their order (:func:`palcomp.stats.check_request`): a bad
+cell, then each n, then each k.  Only then does it refuse a bad ``cap``
+argument or any n above it (default 24) through :func:`check_enumeration_cap`,
+the one cap rule that every walk and count here and ``verify`` use: 2^(n-1)
+items grow fast and a typo should not start an hour-long loop.  Then each row
+reads its n's census once, and a row whose every cell has 2k > n reads none.
 
 Each n is walked at most twice, once per record below, and the 32 most
 recent records of each kind are kept, which covers every n up to the default
@@ -45,7 +46,9 @@ differences |a_i - a_(l+1-i)| of their mirror pairs, and whether the
 composition is its own swap-canonical form.  Two parts are congruent mod m
 exactly when m divides their difference, so one pair record answers every
 modulus and both families; the per-(n, modulus) census behind
-:func:`brute_count` is read off it without enumerating again.  A reduced
+:func:`brute_grid` is read off it without enumerating again.  The census asks
+``stats.congruent`` once per difference value 0..n, into a table that every
+key's differences index.  A reduced
 family counts the canonical compositions, because every swap class has
 exactly one representative with the larger part first in each pair; class
 sizes vary (2^(number of strictly unequal pairs)), so dividing by an orbit
@@ -59,7 +62,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .stats import (
     DEFAULT_ENUMERATION_CAP,
@@ -142,9 +145,11 @@ def _pair_record(n: int) -> Counter:
 @lru_cache(maxsize=128)
 def _census(n: int, modulus: Modulus) -> Counter:
     """Counts keyed by (family, reduced, sign, k), read off the pair record of n."""
+    # incongruent[d]: a pair whose parts differ by d mismatches; a difference is at most n
+    incongruent = [not congruent(d, 0, modulus) for d in range(n + 1)]
     census: Counter = Counter()
     for (sign, differences, canonical), count in _pair_record(n).items():
-        mis = sum(1 for d in differences if not congruent(d, 0, modulus))
+        mis = sum(map(incongruent.__getitem__, differences))
         for family, k in ((Family.PC, mis), (Family.AC, len(differences) - mis)):
             census[(family, False, sign, k)] += count
             if canonical:
@@ -152,18 +157,30 @@ def _census(n: int, modulus: Modulus) -> Counter:
     return census
 
 
+def brute_grid(
+    family: Family, reduced: bool, sign: Sign, modulus: Modulus,
+    ns: Sequence[int], ks: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP,
+) -> list[list[int]]:
+    """rows[i][j] = brute_count(..., ns[i], ks[j], cap).  The cell, every n and
+    every k are checked, and then the cap at every n, before any walk.  Then
+    each row reads its n's census once; a cell with 2k > n is 0 without it."""
+    check_request(family, reduced, sign, modulus, ns, ks)
+    check_enumeration_cap(ns, cap)
+    signs = (Sign.PLUS, Sign.MINUS) if sign is Sign.TOTAL else (sign,)
+    rows = []
+    for n in ns:
+        # n has at most n // 2 mirror pairs, so its census has no key past them
+        census = _census(n, modulus) if any(2 * k <= n for k in ks) else Counter()
+        rows.append([sum(census[(family, reduced, s, k)] for s in signs) for k in ks])
+    return rows
+
+
 def brute_count(
     family: Family, reduced: bool, sign: Sign, modulus: Modulus, n: int, k: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> int:
     """Count compositions (or swap classes) of n in one cell, from scratch."""
-    check_request(family, reduced, sign, modulus, [n], [k])
-    check_enumeration_cap([n], cap)
-    if 2 * k > n:  # n has at most n // 2 mirror pairs
-        return 0
-    census = _census(n, modulus)
-    signs = (Sign.PLUS, Sign.MINUS) if sign is Sign.TOTAL else (sign,)
-    return sum(census[(family, reduced, s, k)] for s in signs)
+    return brute_grid(family, reduced, sign, modulus, [n], [k], cap)[0][0]
 
 
 @lru_cache(maxsize=32)

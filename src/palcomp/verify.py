@@ -10,11 +10,13 @@ disagrees: status is ``pass`` only if every cell agreed, and a failure
 reports that cell's params, expected and actual values.  The walker also
 turns an internal ``ArithmeticError`` into the check's failing result.
 
-Work is paid per block, not per cell.  :func:`three_path_grid` reads its
-formula leg, like its GF leg, as one ``formula_grid`` per block; only when a
-block's grid raises does it read that block again cell by cell through
-``formula_count``, so the report names the first raising cell in n-major
-order, not the first one the k-major grid reached.  The two round-trip
+Work is paid per block, not per cell.  :func:`three_path_grid` reads each
+of its three legs as one grid per block: ``formula_grid``, ``gf_grid`` and
+``brute_grid``.  Only when a block's formula grid raises does it read that
+block again cell by cell through ``formula_count``, so the report names the
+first raising cell in n-major order, not the first one the k-major grid
+reached.  The other brute-force checks read their counts as grids too, one
+per block or sign, before their first cell.  The two round-trip
 checks compare tuples and ints and yield a cell only when it disagrees.
 Since the walker stops at the first cell yielded that disagrees, and every
 agreeing cell it no longer sees would have passed, it stops at the same
@@ -46,7 +48,7 @@ from .core import binom, tribonacci, tribonacci_identity_sum
 from .genfun import ONE, Q, gf_catalog, gf_grid
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
-    brute_count,
+    brute_grid,
     check_enumeration_cap,
     count_at_most_one_even_part,
     count_parts_at_most,
@@ -157,6 +159,7 @@ def three_path_grid(
             formula_rows = formulas.formula_grid(*block, ns, ks)
         except ArithmeticError:  # read the block cell by cell, n-major, to name the raising cell
             formula_rows = None
+        brute_rows = brute_grid(*block, ns, ks, cap)
         for n, k, params in cells:
             try:
                 if formula_rows is None:
@@ -166,8 +169,7 @@ def three_path_grid(
             except ArithmeticError as error:
                 yield params, "a count", str(error)
             else:
-                b = brute_count(*block, n, k, cap=cap)
-                yield params, {"formula": f, "genfun": rows[n][k]}, {"brute": b}
+                yield params, {"formula": f, "genfun": rows[n][k]}, {"brute": brute_rows[n][k]}
 
 
 @_check(agree=_all_equal)
@@ -222,11 +224,13 @@ def reflection_identity(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> _Cells:
     """Brute force: minus(n) == plus(n-1) for every family and modulus."""
+    ks = range(k_max + 1)
     for (family, reduced, _, modulus), cells in _grid((Sign.MINUS,), moduli, _box(n_max, k_max, 1)):
+        # row n - 1 of each grid: minus at n and plus at n - 1
+        minus = brute_grid(family, reduced, Sign.MINUS, modulus, range(1, n_max + 1), ks, cap)
+        plus = brute_grid(family, reduced, Sign.PLUS, modulus, range(n_max), ks, cap)
         for n, k, params in cells:
-            minus = brute_count(family, reduced, Sign.MINUS, modulus, n, k, cap=cap)
-            plus = brute_count(family, reduced, Sign.PLUS, modulus, n - 1, k, cap=cap)
-            yield params, plus, minus
+            yield params, plus[n - 1][k], minus[n - 1][k]
 
 
 @_check
@@ -240,24 +244,25 @@ def statistic_partition(
     Summing counts over k recovers 2^(n-1) for both families and every
     modulus.
     """
-    for modulus, n, family in itertools.product(moduli, range(n_max + 1), Family):
-        acc = sum(
-            brute_count(family, False, Sign.TOTAL, modulus, n, k, cap=cap)
-            for k in range(n // 2 + 1)
-        )
-        params = {"family": family.value, "modulus": str(modulus), "n": n}
-        yield params, 1 if n == 0 else 1 << (n - 1), acc
+    ns, ks = range(n_max + 1), range(n_max // 2 + 1)  # a cell with 2k > n is 0
+    for modulus in moduli:
+        sums = {family: list(map(sum, brute_grid(family, False, Sign.TOTAL, modulus, ns, ks, cap)))
+                for family in Family}
+        for n, family in itertools.product(ns, Family):
+            params = {"family": family.value, "modulus": str(modulus), "n": n}
+            yield params, 1 if n == 0 else 1 << (n - 1), sums[family][n]
 
 
 @_check
 def reduced_halving(n_max: int = 14, k_max: int = 4, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """Brute force at infinity: reduced PC count * 2^k == PC count."""
-    for n, k, sign in itertools.product(range(n_max + 1), range(k_max + 1), Sign):
-        reduced = brute_count(Family.PC, True, sign, INFINITY, n, k, cap=cap)
-        full = brute_count(Family.PC, False, sign, INFINITY, n, k, cap=cap)
+    ns, ks = range(n_max + 1), range(k_max + 1)
+    grids = {(sign, reduced): brute_grid(Family.PC, reduced, sign, INFINITY, ns, ks, cap)
+             for sign in Sign for reduced in (False, True)}
+    for n, k, sign in itertools.product(ns, ks, Sign):
         params = {"family": "pc", "reduced": True, "sign": sign.value, "modulus": "inf",
                   "n": n, "k": k}
-        yield params, full, reduced << k
+        yield params, grids[sign, False][n][k], grids[sign, True][n][k] << k
 
 
 @_check

@@ -41,11 +41,14 @@ def digit_cap():
 
 @pytest.fixture
 def no_brute(monkeypatch):
-    """Fail the test on any brute-force count: a refusal must come before it."""
-    def brute_count(*cell, **options):
-        raise AssertionError(f"brute_count{cell} was called")
+    """Fail the test on any brute-force count: a refusal must come before it.
 
-    monkeypatch.setattr(palcomp.oracle, "brute_count", brute_count)
+    brute_grid reads every count it makes off the census of its n, and reads
+    none for a row whose every cell has 2k > n."""
+    def census(n, modulus):
+        raise AssertionError(f"the census of n={n} at modulus {modulus} was read")
+
+    monkeypatch.setattr(palcomp.oracle, "_census", census)
 
 
 @pytest.fixture

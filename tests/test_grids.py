@@ -1,4 +1,4 @@
-"""Whole-grid readers: gf_grid and formula_grid equal their per-cell APIs and each other."""
+"""Whole-grid readers equal their per-cell APIs and each other: gf, formula and brute grids."""
 
 import itertools
 import re
@@ -7,9 +7,10 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from palcomp import formulas, genfun
+from palcomp import formulas, genfun, oracle
 from palcomp.formulas import V2, FormulaVariant, formula_count, formula_grid
 from palcomp.genfun import BivariatePoly, RationalGF, gf_catalog, gf_count, gf_grid, series_table
+from palcomp.oracle import EnumerationCapError, brute_count, brute_grid
 from palcomp.stats import INFINITY, Family, Sign
 
 cells_st = st.tuples(
@@ -183,7 +184,7 @@ def test_formula_column_rejects_non_int_arguments(n_max, k, name):
         formula_grid(Family.PC, False, Sign.PLUS, INFINITY, [n_max], [k])
 
 
-@pytest.mark.parametrize("reader", [gf_grid, formula_grid])
+@pytest.mark.parametrize("reader", [gf_grid, formula_grid, brute_grid])
 def test_negative_bounds_rejected(reader):
     with pytest.raises(ValueError, match="must be >= 0"):
         reader(Family.AC, True, Sign.TOTAL, 2, [-1], [0])
@@ -223,15 +224,20 @@ _PC_PLUS_INF = ((Family.PC, False), (False, False), (Sign.PLUS, False), (INFINIT
 @example(((Family.AC, False), (1, True), (Sign.TOTAL, False), (3, False),
           ([4, -1], True), ([True], True)))  # three faults: the cell's is named
 def test_formula_grid_equals_gf_grid_and_refuses_alike(request):
+    _assert_read_alike((formula_grid, gf_grid), request)
+
+
+def _assert_read_alike(readers, request):
+    """Every reader gives the same rows, or the same refusal, on a drawn request."""
     args = [value for value, _ in request]
     faults = [name for name, (_, bad) in zip(GRID_FIELDS, request) if bad]
     outcomes = []
-    for reader in (formula_grid, gf_grid):
+    for reader in readers:
         try:
             outcomes.append(reader(*args))
         except (TypeError, ValueError) as error:
             outcomes.append((type(error), str(error)))
-    assert outcomes[0] == outcomes[1], (args, outcomes)
+    assert all(outcome == outcomes[0] for outcome in outcomes), (args, outcomes)
     if faults:  # the first fault in the order cell, n, k is the one refused
         assert isinstance(outcomes[0], tuple) and outcomes[0][1].startswith(f"{faults[0]} must")
     else:
@@ -249,3 +255,64 @@ def test_formula_grid_refuses_a_variant_before_any_plus_value(monkeypatch, ns, k
         formula_grid(Family.PC, False, Sign.TOTAL, INFINITY, ns, ks, V2)
     with pytest.raises(ValueError, match="^formula_count has variants V1, V2; got V3$"):
         formula_grid(Family.AC, True, Sign.MINUS, 3, ns, ks, FormulaVariant.V3)
+
+
+@pytest.mark.parametrize("modulus", (1, 2, 3, 4, 5, INFINITY))
+def test_brute_grid_equals_brute_count(modulus):
+    # every row and column lands where its n and k are, sorted or not, past n // 2 or not
+    requests = [(range(11), range(7)), ([7, 0, 3], [6, 0, 2]), ([10, 10, 1], [1, 5]), ([], [2]),
+                ([4], [])]
+    for family, reduced, sign in itertools.product(Family, (False, True), Sign):
+        cell = (family, reduced, sign, modulus)
+        for ns, ks in requests:
+            assert brute_grid(*cell, ns, ks) == [
+                [brute_count(*cell, n, k) for k in ks] for n in ns
+            ], (cell, ns, ks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(
+    _drawn(st.sampled_from(Family), ["pc"]),
+    _drawn(st.booleans(), [1]),
+    _drawn(st.sampled_from(Sign), ["plus"]),
+    _drawn(st.sampled_from((1, 2, 3, 4, 5, INFINITY)), [0, 2.0, True]),
+    _indices(12),  # brute force walks every n it reads, so n stays well below the cap
+    _indices(8),
+))
+@example((*_PC_PLUS_INF, ([0, 1, 7, 12], False), ([3, 5, 8], False)))  # ks past max(ns) // 2
+@example((*_PC_PLUS_INF, ([], False), ([0, 4], False)))
+@example((*_PC_PLUS_INF, ([2, 5], False), ([], False)))
+@example(((Family.AC, False), (1, True), (Sign.TOTAL, False), (3, False),
+          ([4, -1], True), ([True], True)))  # three faults: the cell's is named
+def test_brute_grid_equals_formula_grid_and_gf_grid_and_refuses_alike(request):
+    _assert_read_alike((brute_grid, formula_grid, gf_grid), request)
+
+
+def test_a_request_past_half_of_every_n_walks_nothing(monkeypatch):
+    def no_walk(n, cap):
+        raise AssertionError(f"enumerate_compositions({n}) was called")
+
+    monkeypatch.setattr(oracle, "enumerate_compositions", no_walk)
+    records = (oracle._pair_record, oracle._census)
+    before = [record.cache_info() for record in records]
+    # a composition of n has at most n // 2 mirror pairs
+    assert brute_grid(Family.PC, False, Sign.PLUS, INFINITY, [20, 3, 7], [15, 11]) == [[0, 0]] * 3
+    assert brute_grid(Family.AC, True, Sign.TOTAL, 3, [7, 1], [4]) == [[0], [0]]
+    assert [record.cache_info() for record in records] == before  # not even a cached read
+    # the cap is still checked at every n, before any cell
+    with pytest.raises(EnumerationCapError, match="n=20: enumeration cap is 19"):
+        brute_grid(Family.PC, False, Sign.PLUS, INFINITY, [3, 20], [15], cap=19)
+
+
+def test_brute_grid_reads_each_census_once_and_only_where_a_cell_needs_it(monkeypatch):
+    at_9 = [brute_count(Family.PC, False, Sign.TOTAL, 2, 9, k) for k in (2, 3)]
+    read = []
+
+    def recording(n, modulus, honest=oracle._census):
+        read.append(n)
+        return honest(n, modulus)
+
+    monkeypatch.setattr(oracle, "_census", recording)
+    # every sign of the row n = 9 reads one census; the row n = 3 has no cell with 2k <= 3
+    assert brute_grid(Family.PC, False, Sign.TOTAL, 2, [3, 9], [2, 3]) == [[0, 0], at_9]
+    assert read == [9]

@@ -71,14 +71,16 @@ def test_grid_pinpoints_a_perturbed_modular_formula(monkeypatch):
 
 
 def test_grid_pinpoints_a_perturbed_brute_count(monkeypatch):
-    honest = verify.brute_count
-    target = (Family.AC, True, Sign.MINUS, 3, 6, 1)
+    honest = verify.brute_grid
+    target = (Family.AC, True, Sign.MINUS, 3)
 
-    def corrupted(*cell, cap=DEFAULT_ENUMERATION_CAP):
-        value = honest(*cell, cap=cap)
-        return value + 1 if cell == target else value
+    def corrupted(family, reduced, sign, modulus, ns, ks, cap=DEFAULT_ENUMERATION_CAP):
+        rows = honest(family, reduced, sign, modulus, ns, ks, cap)
+        if (family, reduced, sign, modulus) == target:  # the cell n = 6, k = 1
+            rows[list(ns).index(6)][list(ks).index(1)] += 1
+        return rows
 
-    monkeypatch.setattr(verify, "brute_count", corrupted)
+    monkeypatch.setattr(verify, "brute_grid", corrupted)
     result = verify.three_path_grid(n_max=8, k_max=2, moduli=(2, 3))
     assert not result.ok
     assert result.params == {
@@ -213,13 +215,13 @@ def test_cap_is_checked_before_any_check_runs():
     verify.run_all(n_max=6, k_max=1, moduli=(2,), cap=10)
 
 
-ENUMERATING = ("brute_count", "enumerate_compositions", "count_parts_equal_one",
+ENUMERATING = ("brute_grid", "enumerate_compositions", "count_parts_equal_one",
                "count_parts_at_most", "count_two_colored_no_ones", "count_at_most_one_even_part")
 
 
 @pytest.mark.parametrize("n_max", [0, 3, 8, 14])
 def test_cap_pre_check_covers_exactly_the_n_the_checks_walk(monkeypatch, n_max):
-    # every oracle entry point verify calls records the n it is asked for; the
+    # every oracle entry point verify calls records each n it is asked for; the
     # largest is the last n run_all's cap pre-check covers, max(n_max, deep_n)
     imported = {name for name, obj in vars(verify).items()
                 if callable(obj) and getattr(obj, "__module__", None) == "palcomp.oracle"}
@@ -234,7 +236,8 @@ def test_cap_pre_check_covers_exactly_the_n_the_checks_walk(monkeypatch, n_max):
     monkeypatch.setattr(verify, "check_enumeration_cap", recording_check)
     for name in ENUMERATING:
         def recording(*args, honest=getattr(verify, name), **kwargs):
-            asked.append(inspect.signature(honest).bind(*args, **kwargs).arguments["n"])
+            arguments = inspect.signature(honest).bind(*args, **kwargs).arguments
+            asked.extend(arguments["ns"] if "ns" in arguments else [arguments["n"]])
             return honest(*args, **kwargs)
 
         monkeypatch.setattr(verify, name, recording)
@@ -478,10 +481,11 @@ def test_run_all_calls_each_check_through_the_module(monkeypatch):
         "bijection_round_trip", "binary_round_trip", "m1_specializations",
         "coloring_interpretations", "parts_equal_one",
     ]
-    called = []
+    called, received = [], {}
     for name in names:
-        def stub(*args, name=name):
+        def stub(*args, name=name, **kwargs):
             called.append(name)
+            received[name] = (args, kwargs)
             return verify.CheckResult(name, "pass", {"stub": True})
 
         monkeypatch.setattr(verify, name, stub)
@@ -489,11 +493,17 @@ def test_run_all_calls_each_check_through_the_module(monkeypatch):
     assert called == names
     assert [r.check for r in results] == names
     assert all(r.params == {"stub": True} for r in results)
+    # the fixed-range checks keep their ranges in their bodies, so run_all passes them nothing
+    fixed = [
+        "divisibility", "sequence_identification", "parity_vanishing", "special_values",
+        "rpc_mod2_fibonacci_fold", "truncation_soundness", "m1_specializations",
+    ]
+    assert {name: received[name] for name in fixed} == {name: ((), {}) for name in fixed}
 
 
 def test_a_non_int_cap_is_refused_before_any_check_runs(monkeypatch):
     # the grid reaches n = 8, far below the cap, so only checking the cap itself refuses it
-    for name in ("brute_count", "enumerate_compositions", "count_parts_at_most"):
+    for name in ("brute_grid", "enumerate_compositions", "count_parts_at_most"):
         monkeypatch.setattr(verify, name, lambda *args, **kwargs: pytest.fail("a check ran"))
     with pytest.raises(TypeError, match="cap must be an int, got 30.5"):
         verify.run_all(n_max=4, k_max=1, moduli=(2,), cap=30.5)
@@ -512,22 +522,6 @@ def test_m1_specializations_evaluates_each_mod2_plus_value_once(monkeypatch):
     at_k1_mod2 = {key: count for key, count in calls.items() if key[2:] == (1, 2)}
     assert at_k1_mod2 == {(name, n, 1, 2): 1
                           for name in ("pc_plus_k_mod", "rpc_plus_k_mod") for n in range(21)}
-
-
-def test_run_all_leaves_fixed_ranges_to_the_check_defaults(monkeypatch):
-    fixed = [
-        "divisibility", "sequence_identification", "parity_vanishing", "special_values",
-        "rpc_mod2_fibonacci_fold", "truncation_soundness", "m1_specializations",
-    ]
-    received = {}
-    for name in fixed:
-        def stub(*args, name=name, **kwargs):
-            received[name] = (args, kwargs)
-            return verify.CheckResult(name, "pass")
-
-        monkeypatch.setattr(verify, name, stub)
-    verify.run_all(n_max=4, k_max=1, moduli=(2,))
-    assert received == {name: ((), {}) for name in fixed}
 
 
 @pytest.mark.parametrize("check", [verify.binary_round_trip, verify.bijection_round_trip])
