@@ -184,7 +184,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
             raise ValueError("--k is required unless --concordance is given")
         # a plain export reads through a record with shift 0, stride 1 and divisor 1
         record = ConcordanceRecord("", *_parse_cell(args), check_index(args.k, "k"), shift=0)
-    k = record.k if record.k is not None else args.k
+    k = record.statistic(args.k)
     indices = range(args.offset, args.n_max + 1)
     arguments = [record.mapped_index(idx, k)[0] for idx in indices]
     # a negative mapped argument reads as 0 and needs no evaluation

@@ -35,13 +35,18 @@ class ConcordanceRecord(NamedTuple):
     shift_per_k: int = 0
     note: str = ""
 
-    def mapped_index(self, n: int, k: int | None = None) -> tuple[int, int]:
-        """(argument, statistic) addressed by sequence position n."""
+    def statistic(self, k: int | None) -> int:
+        """The statistic index the record reads: its own k, or the given k for a triangle."""
         stat = self.k if self.k is not None else k
         if stat is None:
             raise ValueError(f"{self.id} is a triangle; a statistic index k is required")
         if stat < 0:
             raise ValueError(f"statistic index must be >= 0, got {stat}")
+        return stat
+
+    def mapped_index(self, n: int, k: int | None = None) -> tuple[int, int]:
+        """(argument, statistic) addressed by sequence position n."""
+        stat = self.statistic(k)
         return self.stride * n + self.shift + self.shift_per_k * stat, stat
 
 

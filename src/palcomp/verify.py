@@ -8,7 +8,8 @@ the public check.  The walker tests each cell for agreement, with ``==``
 unless the check passes another test, and stops at the first cell that
 disagrees: status is ``pass`` only if every cell agreed, and a failure
 reports that cell's params, expected and actual values.  The walker also
-turns an internal ``ArithmeticError`` into the check's failing result.
+turns an internal ``ArithmeticError`` into the check's failing result.  Each
+cell holds on its own, so no verdict depends on where the walker stops.
 
 Work is paid per block, not per cell.  :func:`three_path_grid` reads each
 of its three legs as one grid per block: ``formula_grid``, ``gf_grid`` and
@@ -27,7 +28,8 @@ The named closed forms live in ``formulas.SPECIAL_VALUES``, and
 GF path (n <= 200).  Two checks still write a closed form of a family count
 inline: :func:`statistic_partition` and :func:`m1_specializations` compare
 with 2^(n-1), and :func:`m1_specializations` with C(n, 2k).  They wait for
-rows that take k (ROADMAP item 8).
+rows that take k (ROADMAP item 8).  The m = 2 single-n rows are left to
+:func:`special_values`, which reads each row on both paths.
 
 The formula path, including the functions that the rows of
 ``formulas._PLUS_FORMULAS`` name, is resolved through the
@@ -159,6 +161,7 @@ def three_path_grid(
             formula_rows = formulas.formula_grid(*block, ns, ks)
         except ArithmeticError:  # read the block cell by cell, n-major, to name the raising cell
             formula_rows = None
+        # last: pair records built before formulas' lazy compile raise peak RSS (~0.15 MiB)
         brute_rows = brute_grid(*block, ns, ks, cap)
         for n, k, params in cells:
             try:
@@ -364,24 +367,19 @@ def truncation_soundness() -> _Cells:
 def bijection_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """decode(encode(c)) == c on every plus-class composition, the pair statistic
     transports the mismatch count, and image counts per statistic match the
-    plus-class closed formula.
-
-    A cardinality cell counts the plus compositions of n with k mismatches,
-    which is the count of their distinct images: every round-trip cell of n
-    comes before the cardinality cells of n, and the walker stops at the
-    first cell that disagrees, so a cardinality cell is reached only once
-    ``encode_pair`` is shown injective on n.  So memory stays flat in n;
-    ``tests/test_bijection.py`` still counts the distinct images directly.
-    A walker that went on past a failed round trip would compare a count of
-    compositions, not of images."""
+    plus-class closed formula.  The cardinality cells of n count compositions,
+    so they are yielded only if every round trip of n held: then encode is
+    injective on n, each composition is one image, and memory stays flat in n."""
     for n in range(n_max + 1):
         count_by_k: dict[int, int] = {}
+        round_trips = True
         for c in enumerate_compositions(n, cap=cap):
             if sign_class(c) is not Sign.PLUS:
                 continue
             pair = encode_pair(c)
             decoded = decode_pair(pair)
             if decoded != c:
+                round_trips = False
                 yield {"n": n, "composition": list(c)}, list(c), list(decoded)
             got = pair_statistics(pair)
             direct = mismatch_count(c, INFINITY)
@@ -390,8 +388,9 @@ def bijection_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) ->
                 expected = {"mismatches": direct, "n": n}
                 yield params, expected, {"mismatches": got.mismatches, "n": got.n}
             count_by_k[direct] = count_by_k.get(direct, 0) + 1
-        for k, count in count_by_k.items():
-            yield {"n": n, "k": k, "aspect": "cardinality"}, formulas.pc_plus_k(n, k), count
+        if round_trips:
+            for k, count in count_by_k.items():
+                yield {"n": n, "k": k, "aspect": "cardinality"}, formulas.pc_plus_k(n, k), count
 
 
 @_check
@@ -408,35 +407,26 @@ def binary_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) -> _C
 
 @_check
 def m1_specializations() -> _Cells:
-    """Everything the m=1 and m=2 closed forms promise."""
+    """The m=1 and m=2 specializations agree with the general formulas; the
+    m=2 single-n closed forms are rows that special_values checks."""
     f = formulas
     for n in range(21):
         for k in range(1, 7):
             yield {"quantity": "pc_plus_mod1", "n": n, "k": k}, 0, f.pc_plus_k_mod(n, k, 1)
             yield {"quantity": "rpc_plus_mod1", "n": n, "k": k}, 0, f.rpc_plus_k_mod(n, k, 1)
-        mod2 = {}  # k -> (pc, rpc) plus values at m = 2; the single-n forms read k = 1
         for k in range(7):
-            mod2[k] = pc2, rpc2 = f.pc_plus_k_mod(n, k, 2), f.rpc_plus_k_mod(n, k, 2)
             pairs = (
                 ("ac_plus_mod1", f.ac_plus_k_mod(n, k, 1), f.ac_plus_k_mod1(n, k)),
                 ("rac_plus_mod1", f.rac_plus_k_mod(n, k, 1), f.rac_plus_k_mod1(n, k)),
                 ("rac_total_mod1", f.rac_total_k_mod(n, k, 1), f.rac_total_k_mod1(n, k)),
                 ("ac_total_mod1_binom", f.ac_total_k_mod(n, k, 1), binom(n, 2 * k)),
-                ("pc_plus_mod2", pc2, f.pc_plus_k_mod2(n, k)),
-                ("rpc_plus_mod2", rpc2, f.rpc_plus_k_mod2(n, k)),
+                ("pc_plus_mod2", f.pc_plus_k_mod(n, k, 2), f.pc_plus_k_mod2(n, k)),
+                ("rpc_plus_mod2", f.rpc_plus_k_mod(n, k, 2), f.rpc_plus_k_mod2(n, k)),
             )
             for quantity, general, specialized in pairs:
                 yield {"quantity": quantity, "n": n, "k": k}, specialized, general
-        pc2, rpc2 = mod2[1]
-        singles = [
-            ("rpc_plus_1_mod2", rpc2, _named("RPC_PLUS1_MOD2", n)),
-            ("pc_total_mod1", f.formula_count(Family.PC, False, Sign.TOTAL, 1, n, 0),
-             1 if n == 0 else 1 << (n - 1)),
-            ("pc_plus_1_mod2", pc2, _named("PC_PLUS1_MOD2", n)),
-        ]
-        for quantity, general, specialized in singles:
-            if specialized is not None:  # off the row's domain
-                yield {"quantity": quantity, "n": n}, specialized, general
+        total = f.formula_count(Family.PC, False, Sign.TOTAL, 1, n, 0)
+        yield {"quantity": "pc_total_mod1", "n": n}, 1 if n == 0 else 1 << (n - 1), total
 
 
 @_check

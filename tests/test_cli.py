@@ -444,6 +444,12 @@ class TestSequence:
             capsys, "sequence", "--concordance", "A105422", "--k", "-2", "--n-max", "3"
         )
         assert (code, out, err) == (2, "", "error: statistic index must be >= 0, got -2\n")
+        # an empty range maps no position, and the record still picks and refuses k
+        code, out, err = run(
+            capsys, "sequence", "--concordance", "A105422", "--k", "-2", "--n-max", "3",
+            "--offset", "5",
+        )
+        assert (code, out, err) == (2, "", "error: statistic index must be >= 0, got -2\n")
 
     def test_concordance_unknown_id(self, capsys):
         code, _, err = run(capsys, "sequence", "--concordance", "A999999", "--n-max", "3")

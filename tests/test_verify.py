@@ -1,6 +1,7 @@
 """The cross-path harness itself: green on shipped code, red under mutation."""
 
 import inspect
+import itertools
 import json
 import tracemalloc
 
@@ -450,9 +451,15 @@ def test_three_path_grid_names_the_first_raising_cell_in_n_major_order(monkeypat
             id="rpc_mod2_fibonacci_fold",
         ),
         pytest.param(
-            "PC_PLUS1_MOD2", verify.m1_specializations, 7,
-            lambda v: ({"quantity": "pc_plus_1_mod2", "n": 7}, v + 1, v),
-            id="m1_specializations",
+            # special_values is the one check on the two m = 2 single-n rows
+            "PC_PLUS1_MOD2", verify.special_values, 7,
+            lambda v: ({"name": "PC_PLUS1_MOD2", "n": 7}, {"formula": v, "genfun": v}, v + 1),
+            id="special_values-PC_PLUS1_MOD2",
+        ),
+        pytest.param(
+            "RPC_PLUS1_MOD2", verify.special_values, 7,
+            lambda v: ({"name": "RPC_PLUS1_MOD2", "n": 7}, {"formula": v, "genfun": v}, v + 1),
+            id="special_values-RPC_PLUS1_MOD2",
         ),
         pytest.param(
             "AC_PLUS_TRIB_PRIME", verify.sequence_identification, 9,
@@ -469,6 +476,20 @@ def test_checks_read_the_named_identities_from_the_table(monkeypatch, name, chec
     result = check()
     assert result.status == "fail"
     assert (result.params, result.expected, result.actual) == report(row.closed_form(n))
+
+
+@pytest.mark.parametrize("name", sorted(formulas.SPECIAL_VALUES))
+def test_special_values_reads_every_row(monkeypatch, name):
+    # a row the check skipped would pass with its closed form raised at its first n >= 2
+    row = formulas.SPECIAL_VALUES[name]
+    n = next(n for n in itertools.count(2) if row.domain(n))
+    bumped = row._replace(closed_form=_bumped(row.closed_form, lambda at: at == n))
+    monkeypatch.setitem(formulas.SPECIAL_VALUES, name, bumped)
+    result = verify.special_values()
+    v = row.closed_form(n)
+    assert (result.status, result.params, result.expected, result.actual) == (
+        "fail", {"name": name, "n": n}, {"formula": v, "genfun": v}, v + 1
+    )
 
 
 def test_run_all_calls_each_check_through_the_module(monkeypatch):
@@ -518,7 +539,7 @@ def test_m1_specializations_evaluates_each_mod2_plus_value_once(monkeypatch):
 
         monkeypatch.setattr(formulas, name, counting)
     assert verify.m1_specializations().ok
-    # k = 1 feeds both the mod-2 pairs and the single-n closed forms, from one value
+    # each mod-2 plus value at k = 1 is read once, by its pair with the mod-2 specialization
     at_k1_mod2 = {key: count for key, count in calls.items() if key[2:] == (1, 2)}
     assert at_k1_mod2 == {(name, n, 1, 2): 1
                           for name in ("pc_plus_k_mod", "rpc_plus_k_mod") for n in range(21)}
@@ -537,6 +558,22 @@ def test_round_trips_walk_every_requested_n(monkeypatch, check):
     monkeypatch.setattr(verify, "enumerate_compositions", recording)
     assert check(15).ok
     assert walked == list(range(16))
+
+
+def test_bijection_round_trip_counts_images_only_where_every_round_trip_held(monkeypatch):
+    # a decode that reverses two-part compositions breaks the round trip from n = 3 on;
+    # each such n yields no cardinality cells, wherever the walker stops
+    honest = verify.decode_pair
+
+    def reversing(pair):
+        c = honest(pair)
+        return c[::-1] if len(c) == 2 else c
+
+    monkeypatch.setattr(verify, "decode_pair", reversing)
+    cells = list(verify.bijection_round_trip.__wrapped__(6))
+    cardinality = {params["n"] for params, _, _ in cells if params.get("aspect") == "cardinality"}
+    assert cardinality == {0, 2}  # n = 1 has no plus composition
+    assert {params["n"] for params, _, _ in cells if "aspect" not in params} == {3, 4, 5, 6}
 
 
 def test_bijection_round_trip_memory_is_flat_in_n():
