@@ -21,14 +21,18 @@ subtree is every composition t of rest, in the same order, each closed onto
 the node's prefix.  So the walk stops there and emits ``prefix + t`` for each
 t of a table of the small compositions (255 tuples at depth 8, each rest
 built once by the same stack walk with no table below it).  It is still a
-literal walk: every composition is built as one tuple and yielded once, in
-encoding order, and no count is inferred from the table's size.  A node above
-the table costs O(1) Python steps, a node at the table costs one C-level
-``map`` over its row, and each composition then costs one tuple
-concatenation; the stack holds O(n^2) nodes.  :func:`enumerate_compositions`
-returns ``itertools.chain`` over the walk's runs, so no composition passes
-through a Python generator frame; the chain is as lazy as the walk, and a bad
-n or cap is refused at its first ``next()``.
+literal walk: every composition is built once, as its tuple or as its weight
+sum, and yielded once, in encoding order, and no count is inferred from the
+table's size.  A weighted walk is the same walk over numbers: a node carries
+the sum of its prefix's part weights, a part p adds ``weights[p]``, and a table
+row is the weight sums of the same small compositions.  A node above the
+table costs O(1) Python steps, a node at the table costs one C-level ``map``
+over its row, and each composition then costs one tuple concatenation or one
+integer addition; the stack holds O(n^2) nodes.
+:func:`enumerate_compositions` returns ``itertools.chain`` over the walk's
+runs, so no composition passes through a Python generator frame; the chain is
+as lazy as the walk, and a bad n, cap or weights is refused at its first
+``next()``.
 
 :func:`brute_grid` reads a request as rows, like ``formula_grid`` and
 ``gf_grid``, and :func:`brute_count` is its one-cell request.  It refuses what
@@ -54,7 +58,11 @@ exactly one representative with the larger part first in each pair; class
 sizes vary (2^(number of strictly unequal pairs)), so dividing by an orbit
 size would be wrong.  The part record keys each composition by its parts in
 ascending order, the partition of n it rearranges, so it holds p(n) keys;
-each auxiliary count reads its own definition off those parts.
+each auxiliary count reads its own definition off those parts.  It walks n
+weighted: part p weighs ``1 << bits * (p - 1)`` with ``bits = n.bit_length()``,
+so a composition's weight sum holds, in field p - 1, how many parts equal p.
+No part occurs more than n < 2^bits times, so no field carries into the next,
+and each sum is one multiset of parts, decoded into its tuple once per key.
 """
 
 from __future__ import annotations
@@ -97,38 +105,61 @@ def check_enumeration_cap(ns: Iterable[int], cap: int = DEFAULT_ENUMERATION_CAP)
             )
 
 
-def enumerate_compositions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Composition]:
-    """Every composition of n once, ordered by its binary encoding, lazily."""
-    return chain.from_iterable(_runs(n, cap))
+def enumerate_compositions(
+    n: int, cap: int = DEFAULT_ENUMERATION_CAP, *, weights: Sequence[int] | None = None,
+) -> Iterator[Composition] | Iterator[int]:
+    """Every composition of n once, ordered by its binary encoding, lazily.
+
+    With weights, a sequence indexed by part that covers every part 1..n, each
+    composition c is yielded as ``sum(weights[p] for p in c)`` instead, in the
+    same order.  Weights shorter than n + 1, or not an int at some part 1..n,
+    raise ValueError at the first ``next()``, as a bad n or cap does.
+    """
+    return chain.from_iterable(_runs(n, cap, weights))
 
 
-def _runs(n: int, cap: int) -> Iterator[Iterable[Composition]]:
-    """The runs of the walk of n, after refusing a bad n or cap at the first one."""
+def _runs(n: int, cap: int, weights: Sequence[int] | None) -> Iterator[Iterable]:
+    """The runs of the walk of n, after refusing a bad n, cap or weights at the first one."""
     check_enumeration_cap([n], cap)
+    if weights is None:
+        atoms, empty, suffixes = [(p,) for p in range(n + 1)], (), _suffixes
+    else:
+        if len(weights) <= n:
+            raise ValueError(f"weights must cover every part 1..{n}, got {len(weights)} entries")
+        if not all(isinstance(weights[p], int) for p in range(1, n + 1)):
+            raise ValueError(f"weights must be ints for every part 1..{n}")
+        # the table's rows for these weights: the weight sum of each small composition
+        table = [()] + [
+            tuple(sum(map(weights.__getitem__, t)) for t in _suffixes(rest))
+            for rest in range(1, min(n, _SUFFIX_DEPTH) + 1)
+        ]
+        atoms, empty, suffixes = weights, 0, table.__getitem__
     if n == 0:
-        yield ((),)
+        yield (empty,)
         return
-    yield from _walk(n, _SUFFIX_DEPTH)
+    yield from _walk(n, _SUFFIX_DEPTH, atoms, empty, suffixes)
 
 
-def _walk(n: int, depth: int) -> Iterator[Iterable[Composition]]:
+def _walk(n: int, depth: int, atoms: Sequence, empty, suffixes) -> Iterator[Iterable]:
     """The compositions of n >= 1 in encoding order, in runs: one per node above
-    the table, and one per node whose rest is at most depth, read off the table."""
-    stack = [((), n)]
+    the table, and one per node whose rest is at most depth, read off the table
+    row suffixes(rest).  A composition is empty plus atoms[p] for each part p in
+    turn: its tuple when atoms[p] is (p,), its weight sum when atoms[p] is a weight."""
+    stack = [(empty, n)]
     while stack:
         prefix, rest = stack.pop()
         if rest <= depth:
-            yield map(prefix.__add__, _suffixes(rest))
+            yield map(prefix.__add__, suffixes(rest))
             continue
-        yield (prefix + (rest,),)
+        yield (prefix + atoms[rest],)
         for p in range(1, rest):
-            stack.append((prefix + (p,), rest - p))
+            stack.append((prefix + atoms[p], rest - p))
 
 
 @lru_cache(maxsize=_SUFFIX_DEPTH)
 def _suffixes(rest: int) -> tuple[Composition, ...]:
     """Every composition of 1 <= rest <= _SUFFIX_DEPTH in encoding order, walked."""
-    return tuple(chain.from_iterable(_walk(rest, 0)))
+    return tuple(chain.from_iterable(_walk(rest, 0, [(p,) for p in range(rest + 1)], (), None)))
 
 
 @lru_cache(maxsize=32)
@@ -188,8 +219,16 @@ def _part_record(n: int) -> Counter:
     """Tally the compositions of n by their parts in ascending order.
 
     Each key is a partition of n, counted once per distinct ordering of its parts.
+    The walk tallies one-hot weight sums, and each sum is decoded once.
     """
-    return Counter(map(tuple, map(sorted, enumerate_compositions(n, cap=n))))
+    bits = n.bit_length()
+    weights = [0] + [1 << bits * (p - 1) for p in range(1, n + 1)]
+    sums = Counter(enumerate_compositions(n, cap=n, weights=weights))
+    field = (1 << bits) - 1
+    return Counter({
+        tuple(p for p in range(1, n + 1) for _ in range((key >> bits * (p - 1)) & field)): count
+        for key, count in sums.items()
+    })
 
 
 def count_parts_equal_one(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:

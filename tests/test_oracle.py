@@ -1,6 +1,7 @@
 """Exhaustive-enumeration referee: streams, tallies, cap handling."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -318,6 +319,25 @@ def test_the_suffix_table_is_bounded_and_walked_without_the_public_function(monk
 def test_the_walk_stays_lazy():
     # 2^29 compositions of 30: only a lazy walk yields its first one at once
     assert next(enumerate_compositions(30, cap=30)) == (30,)
+    assert next(enumerate_compositions(30, cap=30, weights=range(0, 310, 10))) == 300
+
+
+@pytest.mark.parametrize("n", range(18))  # n = 17: two table depths (8) of stack walk above the table
+def test_a_weighted_walk_yields_each_weight_sum_in_walk_order(n):
+    rng = random.Random(n)
+    weights = [rng.getrandbits(64) for _ in range(n + 1)]
+    want = [sum(map(weights.__getitem__, c)) for c in enumerate_compositions(n)]
+    assert list(enumerate_compositions(n, weights=weights)) == want
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [([0, 1, 2], "weights must cover every part 1..3, got 3"), ([0, 1, 2.5, 3], "weights must be ints")],
+)
+def test_bad_weights_are_refused_by_name_at_the_first_next(weights, message):
+    walk = enumerate_compositions(3, weights=weights)
+    with pytest.raises(ValueError, match=message):
+        next(walk)
 
 
 @pytest.mark.parametrize("n", range(15))
@@ -330,21 +350,22 @@ def test_part_record_counts_the_orderings_of_each_partition(n):
     assert sum(record.values()) == (1 << (n - 1) if n else 1)
 
 
-@pytest.mark.parametrize("n", range(15))
+@pytest.mark.parametrize("n", range(18))  # n = 8 and 16 widen the part record's count fields
 def test_records_equal_tallies_over_the_decoded_masks(monkeypatch, n):
-    built = {record: record(n) for record in (oracle._pair_record, oracle._part_record)}
-    monkeypatch.setattr(oracle, "enumerate_compositions", lambda n, cap: iter(_decoded_compositions(n)))
-    for record, walked in built.items():
-        assert record.__wrapped__(n) == walked
+    decoded = _decoded_compositions(n)
+    assert oracle._part_record(n) == Counter(tuple(sorted(c)) for c in decoded)
+    walked = oracle._pair_record(n)
+    monkeypatch.setattr(oracle, "enumerate_compositions", lambda n, cap: iter(decoded))
+    assert oracle._pair_record.__wrapped__(n) == walked
 
 
 def test_one_walk_per_n(monkeypatch):
     walks = Counter()
     honest = oracle.enumerate_compositions
 
-    def counting(n, cap=DEFAULT_ENUMERATION_CAP):
+    def counting(n, cap=DEFAULT_ENUMERATION_CAP, **kwargs):
         walks[n] += 1
-        return honest(n, cap)
+        return honest(n, cap, **kwargs)
 
     monkeypatch.setattr(oracle, "enumerate_compositions", counting)
     for cached in (oracle._pair_record, oracle._census, oracle._part_record):

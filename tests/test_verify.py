@@ -4,10 +4,11 @@ import inspect
 import itertools
 import json
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from palcomp import formulas, genfun, stats, verify
+from palcomp import formulas, genfun, oracle, stats, verify
 from palcomp.genfun import ONE, Q, T, BivariatePoly, RationalGF
 from palcomp.oracle import DEFAULT_ENUMERATION_CAP, EnumerationCapError
 from palcomp.stats import INFINITY, Family, Sign
@@ -490,6 +491,29 @@ def test_special_values_reads_every_row(monkeypatch, name):
     assert (result.status, result.params, result.expected, result.actual) == (
         "fail", {"name": name, "n": n}, {"formula": v, "genfun": v}, v + 1
     )
+
+
+def test_a_default_run_makes_the_public_walks_the_traced_benchmark_pins(monkeypatch):
+    # the traced verify benchmark counts calls of enumerate_compositions: 64 walks and
+    # 311,296 compositions per default run, so a walk that bypasses it fails here too
+    walks, weighted = Counter(), Counter()
+    honest = oracle.enumerate_compositions
+
+    def counting(n, *args, **kwargs):
+        walks[n] += 1
+        if "weights" in kwargs:
+            weighted[n] += 1
+        return honest(n, *args, **kwargs)
+
+    for module in (oracle, verify):  # the two modules that walk
+        monkeypatch.setattr(module, "enumerate_compositions", counting)
+    for cached in (oracle._pair_record, oracle._census, oracle._part_record):
+        cached.cache_clear()
+    assert all(result.ok for result in verify.run_all())
+    assert sum(walks.values()) == 64
+    assert sum(count << (n - 1) if n else count for n, count in walks.items()) == 311_296
+    # the part record walks each n <= 18 (deep_n) once, weighted
+    assert weighted == {n: 1 for n in range(19)}
 
 
 def test_run_all_calls_each_check_through_the_module(monkeypatch):
