@@ -120,8 +120,8 @@ def _grid(
     count.  A composition of n has at most n // 2 mirror pairs, so every method
     computes only the columns k <= max(ns) // 2, at the n of ns alone, and
     writes 0 above them.  Every method reads rows: the gf path makes one
-    series expansion over the cells it reads, the formula path evaluates once
-    per k each plus value the rows read, and brute force reads each n's census
+    series expansion over the cells it reads, both derived paths sum their
+    plus rows through stats.sign_rows, and brute force reads each n's census
     once.
     """
     variant = _check_request(args, ns, ks[0])

@@ -20,8 +20,8 @@ compositions without an odd middle part, ``_mod`` takes a finite modulus m
 large-m limit of the _mod ones; keep the two groups apart).
 
 The minus part equals plus(n-1) by the insert-or-bump-the-middle bijection,
-and the total is plus(n) + plus(n-1): every sign is read off plus values by
-:func:`palcomp.stats.plus_reads`, so no separate minus formulas exist.
+and the total is plus(n) + plus(n-1), so no separate minus formulas exist:
+:func:`palcomp.stats.sign_rows` sums every sign's rows from plus values.
 
 Where several published formulas compute the same quantity they are kept as
 separate variants (V1, V2, V3) selected by :class:`FormulaVariant`.  The
@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .core import binom, fibonacci, multinom, tribonacci, tribonacci_prime
 from .stats import (INFINITY, Family, FormulaVariant, Modulus, Sign, check_index, check_modulus,
-                    check_request, plus_reads)
+                    check_request, plus_reads, sign_rows)
 
 V1, V2, V3 = FormulaVariant.V1, FormulaVariant.V2, FormulaVariant.V3
 
@@ -683,8 +683,8 @@ def formula_grid(
     off (stats.plus_reads) the plus function that the block's row of
     _PLUS_FORMULAS names; a block with a single published formula takes no
     variant.  The cell, every n, every k and the variant are checked before
-    any plus value is computed.  Then each k of ks in turn evaluates once, in
-    ascending m, every plus value the rows read, and only that k's are held.
+    any plus value is computed; stats.sign_rows then sums the rows from plus
+    rows over ks.
     """
     check_request(family, reduced, sign, modulus, ns, ks)
     finite = modulus is not INFINITY
@@ -700,14 +700,7 @@ def formula_grid(
             "this quantity has a single published formula; do not pass a variant"
         )
     plus_fn = globals()[row.plus]
-    reads = [plus_reads(sign, n) for n in ns]
-    ms = sorted(set().union(*reads))
-    rows: list[list[int]] = [[] for _ in ns]
-    for k in ks:
-        plus = {m: plus_fn(m, k, *args) for m in ms}
-        for cells, read in zip(rows, reads):
-            cells.append(sum(plus[m] for m in read))
-    return rows
+    return sign_rows(sign, ns, len(ks), lambda m: [plus_fn(m, k, *args) for k in ks])
 
 
 def _nonnegative_n(n: int) -> bool:

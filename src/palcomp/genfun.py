@@ -27,8 +27,8 @@ with larger bounds returns the same value.
 
 Every coefficient is read from one expansion, :func:`series_table`, the
 cached :func:`series_inverse` pass truncated to the requested bounds.
-:func:`gf_grid` reads a whole request off the block's plus entry, every sign
-by stats.plus_reads, and :func:`gf_count` is its one-cell request.
+:func:`gf_grid` reads a whole request off the block's plus entry, its rows
+summed by stats.sign_rows, and :func:`gf_count` is its one-cell request.
 
 Every catalog term has q-degree at least twice its t-degree, at every modulus
 (:func:`gf_catalog` refuses one that has not).  So in u = t/q^2
@@ -39,11 +39,10 @@ only q-degree max(n) - 2 min(k), and a cell with 2k > n is 0 without one.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .stats import INFINITY, Family, Modulus, Sign, check_cell, check_request, plus_reads
+from .stats import INFINITY, Family, Modulus, Sign, check_cell, check_request, sign_rows
 
 
 class BivariatePoly:
@@ -359,20 +358,13 @@ def gf_grid(
     """rows[i][j] = gf_count(..., ns[i], ks[j]), every sign read off
     (stats.plus_reads) one expansion of the block's shifted plus entry to
     q-degree max(ns) - 2 min(ks) and u-degree min(max(ks), max(ns) // 2), so
-    the plus, minus and total requests of one window share it.  Over ascending
-    ns each plus row is built once, and at most two are held besides the rows.
+    the plus, minus and total requests of one window share it; stats.sign_rows
+    sums the rows from its plus rows.
     """
     check_request(family, reduced, sign, modulus, ns, ks)
     n_max = max(ns, default=0)
     k_min = min(ks, default=n_max)  # no column read: the window is one coefficient
     gf = _shifted(gf_catalog(family, reduced, Sign.PLUS, modulus))
     g = series_table(gf, max(n_max - 2 * k_min, 0), min(max(ks, default=0), n_max // 2))
-    rows, plus = [], {}  # plus: the plus rows the previous n summed, which n + 1 reads again
-    for n in ns:
-        plus = {m: plus.get(m) or [g[m - 2 * k][k] if m >= 2 * k else 0 for k in ks]
-                for m in plus_reads(sign, n)}
-        row = [0] * len(ks)  # a sign that reads no plus row, minus at n = 0, reads zeros
-        for plus_row in plus.values():
-            row = list(map(operator.add, row, plus_row))
-        rows.append(row)
-    return rows
+    return sign_rows(sign, ns, len(ks),
+                     lambda m: [g[m - 2 * k][k] if m >= 2 * k else 0 for k in ks])

@@ -17,7 +17,8 @@ and which reads as ``inf`` under repr, str and format.
 Sign classes refine the count by the middle part: a composition is PLUS when
 its length is even, or odd with an even middle part; MINUS when the middle
 part is odd.  The empty composition has even length 0 and is PLUS.  Since
-minus(n) = plus(n - 1), :func:`plus_reads` reads every sign off plus values.
+minus(n) = plus(n - 1), :func:`plus_reads` reads every sign off plus values,
+and :func:`sign_rows` is the one place a request's rows are summed from them.
 
 The reduced families count equivalence classes under independently swapping
 the two parts of any pair; :func:`swap_canonical` picks the class
@@ -26,8 +27,9 @@ representative with the larger part first in every pair.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 
 class _InfinityType(Enum):
@@ -104,10 +106,13 @@ def check_index(value: int, name: str) -> int:
 
 
 def check_request(family: Family, reduced: bool, sign: Sign, modulus: Modulus,
-                  ns: Iterable[int], ks: Iterable[int]) -> None:
-    """Validate the request every counting path takes: the cell, then each n, then each k."""
+                  ns: Sequence[int], ks: Sequence[int]) -> None:
+    """Validate the request every counting path takes: the cell, then each n, then
+    each k.  ns and ks are read again after the check, so each must be a sequence."""
     check_cell(family, reduced, sign, modulus)
     for name, values in (("n", ns), ("k", ks)):
+        if not isinstance(values, Sequence):
+            raise TypeError(f"{name}s must be a sequence, got {type(values).__name__}")
         for value in values:
             check_index(value, name)
 
@@ -221,6 +226,18 @@ SIGN_OFFSETS = {Sign.PLUS: (0,), Sign.MINUS: (1,), Sign.TOTAL: (0, 1)}
 def plus_reads(sign: Sign, n: int) -> list[int]:
     """The m with sign(n) = sum of plus(m): n - b for each offset b <= n of the sign."""
     return [n - b for b in SIGN_OFFSETS[sign] if n >= b]
+
+
+def sign_rows(sign: Sign, ns: Iterable[int], width: int,
+              plus_row: Callable[[int], Sequence[int]]) -> list[list[int]]:
+    """rows[i] = the sum of plus_row(m) over plus_reads(sign, ns[i]), zeros of width
+    where it reads none (minus at n = 0).  Plus rows are built in ascending m, only
+    the previous n's held, so over ascending ns each is built once."""
+    rows, held = [], {}
+    for n in ns:
+        held = {m: held[m] if m in held else plus_row(m) for m in sorted(plus_reads(sign, n))}
+        rows.append(list(map(sum, zip([0] * width, *held.values()))))
+    return rows
 
 
 def swap_canonical(c: Composition) -> Composition:

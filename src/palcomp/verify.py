@@ -63,6 +63,7 @@ from .stats import (
     Family,
     Modulus,
     Sign,
+    check_index,
     decode_binary,
     encode_binary,
     mismatch_count,
@@ -468,8 +469,13 @@ def run_all(
     formula-only and series-only identities take no arguments, so their
     fixed ranges are the code (they are cheap and their ranges are part of
     the contract).  A grid that would enumerate past the cap raises
-    EnumerationCapError before any check runs.
+    EnumerationCapError before any check runs; before that, n_max and k_max
+    must be counts and moduli nonempty, or no grid check reads a cell.
     """
+    check_index(n_max, "n_max")
+    check_index(k_max, "k_max")
+    if not moduli:
+        raise ValueError("moduli must name at least one modulus, got none")
     small_n = min(n_max, 14)
     deep_n = min(n_max + 4, 18)
     # each enumerating check walks n upward, to max(n_max, deep_n) at most

@@ -123,37 +123,37 @@ def test_every_sign_of_a_block_reads_one_plus_expansion(monkeypatch):
     assert asked == [Sign.PLUS] * 3
 
 
-def _formula_column(cell, ns, k, variant=None):
+def _formula_grid_column(cell, ns, k, variant=None):
     """The formula path's column at k: formula_grid's request with ks = [k]."""
     return [row[0] for row in formula_grid(*cell, ns, [k], variant)]
 
 
 @settings(deadline=None)
 @given(cells_st, st.integers(0, 30), st.integers(0, 5))
-def test_formula_column_equals_formula_count(cell, n_max, k):
-    column = _formula_column(cell, range(n_max + 1), k)
+def test_formula_grid_column_equals_formula_count(cell, n_max, k):
+    column = _formula_grid_column(cell, range(n_max + 1), k)
     assert column == [formula_count(*cell, n, k) for n in range(n_max + 1)]
 
 
 @settings(deadline=None)
 @given(cells_st, st.sets(st.integers(0, 40)).map(sorted), st.integers(0, 5),
        st.sampled_from([None, *FormulaVariant]))
-def test_formula_column_at_any_ns_equals_formula_count(cell, ns, k, variant):
+def test_formula_grid_column_at_any_ns_equals_formula_count(cell, ns, k, variant):
     try:
         formula_count(*cell, 0, k, variant)
     except ValueError as refusal:  # the block does not take this variant
         with pytest.raises(ValueError, match=re.escape(str(refusal))):
             formula_grid(*cell, ns, [k], variant)
         return
-    assert _formula_column(cell, ns, k, variant) == [
+    assert _formula_grid_column(cell, ns, k, variant) == [
         formula_count(*cell, n, k, variant) for n in ns
     ]
 
 
-def test_formula_column_passes_the_variant():
+def test_formula_grid_column_passes_the_variant():
     cell = (Family.AC, False, Sign.TOTAL, INFINITY)
     for variant in (None, *FormulaVariant):
-        assert _formula_column(cell, range(13), 1, variant) == [
+        assert _formula_grid_column(cell, range(13), 1, variant) == [
             formula_count(*cell, n, 1, variant) for n in range(13)
         ]
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import palcomp
 from palcomp.formulas import formula_count, formula_grid
 from palcomp.genfun import gf_catalog, gf_count, gf_grid
-from palcomp.oracle import brute_count
+from palcomp.oracle import brute_count, brute_grid
 from palcomp.stats import INFINITY, Family, Sign
 
 PATHS = ("formulas", "genfun", "oracle")
@@ -121,9 +121,29 @@ def _outcome(count, cell):
         return type(error), str(error)
 
 
+READERS = (formula_grid, gf_grid, brute_grid)
+
+
 @settings(max_examples=300, deadline=None)
-@given(cell=cells)
-def test_the_three_paths_refuse_alike_and_count_alike(cell):
-    """The cell fields first, then n, then k: every path names the same first fault."""
+@given(cell=cells, wraps=st.tuples(st.sampled_from([list, iter]), st.sampled_from([list, iter])))
+def test_the_three_paths_refuse_alike_and_count_alike(cell, wraps):
+    """The cell fields first, then n, then k: every path names the same first fault.
+    The three grid readers, asked for the cell's one n and k as a list or a one-shot
+    iterator each, name the same fault or read the same row; from lists, the counts'."""
     outcomes = [_outcome(count, cell) for count in (formula_count, gf_count, brute_count)]
     assert outcomes[0] == outcomes[1] == outcomes[2], (cell, outcomes)
+    *fields, n, k = cell
+    wrap_n, wrap_k = wraps
+    rows = [_outcome(read, (*fields, wrap_n([n]), wrap_k([k]))) for read in READERS]
+    assert rows[0] == rows[1] == rows[2], (cell, wraps, rows)
+    if wraps == (list, list):
+        assert rows[0] == (outcomes[0] if isinstance(outcomes[0], tuple) else [[outcomes[0]]])
+
+
+@pytest.mark.parametrize("read", READERS)
+@pytest.mark.parametrize("name", ["ns", "ks"])
+def test_every_reader_refuses_a_one_shot_request_by_name(read, name):
+    # the request is read after its check, so an iterator would leave nothing to read
+    request = {"ns": [4, 6], "ks": [0, 1], name: iter([0, 1])}
+    with pytest.raises(TypeError, match=f"^{name} must be a sequence, got list_iterator$"):
+        read(Family.PC, False, Sign.TOTAL, INFINITY, **request)

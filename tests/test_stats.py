@@ -25,6 +25,7 @@ from palcomp.stats import (
     parse_modulus,
     plus_reads,
     sign_class,
+    sign_rows,
     swap_canonical,
 )
 
@@ -123,6 +124,40 @@ class TestStatistics:
         assert [plus_reads(sign, 5) for sign in Sign] == [[5], [4], [5, 4]]
         # plus below 0 reads as 0, so no m < 0 is read
         assert [plus_reads(sign, 0) for sign in Sign] == [[0], [], [0]]
+
+    @staticmethod
+    def _plus_row(m):
+        return [m, 10 * m + 1]  # width 2, and no row of m is zero
+
+    def test_sign_rows_reads_zeros_where_no_plus_row_is_read(self):
+        # minus at n = 0 reads no plus row, so its row is zeros of the given width
+        unread = lambda m: pytest.fail(f"plus row {m} was built")
+        assert sign_rows(Sign.MINUS, [0], 3, unread) == [[0, 0, 0]]
+        assert sign_rows(Sign.MINUS, [0, 1], 2, self._plus_row) == [[0, 0], [0, 1]]
+
+    def test_sign_rows_builds_each_plus_row_once_in_ascending_m(self):
+        built = []
+
+        def plus_row(m):
+            built.append(m)
+            return self._plus_row(m)
+
+        rows = sign_rows(Sign.TOTAL, range(10), 2, plus_row)
+        assert built == list(range(10))
+        assert rows == [[0, 1]] + [[2 * n - 1, 20 * n - 8] for n in range(1, 10)]
+        # a first n that reads two new rows builds the lower m first
+        built.clear()
+        sign_rows(Sign.TOTAL, [5, 6], 2, plus_row)
+        assert built == [4, 5, 6]
+
+    @pytest.mark.parametrize(
+        "sign, at_5, at_3",
+        [(Sign.PLUS, [5, 51], [3, 31]), (Sign.MINUS, [4, 41], [2, 21]),
+         (Sign.TOTAL, [9, 92], [5, 52])],
+    )
+    def test_sign_rows_reads_non_ascending_ns(self, sign, at_5, at_3):
+        # rows held for the previous n only save work; any order reads the same rows
+        assert sign_rows(sign, [5, 3, 5], 2, self._plus_row) == [at_5, at_3, at_5]
 
     @pytest.mark.parametrize("modulus", [0, -1, -3, 2.5, True, "3"])
     @pytest.mark.parametrize("count", [mismatch_count, match_count])

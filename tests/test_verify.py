@@ -419,12 +419,12 @@ def test_failure_report_is_pinned(monkeypatch, module, name, corrupt, call, repo
 
 
 def test_three_path_grid_names_the_first_raising_cell_in_n_major_order(monkeypatch):
-    # the block's formula grid runs k-major and reaches (9, 0) first; the report
-    # names (5, 2), the first cell of the n-major walk
+    # the block's formula grid builds its plus rows in ascending n (stats.sign_rows)
+    # and reaches (5, 2) first; the report names (5, 2), the first cell of the n-major walk
     raising = _raising(formulas.pc_plus_k, lambda n, k: (n, k) in {(5, 2), (9, 0)})
     monkeypatch.setattr(formulas, "pc_plus_k", raising)
     plus = (Family.PC, False, Sign.PLUS, INFINITY)
-    with pytest.raises(ArithmeticError, match=r"^perturbed at \(9, 0\)$"):
+    with pytest.raises(ArithmeticError, match=r"^perturbed at \(5, 2\)$"):
         formulas.formula_grid(*plus, range(11), range(3))
     result = verify.three_path_grid(10, 2, (INFINITY,))
     params = {"family": "pc", "reduced": False, "sign": "plus", "modulus": "inf", "n": 5, "k": 2}
@@ -552,6 +552,25 @@ def test_a_non_int_cap_is_refused_before_any_check_runs(monkeypatch):
         monkeypatch.setattr(verify, name, lambda *args, **kwargs: pytest.fail("a check ran"))
     with pytest.raises(TypeError, match="cap must be an int, got 30.5"):
         verify.run_all(n_max=4, k_max=1, moduli=(2,), cap=30.5)
+
+
+@pytest.mark.parametrize(
+    "request_, error, message",
+    [
+        ({"n_max": -1}, ValueError, "^n_max must be >= 0, got -1$"),
+        ({"k_max": -2}, ValueError, "^k_max must be >= 0, got -2$"),
+        ({"n_max": True}, TypeError, "^n_max must be an int, got True$"),
+        ({"moduli": ()}, ValueError, "^moduli must name at least one modulus, got none$"),
+    ],
+    ids=["negative-n_max", "negative-k_max", "bool-n_max", "empty-moduli"],
+)
+def test_run_all_refuses_a_request_whose_grid_checks_read_nothing(monkeypatch, request_, error,
+                                                                  message):
+    # each of these read no cell, or read True as 1, and so passed all 19 checks
+    for name in ("brute_grid", "enumerate_compositions", "count_parts_at_most"):
+        monkeypatch.setattr(verify, name, lambda *args, **kwargs: pytest.fail("a check ran"))
+    with pytest.raises(error, match=message):
+        verify.run_all(**request_)
 
 
 def test_m1_specializations_evaluates_each_mod2_plus_value_once(monkeypatch):
