@@ -15,7 +15,13 @@ In particular binom(-1, 0) == 1 while binom(-1, 1) == 0, which differs from
 the usual extension of binomials to negative upper index.  Formulas rely on
 terms like binom(i + k - 1, i) vanishing for k == 0, i >= 1 but contributing
 1 at i == 0, so do not replace calls to :func:`binom` with ``math.comb`` or
-factorial shortcuts.
+factorial shortcuts.  Two sums step their growing binomials by exact term
+ratios instead of calling it, ``formulas.rac_plus_k`` and the V1 branch of
+``formulas.ac_plus_k``: each writes out the convention's one special term,
+binom(n-2k-1, n-2k), which is binom(-1, 0) = 1 at n = 2k and 0 otherwise,
+and steps only between ordinary binomials.  ``ac_plus_k`` V2 and V3 still
+call binom term by term, so that comparing the variants checks the
+``ac_plus_k`` walk against sums that share none of its steps.
 
 Two tribonacci flavours appear, distinguished by initial conditions:
 

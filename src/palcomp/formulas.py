@@ -2,7 +2,8 @@
 
 Each function evaluates one published summation: its terms are those of the
 nonnegative index tuples satisfying the stated linear constraint, and every
-binomial goes through :func:`palcomp.core.binom` (the three-case convention).
+binomial goes through :func:`palcomp.core.binom` (the three-case convention),
+except in the two walked sums named below.
 In the V1 finite-modulus sums, an inner sub-sum that depends on k, m and one
 or two free indices, but not on n, is a function of all its arguments with
 one bounded memo, reused for every outer index: the plus values of a
@@ -41,12 +42,25 @@ empty and drops the walk's root.  A factor that is zero only where an index
 sum in its top is -1, as binom(i+j-1, j) at i = 0, keeps its test inside the
 loop.  For m = 1 an alternating index r has coefficient (m - 1) = 0, so there
 the rule also makes the sum finite.
+
+Two sums walk their ranges without calling binom: rac_plus_k and the V1
+branch of ac_plus_k.  Their factors binom(r+k, r) and binom(r+j-1, j) grow
+with n, so each passes from one term to the next by its exact term ratio
+(multiply, then floor-divide; the quotient is a binomial), and ac V1's inner
+factors binom(r, i) and binom(r+j-1, j) step the same way in i.  They keep
+the convention by writing out its one special term, r = 0, whose factor
+binom(n-2k-1, n-2k) is binom(-1, 0) = 1 at n = 2k and 0 otherwise, and by
+stepping only between terms with r >= 1, where every factor is an ordinary
+binomial.  Their terms are those of the literal loops (a negative target
+adds one zero term).  ac_plus_k V2 and V3 stay literal, term by term through
+binom, so that verify's variant_agreement compares the ac walk with sums that
+share none of its steps; the generating functions and the oracle referee both.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import binom, fibonacci, multinom, tribonacci, tribonacci_prime
 from .stats import (INFINITY, Family, FormulaVariant, Modulus, Sign, check_index, check_modulus,
@@ -231,6 +245,22 @@ def _rac_plus_inner(k: int, m: int, j: int, after: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _walked_factors(target: int, k: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (r, binom(r+k, r), binom(r+j-1, j)) at j = target - 2r for
+    r = 0, ..., target // 2, each factor stepped by its exact term ratio (see
+    the module doc).  At r = 0 the second factor is binom(target-1, target):
+    1 at target 0, else 0, so a negative target yields one zero term.  From
+    r = 1 it equals binom(target-r-1, r-1), by symmetry.
+    """
+    yield 0, 1, int(target == 0)
+    head, tail = k + 1, 1
+    for r in range(1, target // 2 + 1):
+        yield r, head, tail
+        head = head * (r + 1 + k) // (r + 1)
+        if target - r - 1 > 0:  # 0 only past the last term, at target 2
+            tail = tail * (target - 2 * r) * (target - 2 * r - 1) // (r * (target - r - 1))
+
+
 def pc_plus_k(n: int, k: int) -> int:
     """Sum over i + 2j = n - 3k of binom(i+k-1, i) binom(j+k, j) 2^(j+k)."""
     _check_nk(n, k)
@@ -264,11 +294,16 @@ def ac_plus_k(n: int, k: int, variant: FormulaVariant = V1) -> int:
     target = n - 2 * k
     total = 0
     if variant is V1:
-        for r in range(target // 2 + 1):
-            head = binom(r + k, r)
-            for i in range(min(r, target - 2 * r) + 1):
-                j = target - 2 * r - i
-                total += head * binom(r, i) * binom(r + j - 1, j)
+        for r, head, tail in _walked_factors(target, k):
+            after = target - 2 * r
+            # binom(r, i), binom(r+j-1, j) at j = after - i, and their sum, at i = 0
+            ri, rj, inner = 1, tail, tail
+            for i in range(1, min(r, after) + 1):
+                # each factor from its value at i - 1 by its term ratio; both divisors are positive
+                ri = ri * (r - i + 1) // i
+                rj = rj * (after - i + 1) // (r + after - i)
+                inner += ri * rj
+            total += head * inner
     elif variant is V2:
         for r in range(target // 2 + 1):
             head = binom(r + k, k)
@@ -343,12 +378,7 @@ def rac_plus_k(n: int, k: int) -> int:
     to 1 (checked against the oracle).
     """
     _check_nk(n, k)
-    target = n - 2 * k
-    total = 0
-    for r in range(target // 2 + 1):
-        j = target - 2 * r
-        total += binom(r + k, r) * binom(r + j - 1, j)
-    return total
+    return sum(head * tail for _, head, tail in _walked_factors(n - 2 * k, k))
 
 
 def rac_total_k(n: int, k: int) -> int:

@@ -711,6 +711,69 @@ class TestFactoredSums:
         assert 0 < calls[0] <= bound, calls[0]
 
 
+# ---------------------------------------------------------------------------
+# rac_plus_k and ac_plus_k V1 pass their growing binomials from term to term by
+# exact ratios; their docstring sums, one binom call per factor, are the spec.
+# ---------------------------------------------------------------------------
+
+
+def literal_rac_plus_k(n, k):
+    target = n - 2 * k
+    total = 0
+    for r in range(target // 2 + 1):
+        j = target - 2 * r
+        total += binom(r + k, r) * binom(r + j - 1, j)
+    return total
+
+
+def literal_ac_plus_k_v1(n, k):
+    target = n - 2 * k
+    total = 0
+    for r in range(target // 2 + 1):
+        for i in range(target - 2 * r + 1):
+            j = target - 2 * r - i
+            total += binom(r + k, r) * binom(r, i) * binom(r + j - 1, j)
+    return total
+
+
+# walked function at (n, k) -> its literal sum
+WALKED = {
+    "rac_plus_k": (rac_plus_k, literal_rac_plus_k),
+    "ac_plus_k V1": (lambda n, k: ac_plus_k(n, k, V1), literal_ac_plus_k_v1),
+}
+
+
+class TestWalkedSums:
+    # target = n - 2k: no terms below 0, binom(-1, 0) = 1 at 0, and at 2 the
+    # one step that would divide by zero if it ran
+    @pytest.mark.parametrize("k", range(7))
+    @pytest.mark.parametrize("name", list(WALKED))
+    def test_equals_the_literal_sum_at_every_small_target(self, name, k):
+        walked, literal = WALKED[name]
+        for target in range(-2, 13):
+            n = target + 2 * k
+            if n >= 0:
+                assert walked(n, k) == literal(n, k), (n, k)
+
+    @pytest.mark.parametrize("name", list(WALKED))
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 400), k=st.integers(0, 12))
+    def test_equals_the_literal_sum_far_out(self, name, n, k):
+        walked, literal = WALKED[name]
+        assert walked(n, k) == literal(n, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(0, 300), k=st.integers(0, 12))
+    def test_ac_plus_k_v1_equals_v2(self, n, k):
+        assert ac_plus_k(n, k, V1) == ac_plus_k(n, k, V2)
+
+    @pytest.mark.parametrize("name", list(WALKED))
+    def test_walks_call_no_binom(self, monkeypatch, name):
+        calls = _counting_binom(monkeypatch)
+        WALKED[name][0](400, 5)
+        assert calls[0] == 0
+
+
 AC_PLUS, RAC_PLUS = (Family.AC, False, Sign.PLUS), (Family.AC, True, Sign.PLUS)
 PC_PLUS, RPC_PLUS = (Family.PC, False, Sign.PLUS), (Family.PC, True, Sign.PLUS)
 

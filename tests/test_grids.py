@@ -178,7 +178,7 @@ def test_gf_grid_rejects_non_int_bounds(bounds, name):
 @pytest.mark.parametrize(
     "n_max, k, name", [(True, 1, "n_max"), (3, True, "k"), (3.5, 1, "n_max"), (3, 1.0, "k")]
 )
-def test_formula_column_rejects_non_int_arguments(n_max, k, name):
+def test_formula_grid_rejects_non_int_arguments(n_max, k, name):
     # n_max is passed as the one element of ns, which is named n
     with pytest.raises(TypeError, match=f"^{name.removesuffix('_max')} must be an int"):
         formula_grid(Family.PC, False, Sign.PLUS, INFINITY, [n_max], [k])

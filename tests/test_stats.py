@@ -210,7 +210,7 @@ class TestSwapCanonical:
         assert all(canonical[i] >= canonical[l - 1 - i] for i in range(l // 2))
 
 
-class TestCountSpec:
+class TestRequestCell:
     """The cell (family, reduced, sign, modulus) and index k that every path validates."""
 
     def test_validation(self):
