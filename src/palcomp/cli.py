@@ -95,7 +95,7 @@ def _check_request(args: argparse.Namespace, ns: Sequence[int], k: int) -> Formu
     --force refusal and then the cap, so the first n that fails is refused
     with the message brute force would raise there, and nothing is walked.
     """
-    check_index(min(ns, default=0), "n")  # an empty range refuses too
+    check_index(min(ns, default=0), "n")  # an empty ns passes, so the checks below still run
     check_index(k, "k")
     if args.variant is not None and args.method != "formula":
         raise ValueError("--variant selects among closed formulas; it requires --method formula")

@@ -10,6 +10,9 @@ disagrees: status is ``pass`` only if every cell agreed, and a failure
 reports that cell's params, expected and actual values.  The walker also
 turns an internal ``ArithmeticError`` into the check's failing result.  Each
 cell holds on its own, so no verdict depends on where the walker stops.
+Before the first cell, the walker refuses a bad request by
+:func:`_check_request`, as :func:`run_all`, the one holder of the default
+request, does before the first check.
 
 Work is paid per block, not per cell.  :func:`three_path_grid` reads each
 of its three legs as one grid per block: ``formula_grid``, ``gf_grid`` and
@@ -42,7 +45,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 from . import formulas
 from .bijection import decode_pair, encode_pair, pair_statistics
@@ -64,6 +68,7 @@ from .stats import (
     Modulus,
     Sign,
     check_index,
+    check_modulus,
     decode_binary,
     encode_binary,
     mismatch_count,
@@ -105,6 +110,7 @@ def _check(cells=None, *, agree=operator.eq):
 
     @functools.wraps(cells)
     def check(*args, **kwargs) -> CheckResult:
+        _check_request(**dict(zip(cells.__code__.co_varnames, args), **kwargs))
         try:
             for params, expected, actual in cells(*args, **kwargs):
                 if not agree(expected, actual):
@@ -114,6 +120,22 @@ def _check(cells=None, *, agree=operator.eq):
         return CheckResult(cells.__name__, "pass")
 
     return check
+
+
+def _check_request(**request) -> None:
+    """Refuse a request on which a check would read no cell or stop partway: n_max and
+    k_max must be counts, and moduli a nonempty sequence of moduli, as each check rereads it."""
+    for name in ("n_max", "k_max"):
+        if name in request:
+            check_index(request[name], name)
+    if "moduli" in request:
+        moduli = request["moduli"]
+        if not isinstance(moduli, Sequence):
+            raise TypeError(f"moduli must be a sequence, got {type(moduli).__name__}")
+        if not moduli:
+            raise ValueError("moduli must name at least one modulus, got none")
+        for modulus in moduli:
+            check_modulus(modulus)
 
 
 def _all_equal(expected, actual) -> bool:
@@ -148,12 +170,8 @@ def _box(n_max: int, k_max: int, n_min: int = 0) -> Iterator[tuple[int, int]]:
 
 
 @_check(agree=_all_equal)
-def three_path_grid(
-    n_max: int = 14,
-    k_max: int = 4,
-    moduli: Sequence[Modulus] = DEFAULT_MODULI,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> _Cells:
+def three_path_grid(n_max: int, k_max: int, moduli: Sequence[Modulus],
+                    cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """formula == generating function == brute force on the whole grid."""
     ns, ks = range(n_max + 1), range(k_max + 1)
     for block, cells in _grid(Sign, moduli, _box(n_max, k_max)):
@@ -177,9 +195,7 @@ def three_path_grid(
 
 
 @_check(agree=_all_equal)
-def variant_agreement(
-    n_max: int = 14, k_max: int = 4, moduli: Sequence[Modulus] = DEFAULT_MODULI
-) -> _Cells:
+def variant_agreement(n_max: int, k_max: int, moduli: Sequence[Modulus]) -> _Cells:
     """All published formulas for the same quantity return the same value."""
     finite = [m for m in moduli if m is not INFINITY]
     for (_, _, is_finite), row in formulas._PLUS_FORMULAS.items():
@@ -204,9 +220,7 @@ def variant_agreement(
 
 
 @_check
-def totals_from_plus(
-    n_max: int = 14, k_max: int = 4, moduli: Sequence[Modulus] = DEFAULT_MODULI
-) -> _Cells:
+def totals_from_plus(n_max: int, k_max: int, moduli: Sequence[Modulus]) -> _Cells:
     """Each direct total formula that a row of formulas._PLUS_FORMULAS names
     equals plus(n) + plus(n-1) of the row's plus formula, at every modulus of
     the row's block."""
@@ -221,12 +235,8 @@ def totals_from_plus(
 
 
 @_check
-def reflection_identity(
-    n_max: int = 14,
-    k_max: int = 4,
-    moduli: Sequence[Modulus] = DEFAULT_MODULI,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> _Cells:
+def reflection_identity(n_max: int, k_max: int, moduli: Sequence[Modulus],
+                        cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """Brute force: minus(n) == plus(n-1) for every family and modulus."""
     ks = range(k_max + 1)
     for (family, reduced, _, modulus), cells in _grid((Sign.MINUS,), moduli, _box(n_max, k_max, 1)):
@@ -238,11 +248,8 @@ def reflection_identity(
 
 
 @_check
-def statistic_partition(
-    n_max: int = 14,
-    moduli: Sequence[Modulus] = DEFAULT_MODULI,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> _Cells:
+def statistic_partition(n_max: int, moduli: Sequence[Modulus],
+                        cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """The statistics partition the composition space.
 
     Summing counts over k recovers 2^(n-1) for both families and every
@@ -258,7 +265,7 @@ def statistic_partition(
 
 
 @_check
-def reduced_halving(n_max: int = 14, k_max: int = 4, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
+def reduced_halving(n_max: int, k_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """Brute force at infinity: reduced PC count * 2^k == PC count."""
     ns, ks = range(n_max + 1), range(k_max + 1)
     grids = {(sign, reduced): brute_grid(Family.PC, reduced, sign, INFINITY, ns, ks, cap)
@@ -280,7 +287,7 @@ def divisibility() -> _Cells:
 
 
 @_check(agree=_all_equal)
-def tribonacci_identity(n_max: int = 18, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
+def tribonacci_identity(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """Triple sum == T(n+1) == compositions of n with parts <= 3."""
     for n in range(n_max + 1):
         lhs = tribonacci_identity_sum(n)
@@ -327,7 +334,7 @@ def special_values() -> _Cells:
 
 
 @_check
-def gf_total_plus_relation(moduli: Sequence[Modulus] = DEFAULT_MODULI) -> _Cells:
+def gf_total_plus_relation(moduli: Sequence[Modulus]) -> _Cells:
     """Each total the paper displays, T, is (1 + q) times its block's plus entry
     P, at every n and k: T.num * P.den == (1 + q) * P.num * T.den exactly, one
     cell per term.  A block without a displayed total has no total entry."""
@@ -365,7 +372,7 @@ def truncation_soundness() -> _Cells:
 
 
 @_check
-def bijection_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
+def bijection_round_trip(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """decode(encode(c)) == c on every plus-class composition, the pair statistic
     transports the mismatch count, and image counts per statistic match the
     plus-class closed formula.  The cardinality cells of n count compositions,
@@ -395,7 +402,7 @@ def bijection_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) ->
 
 
 @_check
-def binary_round_trip(n_max: int = 14, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
+def binary_round_trip(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """Binary encoding and decoding invert each other."""
     for n in range(n_max + 1):
         for c in enumerate_compositions(n, cap=cap):
@@ -431,7 +438,7 @@ def m1_specializations() -> _Cells:
 
 
 @_check
-def coloring_interpretations(n_max: int = 16, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
+def coloring_interpretations(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """Numeric identities with other composition families.
 
     The plus count at m=1, k=0 equals the two-colored count of compositions
@@ -448,7 +455,7 @@ def coloring_interpretations(n_max: int = 16, cap: int = DEFAULT_ENUMERATION_CAP
 
 
 @_check
-def parts_equal_one(n_max: int = 18, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
+def parts_equal_one(n_max: int, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cells:
     """Reduced anti-palindromic plus counts equal counts of compositions of
     n-k with exactly k <= 5 parts equal to 1."""
     for n, k in _box(n_max, 5):
@@ -457,25 +464,16 @@ def parts_equal_one(n_max: int = 18, cap: int = DEFAULT_ENUMERATION_CAP) -> _Cel
             yield {"n": n, "k": k}, count_parts_equal_one(n - k, k, cap=cap), lhs
 
 
-def run_all(
-    n_max: int = 14,
-    k_max: int = 4,
-    moduli: Sequence[Modulus] = DEFAULT_MODULI,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[CheckResult]:
-    """Run every check.
-
-    Checks backed by exhaustive enumeration scale with the requested grid;
-    formula-only and series-only identities take no arguments, so their
-    fixed ranges are the code (they are cheap and their ranges are part of
-    the contract).  A grid that would enumerate past the cap raises
-    EnumerationCapError before any check runs; before that, n_max and k_max
-    must be counts and moduli nonempty, or no grid check reads a cell.
-    """
-    check_index(n_max, "n_max")
-    check_index(k_max, "k_max")
-    if not moduli:
-        raise ValueError("moduli must name at least one modulus, got none")
+def run_all(n_max: int = 14, k_max: int = 4, moduli: Sequence[Modulus] = DEFAULT_MODULI,
+            cap: int = DEFAULT_ENUMERATION_CAP) -> list[CheckResult]:
+    """Run every check.  Six read the request as given: three_path_grid,
+    variant_agreement, totals_from_plus, reflection_identity,
+    statistic_partition and gf_total_plus_relation.  Six enumerating identities
+    read n ranges scaled from n_max, and the seven others take no arguments:
+    their fixed ranges are the code (cheap, and part of the contract).  A bad
+    request, or a grid that would enumerate past the cap, is refused before any
+    check runs."""
+    _check_request(n_max=n_max, k_max=k_max, moduli=moduli)
     small_n = min(n_max, 14)
     deep_n = min(n_max + 4, 18)
     # each enumerating check walks n upward, to max(n_max, deep_n) at most

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, formats, refusals, exit codes."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import palcomp
-from palcomp import formulas
-from palcomp.cli import BRUTE_OPTIN_LIMIT, main
+from palcomp import formulas, verify
+from palcomp.cli import BRUTE_OPTIN_LIMIT, build_parser, main
 from palcomp.concordance import load_concordance, lookup
 from palcomp.formulas import formula_count
 from palcomp.genfun import gf_count
@@ -568,6 +569,16 @@ class TestVerifyCommand:
     def test_bad_modulus_list(self, capsys):
         code, _, err = run(capsys, "verify", "--mods", "1,zero")
         assert code == 2 and "modulus" in err
+
+    def test_parser_defaults_are_run_alls(self):
+        # building the parser must not run verify, so it keeps a copy of run_all's
+        # default request; no --mods reads run_all's default moduli
+        args = build_parser().parse_args(["verify"])
+        defaults = inspect.signature(verify.run_all).parameters
+        assert (args.n_max, args.k_max, args.cap, args.mods) == (
+            defaults["n_max"].default, defaults["k_max"].default, defaults["cap"].default, None
+        )
+        assert defaults["moduli"].default is verify.DEFAULT_MODULI
 
 
 class TestBijectionCommand:

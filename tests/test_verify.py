@@ -516,6 +516,47 @@ def test_a_default_run_makes_the_public_walks_the_traced_benchmark_pins(monkeypa
     assert weighted == {n: 1 for n in range(19)}
 
 
+REQUEST_CHECKS = (
+    "three_path_grid", "variant_agreement", "totals_from_plus", "reflection_identity",
+    "statistic_partition", "reduced_halving", "tribonacci_identity", "gf_total_plus_relation",
+    "bijection_round_trip", "binary_round_trip", "coloring_interpretations", "parts_equal_one",
+)
+
+
+# what each check that reads the request gets from run_all, at the defaults and at a
+# small request: run_all alone scales small_n, deep_n and the coloring range
+RECEIVED = [
+    ({}, {
+        "three_path_grid": (14, 4, verify.DEFAULT_MODULI, 24),
+        "variant_agreement": (14, 4, verify.DEFAULT_MODULI),
+        "totals_from_plus": (14, 4, verify.DEFAULT_MODULI),
+        "reflection_identity": (14, 4, verify.DEFAULT_MODULI, 24),
+        "statistic_partition": (14, verify.DEFAULT_MODULI, 24),
+        "reduced_halving": (14, 4, 24),
+        "tribonacci_identity": (18, 24),
+        "gf_total_plus_relation": (verify.DEFAULT_MODULI,),
+        "bijection_round_trip": (14, 24),
+        "binary_round_trip": (14, 24),
+        "coloring_interpretations": (16, 24),
+        "parts_equal_one": (18, 24),
+    }),
+    ({"n_max": 4, "k_max": 1, "moduli": (2,)}, {
+        "three_path_grid": (4, 1, (2,), 24),
+        "variant_agreement": (4, 1, (2,)),
+        "totals_from_plus": (4, 1, (2,)),
+        "reflection_identity": (4, 1, (2,), 24),
+        "statistic_partition": (4, (2,), 24),
+        "reduced_halving": (4, 1, 24),
+        "tribonacci_identity": (8, 24),
+        "gf_total_plus_relation": ((2,),),
+        "bijection_round_trip": (4, 24),
+        "binary_round_trip": (4, 24),
+        "coloring_interpretations": (6, 24),
+        "parts_equal_one": (8, 24),
+    }),
+]
+
+
 def test_run_all_calls_each_check_through_the_module(monkeypatch):
     # run_all looks the checks up when it runs, so a rebound verify.<check> is the one called
     names = [
@@ -526,24 +567,45 @@ def test_run_all_calls_each_check_through_the_module(monkeypatch):
         "bijection_round_trip", "binary_round_trip", "m1_specializations",
         "coloring_interpretations", "parts_equal_one",
     ]
-    called, received = [], {}
+    called, calls = [], {}
     for name in names:
         def stub(*args, name=name, **kwargs):
             called.append(name)
-            received[name] = (args, kwargs)
+            calls[name] = (args, kwargs)
             return verify.CheckResult(name, "pass", {"stub": True})
 
         monkeypatch.setattr(verify, name, stub)
-    results = verify.run_all(n_max=4, k_max=1, moduli=(2,))
-    assert called == names
-    assert [r.check for r in results] == names
-    assert all(r.params == {"stub": True} for r in results)
-    # the fixed-range checks keep their ranges in their bodies, so run_all passes them nothing
     fixed = [
         "divisibility", "sequence_identification", "parity_vanishing", "special_values",
         "rpc_mod2_fibonacci_fold", "truncation_soundness", "m1_specializations",
     ]
-    assert {name: received[name] for name in fixed} == {name: ((), {}) for name in fixed}
+    for request_, received in RECEIVED:
+        called.clear()
+        results = verify.run_all(**request_)
+        assert called == names
+        assert [r.check for r in results] == names
+        assert all(r.params == {"stub": True} for r in results)
+        # each check that reads the request gets its range positionally, and the
+        # fixed-range checks keep their ranges in their bodies, so get nothing
+        assert {name: calls[name] for name in REQUEST_CHECKS} == {
+            name: (args, {}) for name, args in received.items()
+        }
+        assert {name: calls[name] for name in fixed} == {name: ((), {}) for name in fixed}
+
+
+def test_only_run_all_holds_a_default_request():
+    # every check that reads the request takes it from its caller, so run_all's defaults
+    # are its only copy; cap keeps the oracle's library-wide default
+    signatures = {name: inspect.signature(obj).parameters for name, obj in vars(verify).items()
+                  if inspect.isfunction(obj) and obj.__module__ == verify.__name__}
+    request = {name: [params[p] for p in ("n_max", "k_max", "moduli") if p in params]
+               for name, params in signatures.items()}
+    assert {name for name, taken in request.items() if taken and not name.startswith("_")} == {
+        *REQUEST_CHECKS, "run_all"
+    }
+    defaulted = {name for name, taken in request.items()
+                 if any(p.default is not inspect.Parameter.empty for p in taken)}
+    assert defaulted == {"run_all"}
 
 
 def test_a_non_int_cap_is_refused_before_any_check_runs(monkeypatch):
@@ -560,17 +622,49 @@ def test_a_non_int_cap_is_refused_before_any_check_runs(monkeypatch):
         ({"n_max": -1}, ValueError, "^n_max must be >= 0, got -1$"),
         ({"k_max": -2}, ValueError, "^k_max must be >= 0, got -2$"),
         ({"n_max": True}, TypeError, "^n_max must be an int, got True$"),
+        ({"n_max": 2.5}, TypeError, "^n_max must be an int, got 2.5$"),
         ({"moduli": ()}, ValueError, "^moduli must name at least one modulus, got none$"),
+        ({"n_max": 6, "k_max": 1, "moduli": iter((2, INFINITY))}, TypeError,
+         "^moduli must be a sequence, got tuple_iterator$"),
+        ({"moduli": (2, 0)}, ValueError, "^modulus must be >= 1, got 0$"),
+        ({"moduli": (2, True)}, TypeError,
+         "^modulus must be a positive int or INFINITY, got True$"),
     ],
-    ids=["negative-n_max", "negative-k_max", "bool-n_max", "empty-moduli"],
+    ids=["negative-n_max", "negative-k_max", "bool-n_max", "float-n_max", "empty-moduli",
+         "iterator-moduli", "zero-modulus", "bool-modulus"],
 )
 def test_run_all_refuses_a_request_whose_grid_checks_read_nothing(monkeypatch, request_, error,
                                                                   message):
-    # each of these read no cell, or read True as 1, and so passed all 19 checks
-    for name in ("brute_grid", "enumerate_compositions", "count_parts_at_most"):
+    # each of these read no cell, read True as 1, or left later checks no moduli
+    # to read, and so passed all 19 checks, or was refused only after work began
+    for name in ("gf_grid", "brute_grid", "enumerate_compositions", "count_parts_at_most"):
         monkeypatch.setattr(verify, name, lambda *args, **kwargs: pytest.fail("a check ran"))
     with pytest.raises(error, match=message):
         verify.run_all(**request_)
+
+
+REFUSED = {"n_max": (-1, ValueError, "^n_max must be >= 0, got -1$"),
+           "k_max": (-2, ValueError, "^k_max must be >= 0, got -2$"),
+           "moduli": ((), ValueError, "^moduli must name at least one modulus, got none$")}
+
+
+@pytest.mark.parametrize("name", REQUEST_CHECKS)
+def test_each_check_refuses_a_request_run_all_refuses(monkeypatch, name):
+    # called alone, a check refuses what run_all refuses, with its message, before any
+    # cell; each of these calls passed on no cells, e.g. three_path_grid(-1, 2, (2,))
+    for reader in ("gf_grid", "brute_grid", "enumerate_compositions", "count_parts_at_most",
+                   "count_parts_equal_one", "count_two_colored_no_ones", "tribonacci_identity_sum"):
+        monkeypatch.setattr(verify, reader, lambda *args, **kwargs: pytest.fail("a cell was read"))
+    check = getattr(verify, name)
+    good = {"n_max": 3, "k_max": 1, "moduli": (2,)}
+    taken = [p for p in inspect.signature(check).parameters if p in good]
+    for field in taken:
+        bad, error, message = REFUSED[field]
+        request = {p: bad if p == field else good[p] for p in taken}
+        with pytest.raises(error, match=message):
+            check(*request.values())
+        with pytest.raises(error, match=message):
+            check(**request)
 
 
 def test_m1_specializations_evaluates_each_mod2_plus_value_once(monkeypatch):
